@@ -2,7 +2,7 @@
 # extra dependencies are required.
 
 GO         ?= go
-BENCH      ?= BenchmarkAnalyzeParallel|BenchmarkAnalyzeIncremental|BenchmarkAnalyzeBatch|BenchmarkCompiledKernel|BenchmarkScenarioDedup|BenchmarkDSEMemoization|BenchmarkAlgorithm1|BenchmarkHolistic|BenchmarkWorstFinishKernel|BenchmarkStructuralCache|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport
+BENCH      ?= BenchmarkAnalyzeParallel|BenchmarkAnalyzeBatch|BenchmarkCompiledKernel|BenchmarkScenarioDedup|BenchmarkAlgorithm1|BenchmarkHolistic|BenchmarkWorstFinishKernel|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport
 # BENCHPKGS lists every package contributing guarded benchmarks: the
 # root integration benchmarks plus the dse package's evaluation-primitive
 # benchmarks.
@@ -13,7 +13,7 @@ FUZZTIME   ?= 20s
 
 PROFDIR    ?= profiles
 
-.PHONY: build test test-race lint wire-schema fuzz bench benchguard profile clean
+.PHONY: build test test-race perfbench lint wire-schema fuzz bench benchguard profile clean
 
 build:
 	$(GO) build ./...
@@ -24,11 +24,18 @@ test:
 test-race:
 	$(GO) test -race ./...
 
+# perfbench vets and smoke-tests the end-to-end benchmark. It is its own
+# module (perfbench/go.mod replaces mcmap with this tree), so
+# `go build ./...` never compiles it: an API change it depends on would
+# otherwise only surface when the benchmark runs.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # lint is the static-analysis gate: gofmt, go vet, and the repo's own
 # invariant linter (cmd/mcmaplint) in module mode — the per-package
 # rules (determinism, map-range ordering, pool-bounded goroutine
-# spawning, sync-type copies, cache-entry and compiled-system
-# immutability) plus the whole-repo call-graph rules (transitive
+# spawning, sync-type copies, compiled-system immutability) plus the
+# whole-repo call-graph rules (transitive
 # determinism, pinned wire schema, lock-order cycles,
 # deadline/cancellation guards; DESIGN.md §8). CI additionally runs
 # golangci-lint (.golangci.yml); locally this target needs nothing

@@ -404,17 +404,12 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 }
 
 // BenchmarkAnalyzeBatch contrasts core.AnalyzeBatch — one compiled
-// lowering, first vector cold, the rest warm-started against it — with
-// the naive sweep that analyzes every candidate vector independently.
-// The candidate set models a sensitivity-style sweep: the nominal
-// vector plus 15 variants, each inflating one task's WCET by 25%
-// (spread across the node list). The platform is the wide sparse
-// synthetic of BenchmarkAnalyzeIncremental: per-vector dirty sets stay
-// local there, so the warm starts touch only each perturbation's
-// dependence closure — the regime the batch API is for. On dense
-// platforms (few processors, everything interfering) a single task's
-// closure spans most of the graph and the warm bookkeeping degrades
-// towards cold-analysis cost, favoring the loop.
+// lowering, the vectors' analyses fanned out over the default worker
+// budget — with the sequential sweep that analyzes every candidate
+// vector in turn over the same lowering. The candidate set models a
+// sensitivity-style sweep on a wide sparse synthetic: the nominal vector
+// plus 15 variants, each inflating one task's WCET by 25% (spread across
+// the node list).
 func BenchmarkAnalyzeBatch(b *testing.B) {
 	bench := benchmarks.Synth(benchmarks.SynthConfig{
 		Name: "sparse", Procs: 12, CriticalApps: 4, DroppableApps: 4,
@@ -490,58 +485,6 @@ func BenchmarkCompiledKernel(b *testing.B) {
 	})
 }
 
-// BenchmarkDSEMemoization contrasts a GA run with the fitness cache on
-// (default) and off. Both runs follow the identical trajectory (see
-// TestMemoizedTrajectoryMatchesUncached); the cached run performs fewer
-// Decode→Apply→Compile→Analyze pipelines, reported as analyses/run.
-// The structural cache is disabled in both variants so the comparison
-// isolates memoization: with it on, the uncached run's 3× analysis
-// volume seeds far more cross-candidate warm-starts per generation,
-// which cheapens exactly the work the fitness cache is meant to skip
-// and muddies the contrast (BenchmarkStructuralCache covers that
-// dimension on its own).
-func BenchmarkDSEMemoization(b *testing.B) {
-	bench := benchmarks.DTMed()
-	p, err := dse.NewProblem(bench.Arch, bench.Apps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// One untimed run brings the process to steady state (heap sizing,
-	// page faults) so the first timed variant doesn't absorb the warmup
-	// cost that the second one skips.
-	if _, err := dse.Optimize(p, dse.Options{
-		PopSize: 24, Generations: 12, Seed: 1, StructuralCacheSize: -1,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		size int
-	}{
-		{"cache", 0},    // default LRU
-		{"nocache", -1}, // memoization disabled
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			analyses := 0
-			for i := 0; i < b.N; i++ {
-				res, err := dse.Optimize(p, dse.Options{
-					PopSize: 24, Generations: 12, Seed: 1,
-					FitnessCacheSize: c.size, StructuralCacheSize: -1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if c.size < 0 {
-					analyses = res.Stats.Evaluated
-				} else {
-					analyses = res.Stats.CacheMisses
-				}
-			}
-			b.ReportMetric(float64(analyses), "analyses/run")
-		})
-	}
-}
-
 // BenchmarkIslandDSE measures the island-model machinery at IDENTICAL
 // work: islands=1 runs the four island trajectories of seed 1 (their
 // derived seeds via dse.IslandSeeds) back to back through the plain
@@ -549,16 +492,13 @@ func BenchmarkDSEMemoization(b *testing.B) {
 // trajectories concurrently through the island orchestrator with
 // migration disabled (interval past the horizon), so both variants
 // evaluate byte-identical candidate sequences and differ only in the
-// coordination layer — goroutines, pool arbitration, barrier
-// snapshots, final merge. Their ratio is the scaling gate benchguard
+// coordination layer — goroutines, pool arbitration, barriers, final
+// merge. Their ratio is the scaling gate benchguard
 // asserts on (islands=4 within 1.3x of islands=1): on one core it is
 // pure orchestration overhead, on a multi-core host it drops below 1
 // as the islands overlap. The islands=4/migrate variant adds ring
 // migration every 3 generations; its trajectories diverge after the
-// first exchange, so it is informational, not gated. Both caches are
-// disabled throughout: with memoization on, the measured ratio mixed
-// the orchestration cost with each trajectory's hit rate, and a
-// convergence change could masquerade as a scaling regression.
+// first exchange, so it is informational, not gated.
 func BenchmarkIslandDSE(b *testing.B) {
 	bench := benchmarks.DTMed()
 	p, err := dse.NewProblem(bench.Arch, bench.Apps)
@@ -566,10 +506,11 @@ func BenchmarkIslandDSE(b *testing.B) {
 		b.Fatal(err)
 	}
 	const gens = 6
-	base := dse.Options{PopSize: 24, Generations: gens,
-		FitnessCacheSize: -1, StructuralCacheSize: -1}
+	base := dse.Options{PopSize: 24, Generations: gens}
 	seeds := dse.IslandSeeds(1, 4)
-	// Untimed steady-state warmup, as in BenchmarkDSEMemoization.
+	// One untimed run brings the process to steady state (heap sizing,
+	// page faults) so the first timed variant doesn't absorb the warmup
+	// cost that the others skip.
 	if _, err := dse.Optimize(p, dse.Options{PopSize: 24, Generations: gens, Seed: 1}); err != nil {
 		b.Fatal(err)
 	}
@@ -631,57 +572,6 @@ func BenchmarkSPEA2Select(b *testing.B) {
 				out := sel.Select(union, pop/2)
 				if len(out) != pop/2 {
 					b.Fatalf("archive size %d, want %d", len(out), pop/2)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAnalyzeIncremental measures the warm-started scenario
-// analysis of Algorithm 1 on DT-large against the cold per-scenario
-// re-analysis, at one and eight workers, plus the effect of dominance
-// pruning on top. Every variant produces the same WCRTs and verdicts
-// (see TestIncrementalReportEquivalence / TestPrunedReportEquivalence).
-func BenchmarkAnalyzeIncremental(b *testing.B) {
-	bench := benchmarks.DTLarge()
-	sys, dropped, err := bench.CompiledSample(benchmarks.MapLoadBalance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sparseBench := benchmarks.Synth(benchmarks.SynthConfig{
-		Name: "sparse", Procs: 12, CriticalApps: 4, DroppableApps: 4,
-		MinTasks: 2, MaxTasks: 4, Seed: 3,
-	})
-	sparseSys, sparseDropped, err := sparseBench.CompiledSample(benchmarks.MapLoadBalance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name        string
-		sys         *platform.System
-		dropped     core.DropSet
-		incremental bool
-		prune       bool
-		workers     int
-	}{
-		{"dt-large/cold/workers=1", sys, dropped, false, false, 1},
-		{"dt-large/incremental/workers=1", sys, dropped, true, false, 1},
-		{"dt-large/incremental+prune/workers=1", sys, dropped, true, true, 1},
-		{"dt-large/cold/workers=8", sys, dropped, false, false, 8},
-		{"dt-large/incremental/workers=8", sys, dropped, true, false, 8},
-		{"sparse/cold/workers=1", sparseSys, sparseDropped, false, false, 1},
-		{"sparse/incremental/workers=1", sparseSys, sparseDropped, true, false, 1},
-		{"sparse/incremental+prune/workers=1", sparseSys, sparseDropped, true, true, 1},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			cfg := core.NewConfig()
-			cfg.Incremental = c.incremental
-			cfg.PruneDominated = c.prune
-			cfg.Workers = c.workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Analyze(c.sys, c.dropped, cfg); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})
@@ -757,82 +647,6 @@ func BenchmarkWorstFinishKernel(b *testing.B) {
 		if _, err := h.Analyze(sys, exec); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkStructuralCache measures the cross-candidate structural cache
-// on the sibling pattern GA offspring actually exhibit: the same
-// hardening and drop decisions with a handful of tasks rebound to other
-// processors. Each iteration analyzes a base mapping plus eight
-// single-task-move variants on a 16-processor synthetic platform (wide
-// architectures keep the per-move dirty set local, which is where
-// warm-starting pays; see DESIGN.md §7.6). With a shared cache the
-// variants warm-start their cold passes from the base candidate's
-// converged bounds. The nocache variant is the cold reference; Reports
-// are identical in both (see TestStructuralCacheEquivalence).
-func BenchmarkStructuralCache(b *testing.B) {
-	bench := benchmarks.Synth(benchmarks.SynthConfig{
-		Name: "struct-wide", Procs: 16,
-		CriticalApps: 4, DroppableApps: 4,
-		MinTasks: 8, MaxTasks: 8,
-		Seed: 9,
-	})
-	man, err := bench.Hardened()
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := bench.SampleMapping(man, benchmarks.MapLoadBalance)
-	dropped := bench.DefaultDropSet()
-	nprocs := len(bench.Arch.Procs)
-
-	// The base system plus one variant per moved task (replicas are left
-	// alone: moving one could collide with its siblings' processors).
-	var movable []model.TaskID
-	for _, g := range man.Apps.Graphs {
-		for _, t := range g.Tasks {
-			if t.Kind != model.KindReplica {
-				movable = append(movable, t.ID)
-			}
-		}
-	}
-	var systems []*platform.System
-	compileWith := func(mapping model.Mapping) {
-		sys, err := platform.Compile(bench.Arch, man.Apps, mapping, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		systems = append(systems, sys)
-	}
-	compileWith(base)
-	for v := 0; v < 8 && v < len(movable); v++ {
-		id := movable[v*len(movable)/8]
-		mapping := model.Mapping{}
-		for k, p := range base {
-			mapping[k] = p
-		}
-		mapping[id] = model.ProcID((int(base[id]) + 1) % nprocs)
-		compileWith(mapping)
-	}
-	for _, cached := range []bool{false, true} {
-		name := "nocache"
-		if cached {
-			name = "cache"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := core.NewConfig()
-				if cached {
-					// Fresh per iteration: all reuse measured here comes
-					// from the in-iteration siblings, not prior rounds.
-					cfg.Structural = core.NewStructuralCache(0)
-				}
-				for _, sys := range systems {
-					if _, err := core.Analyze(sys, dropped, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
 	}
 }
 

@@ -32,7 +32,7 @@ func main() {
 	gens := flag.Int("gens", 300, "GA generations")
 	seed := flag.Int64("seed", 1, "GA seed")
 	workers := flag.Int("workers", 0, "worker budget shared by GA fitness evaluation and scenario analysis (0 = GOMAXPROCS)")
-	islands := flag.Int("islands", 1, "concurrent GA islands sharing the worker budget and caches (1 = the classic single trajectory; per-island seeds derive from -seed)")
+	islands := flag.Int("islands", 1, "concurrent GA islands sharing the worker budget (1 = the classic single trajectory; per-island seeds derive from -seed)")
 	migrationInterval := flag.Int("migration-interval", 10, "generations between Pareto-elite ring migrations (multi-island runs)")
 	islandProcs := flag.Bool("island-procs", false, "run each island in its own child process (multicore scaling past the shared Go heap); archives are byte-identical to the in-process mode")
 	islandHosts := flag.String("island-hosts", "", "comma-separated fleet worker addresses (host:port of `mcmapd -worker` processes) to run island legs on; archives are byte-identical to the in-process mode, and a lost worker's island is recomputed locally")
@@ -109,11 +109,8 @@ func main() {
 	}
 
 	fmt.Printf("evaluated %d candidates, %d feasible\n", res.Stats.Evaluated, res.Stats.Feasible)
-	fmt.Printf("scenario analyses: %d run (%d deduplicated, %d pruned, %d warm-started)\n",
-		res.Stats.ScenariosAnalyzed, res.Stats.ScenariosDeduped, res.Stats.ScenariosPruned, res.Stats.ScenariosIncremental)
-	fmt.Printf("fitness cache: %d hits, %d misses, %d generations bypassed; structural cache: %d hits, %d misses, %d warm-started passes\n",
-		res.Stats.CacheHits, res.Stats.CacheMisses, res.Stats.CacheBypassed,
-		res.Stats.StructHits, res.Stats.StructMisses, res.Stats.WarmStartJobs)
+	fmt.Printf("scenario analyses: %d run (%d deduplicated, %d pruned)\n",
+		res.Stats.ScenariosAnalyzed, res.Stats.ScenariosDeduped, res.Stats.ScenariosPruned)
 	if len(res.Stats.IslandStats) > 0 {
 		fmt.Printf("islands: %d, %d migrants exchanged\n", len(res.Stats.IslandStats), res.Stats.Migrations)
 		for _, st := range res.Stats.IslandStats {
@@ -121,9 +118,8 @@ func main() {
 			if st.BestPower >= 0 {
 				best = fmt.Sprintf("best %.3f W", st.BestPower)
 			}
-			fmt.Printf("  island %d: %d evaluated (%d feasible), cache %d/%d hit, migrants %d in / %d out, %s\n",
-				st.Island, st.Evaluated, st.Feasible, st.CacheHits, st.CacheHits+st.CacheMisses,
-				st.MigrantsIn, st.MigrantsOut, best)
+			fmt.Printf("  island %d: %d evaluated (%d feasible), migrants %d in / %d out, %s\n",
+				st.Island, st.Evaluated, st.Feasible, st.MigrantsIn, st.MigrantsOut, best)
 		}
 	}
 	if *track {

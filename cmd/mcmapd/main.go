@@ -2,9 +2,9 @@
 // HTTP/JSON server over the repository's WCRT analysis (Algorithm 1) and
 // genetic design-space exploration. Unlike the one-shot CLIs (wcrtcheck,
 // ftmap) it keeps state between requests — coalescing concurrent
-// identical analyses, caching results and per-problem structural state,
-// streaming DSE progress, and checkpointing DSE jobs so a cancelled run
-// resumes into a byte-identical final archive. With -data the job
+// identical analyses, caching results, streaming DSE progress, and
+// checkpointing DSE jobs so a cancelled run resumes into a
+// byte-identical final archive. With -data the job
 // records (and their checkpoints) survive daemon restarts.
 //
 // Endpoints (see DESIGN.md §9 and the README quickstart):
@@ -17,7 +17,7 @@
 //	POST /jobs/{id}/cancel   cancel a queued or running job
 //	POST /jobs/{id}/resume   restart a cancelled/failed job from its
 //	                         newest migration-barrier checkpoint
-//	GET  /stats              cache/queue/coalescing/fleet counters
+//	GET  /stats              result-cache/queue/coalescing/fleet counters
 //	GET  /healthz            liveness
 //
 // Fleet roles (see DESIGN.md §10): `mcmapd -worker` turns the process
@@ -56,9 +56,6 @@ func main() {
 	runners := flag.Int("runners", 0, "queue-runner goroutines; one is reserved for analyses (0 = default 2)")
 	queueDepth := flag.Int("queue", 0, "queued-task bound; past it requests get 429 + Retry-After (0 = default 64)")
 	resultCache := flag.Int("result-cache", 0, "analyze result-cache entries (0 = default 256)")
-	maxProblems := flag.Int("max-problems", 0, "distinct problems with persistent caches, LRU-evicted (0 = default 32)")
-	structCache := flag.Int("struct-cache", 0, "per-problem structural-cache entries (0 = default 512)")
-	fitnessStore := flag.Int("fitness-store", 0, "per-problem cross-job fitness-store entries (0 = default 4096)")
 	maxBody := flag.Int64("max-body", 0, "request body bound in bytes (0 = default 16 MiB)")
 	flag.Parse()
 
@@ -73,16 +70,13 @@ func main() {
 	}
 
 	srv := service.New(service.Config{
-		Workers:             *workers,
-		Runners:             *runners,
-		QueueDepth:          *queueDepth,
-		ResultCacheSize:     *resultCache,
-		MaxProblems:         *maxProblems,
-		StructuralCacheSize: *structCache,
-		FitnessStoreSize:    *fitnessStore,
-		MaxBodyBytes:        *maxBody,
-		IslandHosts:         splitHosts(*islandHosts),
-		DataDir:             *dataDir,
+		Workers:         *workers,
+		Runners:         *runners,
+		QueueDepth:      *queueDepth,
+		ResultCacheSize: *resultCache,
+		MaxBodyBytes:    *maxBody,
+		IslandHosts:     splitHosts(*islandHosts),
+		DataDir:         *dataDir,
 	}, nil)
 
 	httpSrv := &http.Server{

@@ -1,6 +1,6 @@
 // Command mcmaplint runs the repository's invariant linter suite (see
 // internal/lint): the per-package rules (determinism, maprange,
-// gospawn, synccopy, cachewrite, compiledwrite) plus the whole-repo
+// gospawn, synccopy, compiledwrite) plus the whole-repo
 // call-graph rules (transdet, wireschema, lockorder, ctxdeadline). It
 // is wired into `make lint` and CI; run it over the whole module with
 //

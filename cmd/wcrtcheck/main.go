@@ -82,8 +82,8 @@ func main() {
 		fmt.Printf("%-20s %12v %12v %10s %s\n", g.Name, w, g.EffectiveDeadline(), class, verdict)
 	}
 	fmt.Printf("\nfeasible: %v (normal-state %v, critical-state %v)\n", rep.Feasible(), rep.NormalOK, rep.CriticalOK)
-	fmt.Printf("scenarios analyzed: %d (deduplicated: %d, pruned: %d, warm-started: %d)\n",
-		rep.ScenariosAnalyzed, rep.ScenariosDeduped, rep.ScenariosPruned, rep.ScenariosIncremental)
+	fmt.Printf("scenarios analyzed: %d (deduplicated: %d, pruned: %d)\n",
+		rep.ScenariosAnalyzed, rep.ScenariosDeduped, rep.ScenariosPruned)
 
 	if *slack {
 		rows, err := mcmap.Sensitivity(sys, dropped)

@@ -7,45 +7,23 @@ import (
 
 // AnalyzeBatch evaluates many candidate execution-interval vectors
 // against ONE system in a single call: the system is lowered once (the
-// compiled engine's SoA tables are shared by every evaluation), the
-// first vector is analyzed cold, and every further vector warm-starts
-// from it with a per-entry diff — so the marginal cost of a vector is
-// the affected part of its fixed point, not a full graph setup plus cold
-// analysis. Evaluations fan out over Config.Workers exactly like the
+// compiled engine's SoA tables are shared by every evaluation) and the
+// vectors' cold analyses fan out over Config.Workers exactly like the
 // scenario analyses inside Analyze, sharing Config.Pool budgets.
 //
 // results[i] corresponds to execs[i] and is identical — bounds,
-// verdict — to an independent analyzer.Analyze(sys, execs[i]) call
-// (warm starts are exact; see sched.IncrementalAnalyzer). Only
-// Result.Iterations differs, as documented on that field. The batch
-// entry point serves callers that sweep exec-bound hypotheses over a
-// fixed mapping: portfolio re-validation, sensitivity scans, and the
-// batch benchmarks gating the compiled kernel.
+// verdict — to an independent analyzer.Analyze(sys, execs[i]) call. The
+// batch entry point serves callers that sweep exec-bound hypotheses
+// over a fixed mapping: portfolio re-validation, sensitivity scans, and
+// the batch benchmarks gating the compiled kernel.
 func AnalyzeBatch(sys *platform.System, execs [][]sched.ExecBounds, cfg Config) ([]*sched.Result, error) {
-	results := make([]*sched.Result, len(execs))
 	if len(execs) == 0 {
-		return results, nil
+		return []*sched.Result{}, nil
 	}
 	analyzer := cfg.engageCompiled(cfg.analyzer(), sys)
-
-	baseline, err := analyzer.Analyze(sys, execs[0])
-	if err != nil {
-		return nil, err
-	}
-	results[0] = baseline
-
-	var base *incrementalBase
-	if inc, ok := analyzer.(sched.IncrementalAnalyzer); ok && cfg.Incremental && !diverged(baseline) {
-		base = &incrementalBase{analyzer: inc, result: baseline, exec: execs[0]}
-	}
-	jobs := make([]scenarioJob, len(execs)-1)
+	jobs := make([]scenarioJob, len(execs))
 	for i := range jobs {
-		jobs[i] = scenarioJob{sc: Scenario{Trigger: platform.NodeID(-1)}, exec: execs[i+1]}
+		jobs[i] = scenarioJob{sc: Scenario{Trigger: platform.NodeID(-1)}, exec: execs[i]}
 	}
-	rest, err := analyzeScenarios(analyzer, sys, jobs, cfg, base)
-	if err != nil {
-		return nil, err
-	}
-	copy(results[1:], rest)
-	return results, nil
+	return analyzeScenarios(analyzer, sys, jobs, cfg)
 }

@@ -7,13 +7,13 @@ import (
 
 // compiledAdapter routes one Analyze call's backend invocations through
 // the columnar engine: it binds the holistic backend to the compiled
-// lowering of the call's system, so the fault-free pass, the critical
-// reference and every scenario warm start run over the shared SoA tables
-// instead of the pointer graph. The adapter satisfies the same optional
-// interfaces as the backend it wraps (incremental, concurrent), keeps
-// its Name (reports are unchanged), and defensively falls through to the
-// pointer path for any foreign system — so it composes with every core
-// code path that re-dispatches on the analyzer.
+// lowering of the call's system, so the fault-free pass and every
+// scenario analysis run over the shared SoA tables instead of the
+// pointer graph. The adapter satisfies the same optional interfaces as
+// the backend it wraps (concurrent, session), keeps its Name (reports
+// are unchanged), and defensively falls through to the pointer path for
+// any foreign system — so it composes with every core code path that
+// re-dispatches on the analyzer.
 type compiledAdapter struct {
 	h  *sched.Holistic
 	cs *sched.CompiledSystem
@@ -47,25 +47,6 @@ func (a *compiledAdapter) Analyze(sys *platform.System, exec []sched.ExecBounds)
 	return a.h.AnalyzeCompiled(a.cs, exec)
 }
 
-func (a *compiledAdapter) AnalyzeFrom(sys *platform.System, exec []sched.ExecBounds, baseline *sched.Result, dirty []bool) (*sched.Result, error) {
-	if sys != a.cs.Sys {
-		return a.h.AnalyzeFrom(sys, exec, baseline, dirty)
-	}
-	return a.h.AnalyzeCompiledFrom(a.cs, exec, baseline, dirty)
-}
-
-// AnalyzeFromLeaf implements sched.LeafAnalyzer: scenario fan-outs never
-// reuse their results as warm-start baselines, so the compiled engine
-// skips the per-result snapshot. The pointer fallback for foreign
-// systems has no leaf variant and just returns the full result — a
-// superset of the contract.
-func (a *compiledAdapter) AnalyzeFromLeaf(sys *platform.System, exec []sched.ExecBounds, baseline *sched.Result, dirty []bool) (*sched.Result, error) {
-	if sys != a.cs.Sys {
-		return a.h.AnalyzeFrom(sys, exec, baseline, dirty)
-	}
-	return a.h.AnalyzeCompiledFromLeaf(a.cs, exec, baseline, dirty)
-}
-
 // OpenSession implements sched.SessionAnalyzer: sessions on the bound
 // system route through the compiled kernel with pinned scratch; foreign
 // systems get a plain pointer-path session, mirroring the defensive
@@ -78,8 +59,6 @@ func (a *compiledAdapter) OpenSession(sys *platform.System) *sched.Session {
 }
 
 var (
-	_ sched.IncrementalAnalyzer = (*compiledAdapter)(nil)
-	_ sched.LeafAnalyzer        = (*compiledAdapter)(nil)
-	_ sched.ConcurrentAnalyzer  = (*compiledAdapter)(nil)
-	_ sched.SessionAnalyzer     = (*compiledAdapter)(nil)
+	_ sched.ConcurrentAnalyzer = (*compiledAdapter)(nil)
+	_ sched.SessionAnalyzer    = (*compiledAdapter)(nil)
 )

@@ -15,35 +15,27 @@ import (
 )
 
 // paritySignature extends the engine-independent reportSignature (see
-// incremental_test.go — it already excludes the Iterations diagnostic
-// the two engines legitimately disagree on) with the remaining engine
-// counters, so equal signatures mean byte-identical Reports in every
-// field the analysis contract covers, including the dedup/prune/warm
-// trajectory.
+// report_test.go — it already excludes the Iterations diagnostic the two
+// engines legitimately disagree on) with the pruning counter, so equal
+// signatures mean byte-identical Reports in every field the analysis
+// contract covers, including the dedup/prune trajectory.
 func paritySignature(rep *core.Report) string {
-	return fmt.Sprintf("%s|pruned=%d incremental=%d struct=%d,%d,%d",
-		reportSignature(rep, true),
-		rep.ScenariosPruned, rep.ScenariosIncremental,
-		rep.StructHits, rep.StructMisses, rep.StructWarmJobs)
+	return fmt.Sprintf("%s|pruned=%d", reportSignature(rep, true), rep.ScenariosPruned)
 }
 
 // requireCompiledParity analyzes one system under both engines across
-// the config dimensions that change the backend invocation pattern
-// (incremental warm starts on/off, dominance pruning on/off) and
-// requires identical Report signatures.
+// the config dimension that changes the backend invocation pattern
+// (dominance pruning on/off) and requires identical Report signatures.
 func requireCompiledParity(t *testing.T, name string, sys *platform.System, dropped core.DropSet) {
 	t.Helper()
 	for _, variant := range []struct {
-		label       string
-		incremental bool
-		prune       bool
+		label string
+		prune bool
 	}{
-		{"incremental", true, false},
-		{"cold", false, false},
-		{"incremental+prune", true, true},
+		{"cold", false},
+		{"pruned", true},
 	} {
 		base := core.NewConfig()
-		base.Incremental = variant.incremental
 		base.PruneDominated = variant.prune
 		base.Workers = 1 // deterministic merge order on both sides
 

@@ -70,17 +70,6 @@ type Config struct {
 	// classifications). It is enabled by default in NewConfig; the zero
 	// Config leaves it off for strict paper fidelity.
 	DedupScenarios bool
-	// Incremental warm-starts every scenario analysis when the backend
-	// implements sched.IncrementalAnalyzer. The engine analyzes one
-	// extra reference vector — the all-critical state, which scenario
-	// vectors resemble far more closely than the fault-free one (most
-	// entries of every scenario are critical-state inflations) — then
-	// diffs each scenario against it and re-derives only the affected
-	// part of the fixed point. The reported bounds are identical to a
-	// cold analysis (see sched.IncrementalAnalyzer); backends without
-	// the interface silently fall back to full analysis. Enabled by
-	// default in NewConfig; the zero Config leaves it off.
-	Incremental bool
 	// PruneDominated skips scenarios whose execution-interval vector is
 	// pointwise dominated by an already kept scenario's (every task
 	// interval contained in the other's): the holistic bounds are
@@ -135,17 +124,6 @@ type Config struct {
 	// backend; other analyzers run unchanged. Enabled by default in
 	// NewConfig; the zero Config leaves it off.
 	Compiled bool
-	// Structural warm-starts the fault-free and critical-reference
-	// passes from a previously analyzed candidate with the same compiled
-	// structure (same job set, hardening decisions and drop set) but a
-	// different mapping — the cross-candidate analogue of Incremental.
-	// Reports are bound-for-bound identical to cold analyses (see
-	// structural.go for the soundness argument); counters surface in
-	// Report.StructHits/StructMisses/StructWarmJobs. Requires a backend
-	// implementing sched.IncrementalAnalyzer; nil disables. One cache
-	// must serve only candidates of one design-space exploration (same
-	// applications, architecture and priority policy).
-	Structural *StructuralCache
 }
 
 func (c Config) analyzer() sched.Analyzer {
@@ -168,12 +146,11 @@ func (c Config) workers(analyzer sched.Analyzer) int {
 }
 
 // NewConfig returns the recommended configuration: compiled holistic
-// backend with scenario deduplication, incremental warm-started scenario
-// analysis and parallel scenario fan-out over GOMAXPROCS workers.
-// Dominance pruning stays opt-in: it thins Report.Scenarios, which
-// Explain consumers may not want.
+// backend with scenario deduplication and parallel scenario fan-out over
+// GOMAXPROCS workers. Dominance pruning stays opt-in: it thins
+// Report.Scenarios, which Explain consumers may not want.
 func NewConfig() Config {
-	return Config{Analyzer: &sched.Holistic{}, DedupScenarios: true, Incremental: true, Compiled: true}
+	return Config{Analyzer: &sched.Holistic{}, DedupScenarios: true, Compiled: true}
 }
 
 // Scenario identifies one state-transition hypothesis: the trigger job
@@ -222,20 +199,12 @@ type Report struct {
 	ScenariosAnalyzed int
 	ScenariosDeduped  int
 	// ScenariosPruned counts scenarios skipped by dominance pruning
-	// (Config.PruneDominated); ScenariosIncremental counts backend
-	// invocations that were warm-started from the fault-free baseline
-	// (Config.Incremental with a capable backend).
-	ScenariosPruned      int
+	// (Config.PruneDominated).
+	ScenariosPruned int
+	// ScenariosIncremental is always 0: the engine no longer
+	// warm-starts scenario analyses. The field stays for callers that
+	// still read it.
 	ScenariosIncremental int
-	// StructHits/StructMisses record this call's structural-cache lookup
-	// (Config.Structural): a hit found a same-structure sibling to
-	// warm-start from, a miss ran cold and seeded the cache.
-	// StructWarmJobs counts the backend passes actually warm-started
-	// from the sibling (fault-free and/or critical reference). All three
-	// stay zero with structural caching disabled.
-	StructHits     int
-	StructMisses   int
-	StructWarmJobs int
 }
 
 // Feasible reports the combined schedulability verdict: fault-free
@@ -271,29 +240,9 @@ func Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error)
 	}
 
 	// ---- Lines 2-9: fault-free pass -------------------------------------
-	// With a structural cache wired in, a same-structure sibling's
-	// converged result warm-starts this pass (and the critical reference
-	// below); the derived bounds are identical to the cold run's.
-	normalExec := NormalExec(sys)
-	ss := openStructural(cfg, analyzer, sys, dropped)
-	if ss != nil {
-		if ss.hit != nil {
-			rep.StructHits++
-		} else {
-			rep.StructMisses++
-		}
-	}
-	normal, err := ss.warmNormal(analyzer, sys, normalExec)
+	normal, err := analyzer.Analyze(sys, NormalExec(sys))
 	if err != nil {
 		return nil, err
-	}
-	if normal != nil {
-		rep.StructWarmJobs++
-	} else {
-		normal, err = analyzer.Analyze(sys, normalExec)
-		if err != nil {
-			return nil, err
-		}
 	}
 	rep.Normal = normal
 	rep.ScenariosAnalyzed++
@@ -316,45 +265,10 @@ func Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error)
 	// and in trigger order, so the dedup semantics and counters match the
 	// sequential engine exactly; only the backend invocations fan out.
 	jobs := scenarioJobs(sys, dropped, normal, cfg, rep)
-	var base *incrementalBase
-	var refRes *sched.Result
-	var refExec []sched.ExecBounds
-	if inc, ok := analyzer.(sched.IncrementalAnalyzer); ok && cfg.Incremental && len(jobs) > 0 {
-		// Warm-start baseline: the all-critical reference vector, not the
-		// fault-free one. Every scenario leaves most jobs in the critical
-		// state, so diffing against the critical reference yields far
-		// smaller dirty sets (on sparse systems, near-empty ones). The
-		// one extra backend invocation amortizes over the scenario set;
-		// it is deliberately absent from Report.Scenarios* counters,
-		// which keep their cold-engine semantics. The reference itself
-		// warm-starts from a structural sibling when one is cached.
-		refExec = criticalExec(sys, dropped)
-		var refErr error
-		refRes, refErr = ss.warmCritical(analyzer, sys, refExec)
-		if refRes != nil && refErr == nil {
-			rep.StructWarmJobs++
-		} else if refErr == nil {
-			refRes, refErr = analyzer.Analyze(sys, refExec)
-		}
-		if refErr != nil {
-			refRes = nil
-		}
-		if refRes != nil && !diverged(refRes) {
-			base = &incrementalBase{analyzer: inc, result: refRes, exec: refExec}
-			// Scenario results are merged and dropped, never warm-started
-			// from; let engines skip their snapshots. AnalyzeBatch keeps
-			// full results instead — its callers own them.
-			base.leaf, _ = inc.(sched.LeafAnalyzer)
-			rep.ScenariosIncremental = len(jobs)
-		}
-	}
-	// Seed the structural cache for future siblings of this structure
-	// (no-op on hits and with caching disabled).
-	ss.seal(sys, normal, normalExec, refRes, refExec)
 	if err := ctxErr(cfg.Ctx); err != nil {
 		return nil, err
 	}
-	results, err := analyzeScenarios(analyzer, sys, jobs, cfg, base)
+	results, err := analyzeScenarios(analyzer, sys, jobs, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -465,25 +379,6 @@ func NormalExec(sys *platform.System) []sched.ExecBounds {
 	for i, n := range sys.Nodes {
 		if n.Task.Passive {
 			exec[i] = sched.ExecBounds{}
-		}
-	}
-	return exec
-}
-
-// criticalExec builds the all-critical reference vector used to
-// warm-start scenario analyses: every job carries the bounds it takes in
-// a scenario's critical state — Eq. (1) inflation for non-dropped active
-// tasks, the may-run-or-not [0, wcet] interval for droppable and passive
-// ones. Scenario vectors differ from it only at the trigger, at jobs
-// certainly finished before the fault window and at certainly-dropped
-// jobs, so the per-scenario dirty sets stay small.
-func criticalExec(sys *platform.System, dropped DropSet) []sched.ExecBounds {
-	exec := make([]sched.ExecBounds, len(sys.Nodes))
-	for _, w := range sys.Nodes {
-		if dropped[w.Graph.Name] || w.Task.Passive {
-			exec[w.ID] = sched.ExecBounds{B: 0, W: w.NominalWCET()}
-		} else {
-			exec[w.ID] = sched.ExecBounds{B: w.NominalBCET(), W: w.HardenedWCET()}
 		}
 	}
 	return exec

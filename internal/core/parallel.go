@@ -25,8 +25,8 @@ type scenarioJob struct {
 // helper that cannot absorb at least this much work makes the run
 // slower. The per-job cost is measured, not guessed — job 0 runs inline
 // under a timer and its cost scales the fan-out width and chunk grain
-// for the rest of the batch (warm-started jobs converge in a few
-// microseconds, cold ones are an order of magnitude heavier; a static
+// for the rest of the batch (small systems converge in a few
+// microseconds, large ones are orders of magnitude heavier; a static
 // grain is wrong for one of them on every fixture).
 const helperCostBudget = 40 * time.Microsecond
 
@@ -36,70 +36,34 @@ const helperCostBudget = 40 * time.Microsecond
 // still amortize the shared-cursor atomics.
 const chunksPerWorker = 4
 
-// incrementalBase bundles what a warm-started scenario analysis needs:
-// the incremental backend, the fault-free baseline result, and the
-// baseline execution intervals to diff against. nil disables
-// warm-starting (backend without the interface, or Config.Incremental
-// off).
-type incrementalBase struct {
-	analyzer sched.IncrementalAnalyzer
-	result   *sched.Result
-	exec     []sched.ExecBounds
-	// leaf, when non-nil, is the snapshot-skipping entry point of the
-	// same analyzer (sched.LeafAnalyzer): scenario results are merged
-	// into the report and never serve as baselines themselves, so the
-	// engine may omit the warm-start snapshot on them.
-	leaf sched.LeafAnalyzer
-}
-
 // jobRunner is one worker's analysis context: a pinned backend session
 // when the analyzer supports it (per-worker scratch arena, no freelist
-// mutex on the per-job path) and the worker-owned dirty vector for
-// warm-start diffs. Not safe for concurrent use; each worker owns one.
+// mutex on the per-job path). Not safe for concurrent use; each worker
+// owns one.
 type jobRunner struct {
 	analyzer sched.Analyzer
 	sys      *platform.System
-	base     *incrementalBase
 	ses      *sched.Session
-	dirty    []bool
 }
 
-func newJobRunner(analyzer sched.Analyzer, sys *platform.System, base *incrementalBase) *jobRunner {
-	r := &jobRunner{analyzer: analyzer, sys: sys, base: base}
+func newJobRunner(analyzer sched.Analyzer, sys *platform.System) *jobRunner {
+	r := &jobRunner{analyzer: analyzer, sys: sys}
 	if sa, ok := analyzer.(sched.SessionAnalyzer); ok {
 		r.ses = sa.OpenSession(sys)
-	}
-	if base != nil {
-		r.dirty = make([]bool, len(sys.Nodes))
 	}
 	return r
 }
 
 func (r *jobRunner) close() { r.ses.Close() }
 
-// run executes one scenario's backend invocation, warm-starting from
-// the baseline when available. Session and session-free paths produce
-// byte-identical results; the session merely owns the scratch.
+// run executes one scenario's backend invocation. Session and
+// session-free paths produce byte-identical results; the session merely
+// owns the scratch.
 func (r *jobRunner) run(job *scenarioJob) (*sched.Result, error) {
-	if r.base == nil {
-		if r.ses != nil {
-			return r.ses.Analyze(job.exec)
-		}
-		return r.analyzer.Analyze(r.sys, job.exec)
-	}
-	for i := range r.dirty {
-		r.dirty[i] = job.exec[i] != r.base.exec[i]
-	}
 	if r.ses != nil {
-		if r.base.leaf != nil {
-			return r.ses.AnalyzeFromLeaf(job.exec, r.base.result, r.dirty)
-		}
-		return r.ses.AnalyzeFrom(job.exec, r.base.result, r.dirty)
+		return r.ses.Analyze(job.exec)
 	}
-	if r.base.leaf != nil {
-		return r.base.leaf.AnalyzeFromLeaf(r.sys, job.exec, r.base.result, r.dirty)
-	}
-	return r.base.analyzer.AnalyzeFrom(r.sys, job.exec, r.base.result, r.dirty)
+	return r.analyzer.Analyze(r.sys, job.exec)
 }
 
 // analyzeScenarios runs the backend over every job, fanning out over
@@ -108,7 +72,7 @@ func (r *jobRunner) run(job *scenarioJob) (*sched.Result, error) {
 // deterministic trigger order regardless of scheduling. The per-job
 // errors collapse to the first (lowest-index) one, matching the error
 // the sequential engine would surface.
-func analyzeScenarios(analyzer sched.Analyzer, sys *platform.System, jobs []scenarioJob, cfg Config, base *incrementalBase) ([]*sched.Result, error) {
+func analyzeScenarios(analyzer sched.Analyzer, sys *platform.System, jobs []scenarioJob, cfg Config) ([]*sched.Result, error) {
 	results := make([]*sched.Result, len(jobs))
 	workers := cfg.workers(analyzer)
 	if workers > len(jobs) {
@@ -125,7 +89,7 @@ func analyzeScenarios(analyzer sched.Analyzer, sys *platform.System, jobs []scen
 		workers = cfg.Pool.Cap()
 	}
 	if workers <= 1 || len(jobs) < 2 {
-		r := newJobRunner(analyzer, sys, base)
+		r := newJobRunner(analyzer, sys)
 		defer r.close()
 		for i := range jobs {
 			if err := ctxErr(cfg.Ctx); err != nil {
@@ -150,7 +114,7 @@ func analyzeScenarios(analyzer sched.Analyzer, sys *platform.System, jobs []scen
 	// many helpers the remaining jobs can keep busy, and the chunk
 	// grain each claim should carry. Timing steers only the schedule,
 	// never the results, so determinism of Reports is unaffected.
-	r0 := newJobRunner(analyzer, sys, base)
+	r0 := newJobRunner(analyzer, sys)
 	start := time.Now() //lint:allow determinism measured per-job cost steers fan-out width only, results are schedule-independent
 	results[0], errs[0] = r0.run(&jobs[0])
 	cost := time.Since(start) //lint:allow determinism see above
@@ -197,7 +161,7 @@ func analyzeScenarios(analyzer sched.Analyzer, sys *platform.System, jobs []scen
 			return
 		}
 		pprof.Do(profCtx, pprof.Labels("phase", "analyze"), func(context.Context) {
-			r := newJobRunner(analyzer, sys, base)
+			r := newJobRunner(analyzer, sys)
 			defer r.close()
 			for {
 				for i := lo; i < hi; i++ {

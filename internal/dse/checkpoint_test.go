@@ -27,9 +27,6 @@ func ckOpts(islands int) Options {
 
 // archiveBytes canonicalizes a run outcome for byte-identity comparison:
 // the gob encoding of the final Pareto front plus the best individual.
-// Cache counters (Stats, GenStat hit/miss fields) are deliberately
-// excluded — a resumed run restarts with cold caches, which changes
-// counters but must never change archives.
 func archiveBytes(t *testing.T, res *Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer

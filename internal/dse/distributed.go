@@ -9,12 +9,10 @@ package dse
 // frames (transport.go). The orchestration mirrors runIslands exactly —
 // same derived seeds, same leg boundaries, same migration quirks, same
 // slot-order stats merge — so the archives of a distributed run are
-// byte-identical to the in-process mode for any given seed (pinned by
-// TestDistributedMatchesInProcess and TestFleetMatchesInProcess). Only
-// the cache COUNTERS may differ: workers share no fitness/structural
-// snapshots, so a genome that was a cross-island snapshot hit in-process
-// is simply re-evaluated — to the same values, since evaluation is pure
-// per genome.
+// byte-identical to the in-process mode for any given seed, counters
+// included (pinned by TestDistributedMatchesInProcess and
+// TestFleetMatchesInProcess): islands share no evaluation state in
+// either mode, and evaluation is pure per genome.
 //
 // Protocol. Every frame is a 4-byte big-endian length (bit 31 marks
 // flate compression) followed by one gob-encoded wireMsg. The
@@ -114,23 +112,21 @@ type wireInit struct {
 // coordinator. MigrationInterval stays home: the coordinator drives the
 // legs.
 type wireOptions struct {
-	PopSize             int
-	ArchiveSize         int
-	Generations         int
-	MutationRate        float64
-	Workers             int
-	FitnessCacheSize    int
-	StructuralCacheSize int
-	Selector            string
-	TrackDroppingGain   bool
-	PruneDominated      bool
-	DisableCompiled     bool
-	DisableDropping     bool
-	DisableRepair       bool
-	DisableBatch        bool
-	NoSeeds             bool
-	MaxK                int
-	MaxReplicas         int
+	PopSize           int
+	ArchiveSize       int
+	Generations       int
+	MutationRate      float64
+	Workers           int
+	Selector          string
+	TrackDroppingGain bool
+	PruneDominated    bool
+	DisableCompiled   bool
+	DisableDropping   bool
+	DisableRepair     bool
+	DisableBatch      bool
+	NoSeeds           bool
+	MaxK              int
+	MaxReplicas       int
 }
 
 // wireDone is a worker's final report: its archive, per-generation
@@ -179,23 +175,21 @@ func runIslandsDistributed(p *Problem, opts Options, res *Result) ([]*Individual
 		childWorkers = 1
 	}
 	wopts := wireOptions{
-		PopSize:             opts.PopSize,
-		ArchiveSize:         opts.ArchiveSize,
-		Generations:         opts.Generations,
-		MutationRate:        opts.MutationRate,
-		Workers:             childWorkers,
-		FitnessCacheSize:    opts.FitnessCacheSize,
-		StructuralCacheSize: opts.StructuralCacheSize,
-		Selector:            opts.Selector.Name(),
-		TrackDroppingGain:   opts.TrackDroppingGain,
-		PruneDominated:      opts.PruneDominated,
-		DisableCompiled:     opts.DisableCompiled,
-		DisableDropping:     opts.DisableDropping,
-		DisableRepair:       opts.DisableRepair,
-		DisableBatch:        opts.DisableBatch,
-		NoSeeds:             opts.NoSeeds,
-		MaxK:                p.MaxK,
-		MaxReplicas:         p.MaxReplicas,
+		PopSize:           opts.PopSize,
+		ArchiveSize:       opts.ArchiveSize,
+		Generations:       opts.Generations,
+		MutationRate:      opts.MutationRate,
+		Workers:           childWorkers,
+		Selector:          opts.Selector.Name(),
+		TrackDroppingGain: opts.TrackDroppingGain,
+		PruneDominated:    opts.PruneDominated,
+		DisableCompiled:   opts.DisableCompiled,
+		DisableDropping:   opts.DisableDropping,
+		DisableRepair:     opts.DisableRepair,
+		DisableBatch:      opts.DisableBatch,
+		NoSeeds:           opts.NoSeeds,
+		MaxK:              p.MaxK,
+		MaxReplicas:       p.MaxReplicas,
 	}
 
 	k := opts.Islands
@@ -395,21 +389,19 @@ func buildWorkerIsland(init *wireInit) (*island, error) {
 		return nil, fmt.Errorf("dse: island worker got unknown selector %q", init.Opts.Selector)
 	}
 	opts := Options{
-		PopSize:             init.Opts.PopSize,
-		ArchiveSize:         init.Opts.ArchiveSize,
-		Generations:         init.Opts.Generations,
-		MutationRate:        init.Opts.MutationRate,
-		Workers:             init.Opts.Workers,
-		FitnessCacheSize:    init.Opts.FitnessCacheSize,
-		StructuralCacheSize: init.Opts.StructuralCacheSize,
-		Selector:            sel,
-		TrackDroppingGain:   init.Opts.TrackDroppingGain,
-		PruneDominated:      init.Opts.PruneDominated,
-		DisableCompiled:     init.Opts.DisableCompiled,
-		DisableDropping:     init.Opts.DisableDropping,
-		DisableRepair:       init.Opts.DisableRepair,
-		DisableBatch:        init.Opts.DisableBatch,
-		NoSeeds:             init.Opts.NoSeeds,
+		PopSize:           init.Opts.PopSize,
+		ArchiveSize:       init.Opts.ArchiveSize,
+		Generations:       init.Opts.Generations,
+		MutationRate:      init.Opts.MutationRate,
+		Workers:           init.Opts.Workers,
+		Selector:          sel,
+		TrackDroppingGain: init.Opts.TrackDroppingGain,
+		PruneDominated:    init.Opts.PruneDominated,
+		DisableCompiled:   init.Opts.DisableCompiled,
+		DisableDropping:   init.Opts.DisableDropping,
+		DisableRepair:     init.Opts.DisableRepair,
+		DisableBatch:      init.Opts.DisableBatch,
+		NoSeeds:           init.Opts.NoSeeds,
 	}
 	ev, opts := newRunEvaluator(p, opts)
 	return newIsland(init.Island, p, opts, init.Seed, ev), nil

@@ -3,6 +3,7 @@ package dse
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -22,12 +23,32 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// requireSameRun fails unless two runs agree on the whole Result: the
+// archives (archiveSignature), every GenStat of the history and every
+// Stats field, per-island summaries included. ignoreTakeovers exempts
+// Stats.IslandTakeovers, which only a run with a killed worker raises.
+func requireSameRun(t *testing.T, mode string, want, got *Result, ignoreTakeovers bool) {
+	t.Helper()
+	if ws, gs := archiveSignature(want), archiveSignature(got); gs != ws {
+		t.Errorf("%s archives diverge from in-process:\n in-proc %s\n %7s %s", mode, ws, mode, gs)
+	}
+	if !reflect.DeepEqual(got.History, want.History) {
+		t.Errorf("%s history diverges from in-process:\n in-proc %+v\n %7s %+v", mode, want.History, mode, got.History)
+	}
+	gotStats := got.Stats
+	if ignoreTakeovers {
+		gotStats.IslandTakeovers = want.Stats.IslandTakeovers
+	}
+	if !reflect.DeepEqual(gotStats, want.Stats) {
+		t.Errorf("%s stats diverge from in-process:\n in-proc %+v\n %7s %+v", mode, want.Stats, mode, gotStats)
+	}
+}
+
 // TestDistributedMatchesInProcess is the mode-equivalence guarantee:
 // running each island in its own child process must reproduce the
-// in-process archives byte-for-byte — same per-generation BestPower /
-// Feasible / MigrantsIn, same migration totals, same final best and
-// front. Cache counters are exempt by design (processes share no cache
-// snapshots), which is exactly what archiveSignature ignores.
+// in-process Result exactly — same per-generation history, same
+// migration totals, same counters, same final best and front. Islands
+// share no evaluation state in either mode, so nothing is exempt.
 func TestDistributedMatchesInProcess(t *testing.T) {
 	p := tinyProblem(t)
 	opts := Options{PopSize: 10, Generations: 6, Seed: 11,
@@ -43,26 +64,12 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if want, got := archiveSignature(inProc), archiveSignature(dist); got != want {
-		t.Errorf("distributed archives diverge from in-process:\n in-proc %s\n distrib %s", want, got)
-	}
-	if len(dist.Stats.IslandStats) != len(inProc.Stats.IslandStats) {
-		t.Fatalf("got %d IslandStats, want %d", len(dist.Stats.IslandStats), len(inProc.Stats.IslandStats))
-	}
-	for i, got := range dist.Stats.IslandStats {
-		want := inProc.Stats.IslandStats[i]
-		// Everything but the cache counters must agree per island.
-		got.CacheHits, got.CacheMisses = want.CacheHits, want.CacheMisses
-		if got != want {
-			t.Errorf("island %d stats diverge: in-proc %+v, distrib %+v", i, want, got)
-		}
-	}
+	requireSameRun(t, "distrib", inProc, dist, false)
 }
 
 // TestDistributedDeterminism: two distributed runs of the same seed are
-// identical, including the per-island cache counters — each worker
-// process owns private caches and a sequential trajectory, so nothing
-// is timing-dependent.
+// identical, including the per-island counters — each worker process
+// runs a sequential trajectory, so nothing is timing-dependent.
 func TestDistributedDeterminism(t *testing.T) {
 	p := tinyProblem(t)
 	opts := Options{PopSize: 10, Generations: 4, Seed: 7,

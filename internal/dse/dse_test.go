@@ -475,3 +475,28 @@ func TestRepairRespectsAllowedTypes(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneForIsolation pins cloneFor's sharing contract: the scalar
+// fields the selectors mutate (Fitness) must be per-clone, while the
+// immutable report views (GraphWCRT, Dropped — written only during
+// evaluation) are shared with the original instead of deep-copied.
+func TestCloneForIsolation(t *testing.T) {
+	orig := &Individual{
+		Power:     4.2,
+		Fitness:   1,
+		GraphWCRT: []model.Time{1, 2, 3},
+		Dropped:   []string{"x"},
+	}
+	g := &Genome{}
+	cl := orig.cloneFor(g)
+	if cl.Genome != g {
+		t.Fatal("clone not re-attributed")
+	}
+	cl.Fitness = 99
+	if orig.Fitness != 1 {
+		t.Fatalf("Fitness mutation leaked into the original: %+v", orig)
+	}
+	if &cl.GraphWCRT[0] != &orig.GraphWCRT[0] || &cl.Dropped[0] != &orig.Dropped[0] {
+		t.Fatal("report views should be shared, not copied")
+	}
+}

@@ -12,8 +12,6 @@ import (
 	"mcmap/internal/core"
 	"mcmap/internal/hardening"
 	"mcmap/internal/model"
-	"mcmap/internal/power"
-	"mcmap/internal/reliability"
 	"mcmap/internal/validate"
 	"mcmap/internal/workpool"
 )
@@ -46,28 +44,40 @@ type Individual struct {
 	GraphWCRT []model.Time
 	// Dropped is the decoded drop set (names).
 	Dropped []string
-	// scen tallies this candidate's scenario-analysis counters. Folded
-	// into Stats only for candidates that actually ran the backend —
-	// cache replays carry their original tally but are not re-counted.
+	// scen tallies this candidate's scenario-analysis counters: zero
+	// for candidates that reused a batch sibling's analysis, so Stats
+	// counts every backend run exactly once.
 	scen scenarioTally
 }
 
-// scenarioTally aggregates the Report scenario and structural-cache
-// counters of one evaluation (both the dropping and the no-dropping
-// analysis when TrackDroppingGain doubles them up).
+// scenarioTally aggregates the Report scenario counters of one
+// evaluation (both the dropping and the no-dropping analysis when
+// TrackDroppingGain doubles them up).
 type scenarioTally struct {
-	analyzed, deduped, pruned, incremental int
-	structHits, structMisses, warmJobs     int
+	analyzed, deduped, pruned int
 }
 
 func (t *scenarioTally) add(rep *core.Report) {
 	t.analyzed += rep.ScenariosAnalyzed
 	t.deduped += rep.ScenariosDeduped
 	t.pruned += rep.ScenariosPruned
-	t.incremental += rep.ScenariosIncremental
-	t.structHits += rep.StructHits
-	t.structMisses += rep.StructMisses
-	t.warmJobs += rep.StructWarmJobs
+}
+
+// cloneFor copies an evaluation and re-attributes it to genome g.
+// Individuals are never shared between archive slots: selectors mutate
+// the Fitness field in place, so batch replays of a phenotype duplicate
+// and migrants each need a fresh object (a migrant is a clone, so the
+// sending island's archive keeps its own Fitness values).
+//
+// The GraphWCRT and Dropped slices are shared between the clone and the
+// original as immutable report views: evaluation is their only writer
+// (evaluateGrouped builds them before the Individual escapes), so every
+// later consumer — selectors, exports, migration — reads them only.
+// Only the selector-mutated scalar fields are per-clone.
+func (ind *Individual) cloneFor(g *Genome) *Individual {
+	c := *ind
+	c.Genome = g
+	return &c
 }
 
 // Options tunes the GA run. The paper uses population = parents =
@@ -90,10 +100,9 @@ type Options struct {
 	// shared worker budget (default 1). Each island evolves its own
 	// trajectory from an independent RNG stream derived from Seed (see
 	// islandSeeds: island 0 keeps Seed verbatim, so Islands=1 reproduces
-	// the single-trajectory engine byte-for-byte), all islands share the
-	// fitness and structural caches, and every MigrationInterval
-	// generations each island's Pareto elites migrate to its ring
-	// neighbour. The final Result merges all islands through one last
+	// the single-trajectory engine byte-for-byte), and every
+	// MigrationInterval generations each island's Pareto elites migrate
+	// to its ring neighbour. The final Result merges all islands through one last
 	// environmental selection; History carries every island's GenStats
 	// (tagged with GenStat.Island) and Stats.IslandStats the per-island
 	// summaries.
@@ -105,11 +114,10 @@ type Options struct {
 	// child process (a re-exec of the current binary), for multicore
 	// scaling past the Go runtime's shared-heap contention. The
 	// orchestration mirrors the in-process mode exactly — same seeds,
-	// legs and migration order — so the resulting archives are
-	// byte-identical; only cache counters may differ, since processes
-	// share no cache snapshots. Requires a built-in Selector and a host
-	// binary that routes to RunIslandWorker when IslandWorkerEnv is set
-	// (see cmd/ftmap); ignored at Islands=1.
+	// legs and migration order — so the resulting Result is
+	// byte-identical, counters included. Requires a built-in Selector
+	// and a host binary that routes to RunIslandWorker when
+	// IslandWorkerEnv is set (see cmd/ftmap); ignored at Islands=1.
 	Distributed bool
 	// IslandHosts fans a multi-island run out over a fleet of TCP
 	// workers instead of child processes: island i connects to
@@ -129,8 +137,8 @@ type Options struct {
 	// generation against one compiled lowering (shared analyses and
 	// phenotype replays — see batcheval.go). Batching never changes the
 	// optimization trajectory (archives are byte-identical either way,
-	// pinned by TestBatchedMatchesPerCandidate); only the structural/
-	// scenario counters may differ, since shared analyses run the backend
+	// pinned by TestBatchedMatchesPerCandidate); only the scenario and
+	// batch counters differ, since shared analyses run the backend
 	// fewer times. This switch exists for ablation benchmarks and as an
 	// escape hatch.
 	DisableBatch bool
@@ -141,30 +149,6 @@ type Options struct {
 	// default), Optimize creates a private pool of Workers slots. Sharing
 	// a pool never changes any run's trajectory, only its scheduling.
 	Pool *workpool.Pool
-	// FitnessCacheSize bounds the LRU fitness-memoization cache in
-	// genomes. Zero selects the default (4096); negative disables
-	// memoization. Duplicate genomes produced by crossover/mutation and
-	// the persistent SPEA2 archive then skip Decode→Apply→Compile→
-	// Analyze entirely; hit/miss counts surface in Stats and GenStat.
-	// Memoization never changes the optimization trajectory: evaluation
-	// is deterministic per genome, and cache hits are replayed as fresh
-	// Individual values. The cache is adaptive: when the rolling hit
-	// rate over recent generations stays under a threshold it bypasses
-	// itself for a span of generations (skipping key construction and
-	// lookups entirely) and re-probes afterwards, so workloads whose
-	// offspring rarely repeat never pay the memoization overhead.
-	// Bypassed generations are flagged in GenStat.CacheBypassed and
-	// counted in Stats.CacheBypassed.
-	FitnessCacheSize int
-	// StructuralCacheSize bounds the cross-candidate structural cache in
-	// structures (core.Config.Structural). Zero selects the default
-	// (512); negative disables. Sibling candidates sharing hardening and
-	// drop decisions but differing in mapping then warm-start each
-	// other's fault-free and critical-reference passes; the reported
-	// bounds are identical to cold analyses. Counters surface in
-	// Stats.StructHits/StructMisses/WarmStartJobs and per generation in
-	// GenStat.
-	StructuralCacheSize int
 	// Selector is the environmental selection strategy (default SPEA2,
 	// as in the paper).
 	Selector Selector
@@ -213,26 +197,18 @@ type Options struct {
 	Progress func(GenStat)
 	// CheckpointSink, when non-nil, receives the full run state at every
 	// migration barrier (for single-island runs: every
-	// MigrationInterval generations), after migration and cache-snapshot
-	// exchange. The sink runs synchronously on the coordinator and must
-	// Encode (or otherwise deep-copy) the checkpoint before returning;
-	// a non-nil error aborts the run. Not supported with Distributed.
+	// MigrationInterval generations), after migration. The sink runs
+	// synchronously on the coordinator and must Encode (or otherwise
+	// deep-copy) the checkpoint before returning; a non-nil error aborts
+	// the run. Not supported with Distributed.
 	CheckpointSink func(*Checkpoint) error
 	// Resume restores a run from a checkpoint instead of initializing
 	// generation 0. The problem fingerprint, island count and every
 	// trajectory-relevant option must match the checkpointed run (see
 	// checkResume); the resumed run's final archive is then
-	// byte-identical to the uninterrupted run's — only cache counters
-	// may differ, since caches restart cold. Not supported with
+	// byte-identical to the uninterrupted run's. Not supported with
 	// Distributed.
 	Resume *Checkpoint
-	// FitnessStore optionally shares a cross-run fitness-memoization
-	// store (see FitnessStore), superseding the run-private cache that
-	// FitnessCacheSize would build. Effective on single-island runs
-	// only — multi-island runs keep private per-island caches for
-	// counter determinism — and ignored when FitnessCacheSize is
-	// negative (memoization disabled).
-	FitnessStore *FitnessStore
 }
 
 func (o Options) withDefaults() Options {
@@ -257,9 +233,6 @@ func (o Options) withDefaults() Options {
 	if o.MigrationInterval <= 0 {
 		o.MigrationInterval = 10
 	}
-	if o.FitnessCacheSize == 0 {
-		o.FitnessCacheSize = 4096
-	}
 	if o.Selector == nil {
 		o.Selector = SPEA2{}
 	}
@@ -275,18 +248,6 @@ type GenStat struct {
 	BestPower   float64
 	Feasible    int
 	ArchiveSize int
-	// CacheHits and CacheMisses are this generation's fitness-cache
-	// outcomes (both zero when memoization is disabled).
-	CacheHits   int
-	CacheMisses int
-	// CacheBypassed marks generations the adaptive fitness cache sat out
-	// because the rolling hit rate stayed under its threshold.
-	CacheBypassed bool
-	// StructHits and StructMisses are this generation's structural-cache
-	// outcomes: Analyze calls that found (respectively missed) a
-	// structural sibling to warm-start from.
-	StructHits   int
-	StructMisses int
 	// MigrantsIn counts elite individuals merged into the island's archive
 	// by the ring migration that ran right after this generation (zero in
 	// single-island runs and between migration barriers).
@@ -314,32 +275,25 @@ type Stats struct {
 	// TechniqueCounts tallies hardening techniques over feasible
 	// candidates' applied (non-None) decisions.
 	TechniqueCounts map[hardening.Technique]int
-	// CacheHits counts candidates served from the fitness cache (their
-	// Decode→Apply→Compile→Analyze pipeline was skipped); CacheMisses
-	// counts candidates actually evaluated. Hits + misses = Evaluated
-	// when memoization is on; both stay zero when it is disabled.
-	CacheHits   int
-	CacheMisses int
-	// CacheBypassed counts generations the adaptive fitness cache
-	// bypassed itself (low rolling hit rate).
+	// CacheHits, CacheMisses, CacheBypassed, StructHits and StructMisses
+	// are always 0: the engine no longer memoizes fitness evaluations or
+	// analysis structures. The fields stay for callers that still read
+	// them.
+	CacheHits     int
+	CacheMisses   int
 	CacheBypassed int
-	// StructHits counts Analyze calls whose compiled structure was found
-	// in the cross-candidate structural cache; StructMisses counts calls
-	// that seeded a fresh entry; WarmStartJobs counts the cold passes
-	// (fault-free, all-critical reference) actually replaced by sibling
-	// warm starts. All zero when structural caching is disabled.
 	StructHits    int
 	StructMisses  int
-	WarmStartJobs int
-	// ScenariosAnalyzed..ScenariosIncremental aggregate the core.Report
-	// scenario counters over every candidate that actually ran the
-	// analysis backend (fitness-cache replays are not re-counted):
+	// ScenariosAnalyzed, ScenariosDeduped and ScenariosPruned aggregate
+	// the core.Report scenario counters over every analysis the run
+	// performed (batch siblings reusing an analysis are not re-counted):
 	// backend invocations performed, plus invocations saved by
-	// deduplication, skipped by dominance pruning, and warm-started
-	// incrementally.
-	ScenariosAnalyzed    int
-	ScenariosDeduped     int
-	ScenariosPruned      int
+	// deduplication and skipped by dominance pruning.
+	ScenariosAnalyzed int
+	ScenariosDeduped  int
+	ScenariosPruned   int
+	// ScenariosIncremental is always 0, like core.Report's field of the
+	// same name.
 	ScenariosIncremental int
 	// BatchGroups and BatchHits aggregate the generation-batched
 	// evaluator's outcomes (see GenStat.BatchGroups/BatchHits).
@@ -369,18 +323,11 @@ func (s *Stats) merge(o *Stats) {
 	for t, c := range o.TechniqueCounts {
 		s.TechniqueCounts[t] += c
 	}
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.CacheBypassed += o.CacheBypassed
 	s.BatchGroups += o.BatchGroups
 	s.BatchHits += o.BatchHits
-	s.StructHits += o.StructHits
-	s.StructMisses += o.StructMisses
-	s.WarmStartJobs += o.WarmStartJobs
 	s.ScenariosAnalyzed += o.ScenariosAnalyzed
 	s.ScenariosDeduped += o.ScenariosDeduped
 	s.ScenariosPruned += o.ScenariosPruned
-	s.ScenariosIncremental += o.ScenariosIncremental
 }
 
 // RescueRatio is the Section 5.2 headline number: the fraction of
@@ -549,7 +496,7 @@ func runSingle(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individu
 // from the pool, the scenario fan-out nested inside core.Analyze and
 // the SPEA-II selection kernels borrow spare tokens from the same pool
 // (see workpool), and every island draws from it too — plus the
-// fitness and structural caches, and the pool-wired selector. Shared
+// pool-wired selector. Shared
 // by Optimize and the distributed-island worker (RunIslandWorker),
 // which performs exactly this wiring against its own child-sized
 // worker budget.
@@ -568,27 +515,6 @@ func newRunEvaluator(p *Problem, opts Options) (evaluator, Options) {
 	if opts.DisableCompiled {
 		ev.cfg.Compiled = false
 	}
-	if opts.FitnessCacheSize >= 0 {
-		if opts.FitnessStore != nil {
-			// Cross-run store: the run's cache fronts the shared store, so
-			// genomes evaluated by earlier runs over the same problem are
-			// warm hits here (the adaptive-bypass state stays run-private).
-			ev.cache = &fitnessCache{store: opts.FitnessStore.s}
-		} else if opts.FitnessCacheSize > 0 {
-			ev.cache = newFitnessCache(opts.FitnessCacheSize)
-		}
-	}
-	if opts.StructuralCacheSize >= 0 {
-		if ev.cfg.Structural == nil {
-			// Respect a caller-provided cache (Problem.Analysis.Structural):
-			// the analysis service pre-wires a per-problem persistent cache
-			// so runs warm-start each other. Absent that, build a private
-			// one for this run.
-			ev.cfg.Structural = core.NewStructuralCache(opts.StructuralCacheSize)
-		}
-	} else {
-		ev.cfg.Structural = nil
-	}
 	if pw, ok := opts.Selector.(poolWirer); ok {
 		opts.Selector = pw.withPool(ev.pool)
 	}
@@ -596,11 +522,9 @@ func newRunEvaluator(p *Problem, opts Options) (evaluator, Options) {
 }
 
 // snapshot records one generation.
-func snapshot(gen int, archive []*Individual, gc genCacheStats) GenStat {
+func snapshot(gen int, archive []*Individual, bc batchCounters) GenStat {
 	gs := GenStat{Gen: gen, BestPower: -1, ArchiveSize: len(archive),
-		CacheHits: gc.hits, CacheMisses: gc.misses, CacheBypassed: gc.bypassed,
-		StructHits: gc.structHits, StructMisses: gc.structMisses,
-		BatchGroups: gc.batchGroups, BatchHits: gc.batchHits}
+		BatchGroups: bc.groups, BatchHits: bc.hits}
 	for _, ind := range archive {
 		if !ind.Feasible {
 			continue
@@ -653,257 +577,101 @@ func paretoFront(archive []*Individual) []*Individual {
 }
 
 // evaluator bundles the per-run evaluation machinery: the analysis
-// config wired to the shared worker pool, and the optional fitness cache.
+// config wired to the shared worker pool.
 type evaluator struct {
-	cfg   core.Config
-	pool  *workpool.Pool
-	cache *fitnessCache
+	cfg  core.Config
+	pool *workpool.Pool
 }
 
-// genCacheStats is one batch's caching outcome: fitness-cache hits and
-// misses (with the adaptive-bypass flag), plus the structural-cache
-// counters aggregated over the batch's actually-evaluated candidates.
-type genCacheStats struct {
-	hits, misses             int
-	bypassed                 bool
-	structHits, structMisses int
-	warmJobs                 int
-	batchGroups, batchHits   int
+// batchCounters is one generation's batching outcome (see
+// GenStat.BatchGroups/BatchHits).
+type batchCounters struct {
+	groups, hits int
 }
 
 // evaluateAll scores a batch of genomes and folds statistics into the
-// island's tally. It runs in three phases so the result — including the
-// cache hit/miss trajectory — is deterministic for a given seed:
-//
-//  1. sequential cache lookup in batch order (duplicates within the
-//     batch collapse onto one evaluation);
-//  2. parallel evaluation of the misses under the shared worker pool;
-//  3. sequential merge in batch order: hits are replayed as fresh
-//     Individuals, misses fill the cache.
-//
-// With several islands the shared fitness store may be filled by sibling
-// islands between phases 1 and 3; that changes which genomes are hits,
-// never what any hit evaluates to (evaluation is pure per genome), so
-// island trajectories remain deterministic while the cache counters need
-// not be.
-func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats, error) {
+// island's tally. The genomes are partitioned into same-system groups
+// (see batcheval.go) that fan out over the shared worker pool; results
+// land by batch index and statistics fold sequentially in batch order,
+// so the outcome is deterministic for a given seed at every worker
+// budget.
+func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, batchCounters, error) {
 	p, opts, ev, stats := isl.p, isl.opts, isl.ev, &isl.stats
 	out := make([]*Individual, len(genomes))
-	var gc genCacheStats
-
-	// ---- Phase 1: lookups and intra-batch dedup (sequential) ----------
-	// The adaptive bypass switches the whole phase off for generations
-	// where the cache has stopped paying; gc.bypassed records the state
-	// BEFORE this batch's note() advances it.
-	useCache := ev.cache != nil && !ev.cache.bypassed()
-	gc.bypassed = ev.cache != nil && !useCache
-	toEval := make([]int, 0, len(genomes))
-	var (
-		keys     []Key128
-		hits     []*Individual
-		firstIdx map[Key128]int
-		dupOf    map[int]int
-	)
-	if useCache {
-		keys = make([]Key128, len(genomes))
-		hits = make([]*Individual, len(genomes))
-		firstIdx = make(map[Key128]int, len(genomes))
-		dupOf = make(map[int]int)
-		for i, g := range genomes {
-			keys[i] = g.Key128()
-			if ind, ok := ev.cache.get(keys[i]); ok {
-				hits[i] = ind
-				continue
-			}
-			if j, ok := firstIdx[keys[i]]; ok {
-				dupOf[i] = j
-				continue
-			}
-			firstIdx[keys[i]] = i
-			toEval = append(toEval, i)
-		}
-	} else {
-		for i := range genomes {
-			toEval = append(toEval, i)
-		}
-	}
-
-	// ---- Phase 2: evaluate the misses (parallel) ----------------------
-	// Launch the misses sorted by genome shape so candidates compiling
-	// to the same job set run back to back. With structural caching on,
-	// the first sibling of each shape seeds the cache while its peers
-	// are still queued behind the worker budget, and the peers then
-	// warm-start instead of converging from scratch. Even without it the
-	// ordering pays: adjacent evaluations of look-alike genomes hit warm
-	// CPU caches and recycle same-sized allocations, recovering some of
-	// the locality the dedup in phase 1 takes away from repeated
-	// genomes. The sort is stable over batch order, so the schedule
-	// stays deterministic; results are written by original index, so
-	// nothing downstream moves.
-	if len(toEval) > 1 {
-		shapes := make(map[int]string, len(toEval))
-		for _, i := range toEval {
-			shapes[i] = genomes[i].ShapeKey()
-		}
-		sort.SliceStable(toEval, func(a, b int) bool {
-			return shapes[toEval[a]] < shapes[toEval[b]]
-		})
-	}
 	errs := make([]error, len(genomes))
-	// Generation batching (see batcheval.go): partition the sorted miss
-	// list into same-compiled-system groups so each group shares one
-	// compile, one reliability assessment and one lowering, with one
-	// analysis per distinct drop set. Groups — not candidates — become the
-	// fan-out unit, keeping every sharing decision worker-count
-	// independent. A single miss can't form a multi-member group, so it
-	// keeps the plain per-candidate path.
-	var groups []*batchGroup
-	if !opts.DisableBatch && len(toEval) > 1 {
-		groups = buildBatchGroups(p, genomes, toEval)
-	}
-	if len(toEval) > 0 {
-		// The island goroutine is the batch coordinator: it blocks for
-		// ONE pool slot (keeping sibling islands budget-bounded), then
-		// drains the candidate list inline, with up to width-1 helpers
-		// submitted to the persistent pool draining the same shared
-		// cursor. Helpers hold their own slots and never block-acquire,
-		// so the nesting protocol stays deadlock-free, and the common
-		// Workers=1 case runs the batch as a plain sequential loop in
-		// deterministic (ShapeKey-sorted) order instead of spawning one
-		// goroutine per candidate to fight over a single slot.
-		pprof.Do(isl.ctx, pprof.Labels("phase", "evaluate"), func(context.Context) {
-			ev.pool.Acquire()
-			defer ev.pool.Release()
-			var cursor atomic.Int64
-			if groups != nil {
-				// Batched drain: workers claim whole groups; members run
-				// sequentially inside evalGroup so intra-group sharing
-				// stays ordered. Cancellation is re-checked per claim and
-				// per member.
-				claim := func() (*batchGroup, bool) {
-					if isl.ctx.Err() != nil {
-						return nil, false
-					}
-					k := int(cursor.Add(1)) - 1
-					if k >= len(groups) {
-						return nil, false
-					}
-					return groups[k], true
-				}
-				drain := func() {
-					grp, ok := claim()
-					if !ok {
-						return
-					}
-					pprof.Do(isl.ctx, pprof.Labels("phase", "evaluate"), func(context.Context) {
-						for ok {
-							isl.evalGroup(grp, genomes, out, errs)
-							grp, ok = claim()
-						}
-					})
-				}
-				width := ev.pool.Cap()
-				if width > len(groups) {
-					width = len(groups)
-				}
-				ev.pool.FanOut(width, drain)
+	var bc batchCounters
+	// Groups — not candidates — are the fan-out unit, keeping every
+	// sharing decision worker-count independent.
+	groups := buildBatchGroups(p, genomes, opts.DisableBatch)
+	// The island goroutine is the batch coordinator: it blocks for ONE
+	// pool slot (keeping sibling islands budget-bounded), then drains the
+	// group list inline, with up to width-1 helpers submitted to the
+	// persistent pool draining the same shared cursor. Helpers hold their
+	// own slots and never block-acquire, so the nesting protocol stays
+	// deadlock-free, and the common Workers=1 case runs the batch as a
+	// plain sequential loop in batch order.
+	pprof.Do(isl.ctx, pprof.Labels("phase", "evaluate"), func(context.Context) {
+		ev.pool.Acquire()
+		defer ev.pool.Release()
+		var cursor atomic.Int64
+		// Cancellation: workers re-check the island context per group
+		// claim (and evalGroup per member), so a cancelled run stops
+		// fanning out within one group's worth of work and releases its
+		// pool slots.
+		claim := func() (*batchGroup, bool) {
+			if isl.ctx.Err() != nil {
+				return nil, false
+			}
+			k := int(cursor.Add(1)) - 1
+			if k >= len(groups) {
+				return nil, false
+			}
+			return groups[k], true
+		}
+		drain := func() {
+			grp, ok := claim()
+			if !ok {
 				return
 			}
-			// Cancellation: workers re-check the island context per
-			// candidate claim, so a cancelled run stops fanning out within
-			// one candidate's worth of work and releases its pool slots.
-			claim := func() (int, bool) {
-				if isl.ctx.Err() != nil {
-					return 0, false
+			pprof.Do(isl.ctx, pprof.Labels("phase", "evaluate"), func(context.Context) {
+				for ok {
+					isl.evalGroup(grp, genomes, out, errs)
+					grp, ok = claim()
 				}
-				k := int(cursor.Add(1)) - 1
-				if k >= len(toEval) {
-					return 0, false
-				}
-				return toEval[k], true
-			}
-			drain := func() {
-				i, ok := claim()
-				if !ok {
-					return
-				}
-				pprof.Do(isl.ctx, pprof.Labels("phase", "evaluate"), func(context.Context) {
-					for ok {
-						out[i], errs[i] = p.evaluate(genomes[i], opts.TrackDroppingGain, ev.cfg)
-						i, ok = claim()
-					}
-				})
-			}
-			width := ev.pool.Cap()
-			if width > len(toEval) {
-				width = len(toEval)
-			}
-			ev.pool.FanOut(width, drain)
-		})
-	}
+			})
+		}
+		width := ev.pool.Cap()
+		if width > len(groups) {
+			width = len(groups)
+		}
+		ev.pool.FanOut(width, drain)
+	})
 	// After a cancelled fan-out some out[i] slots are nil (never claimed);
 	// surface ctx.Err() before the merge walks them.
 	if err := isl.ctx.Err(); err != nil {
-		return nil, gc, err
+		return nil, bc, err
 	}
-	for _, i := range toEval {
-		if errs[i] != nil {
-			return nil, gc, fmt.Errorf("dse: evaluating candidate %d: %w", i, errs[i])
+	for i, err := range errs {
+		if err != nil {
+			return nil, bc, fmt.Errorf("dse: evaluating candidate %d: %w", i, err)
 		}
-		stats.ScenariosAnalyzed += out[i].scen.analyzed
-		stats.ScenariosDeduped += out[i].scen.deduped
-		stats.ScenariosPruned += out[i].scen.pruned
-		stats.ScenariosIncremental += out[i].scen.incremental
-		gc.structHits += out[i].scen.structHits
-		gc.structMisses += out[i].scen.structMisses
-		gc.warmJobs += out[i].scen.warmJobs
 	}
-	stats.StructHits += gc.structHits
-	stats.StructMisses += gc.structMisses
-	stats.WarmStartJobs += gc.warmJobs
 	// Batch counters fold in group-formation order — deterministic
 	// because grouping and intra-group sharing never depend on the
 	// fan-out width.
 	for _, grp := range groups {
 		if len(grp.members) > 1 {
-			gc.batchGroups++
+			bc.groups++
 		}
-		gc.batchHits += grp.hits
+		bc.hits += grp.hits
 	}
-	stats.BatchGroups += gc.batchGroups
-	stats.BatchHits += gc.batchHits
-
-	// ---- Phase 3: merge and fill the cache (sequential, batch order) --
-	if useCache {
-		for i := range genomes {
-			switch {
-			case hits[i] != nil:
-				gc.hits++
-				out[i] = hits[i].cloneFor(genomes[i])
-			case out[i] != nil:
-				gc.misses++
-				// Store a pristine clone: the live Individual's Fitness
-				// is mutated by the selector. The clone carries no genome
-				// — hits re-attribute to the requesting genome anyway, and
-				// a stored pointer would keep every evaluated genome alive
-				// for the cache's lifetime, inflating GC mark work.
-				ev.cache.put(keys[i], out[i].cloneFor(nil))
-			default: // intra-batch duplicate of an evaluated genome
-				gc.hits++
-				out[i] = out[dupOf[i]].cloneFor(genomes[i])
-			}
-		}
-		stats.CacheHits += gc.hits
-		stats.CacheMisses += gc.misses
-	}
-	if ev.cache != nil {
-		ev.cache.note(gc.hits, gc.misses)
-		if gc.bypassed {
-			stats.CacheBypassed++
-		}
-	}
+	stats.BatchGroups += bc.groups
+	stats.BatchHits += bc.hits
 
 	for _, ind := range out {
+		stats.ScenariosAnalyzed += ind.scen.analyzed
+		stats.ScenariosDeduped += ind.scen.deduped
+		stats.ScenariosPruned += ind.scen.pruned
 		stats.Evaluated++
 		if ind.Feasible {
 			stats.Feasible++
@@ -923,7 +691,7 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats,
 			}
 		}
 	}
-	return out, gc, nil
+	return out, bc, nil
 }
 
 // Evaluate scores one (already repaired) genome with the problem's
@@ -933,102 +701,9 @@ func (p *Problem) Evaluate(g *Genome, trackNoDrop bool) (*Individual, error) {
 }
 
 // evaluate is Evaluate with an explicit analysis config, letting the GA
-// wire in the run's shared worker pool without mutating the Problem.
+// wire in the run's shared worker pool without mutating the Problem. It
+// evaluates g as a one-member batch group.
 func (p *Problem) evaluate(g *Genome, trackNoDrop bool, cfg core.Config) (*Individual, error) {
-	ph, err := p.Decode(g)
-	if err != nil {
-		return nil, err
-	}
-	ind := &Individual{Genome: g, Service: ph.Service}
-	for name := range ph.Dropped {
-		ind.Dropped = append(ind.Dropped, name)
-	}
-	sort.Strings(ind.Dropped)
-
-	// Structural validity: every task on an allocated processor and
-	// replicas on pairwise distinct processors. Repaired genomes always
-	// satisfy this; with repair disabled (ablation) violations are
-	// penalized instead of erroring.
-	structuralOK := true
-	seenReplica := map[model.TaskID]map[model.ProcID]bool{}
-	for id, pid := range ph.Mapping {
-		if !ph.Alloc[pid] {
-			structuralOK = false
-			break
-		}
-		orig := ph.Manifest.OriginalOf(id)
-		if orig != id {
-			g := ph.Manifest.Apps.GraphOf(id)
-			if g != nil {
-				if task := g.Task(id); task != nil && task.Kind == model.KindReplica {
-					if seenReplica[orig] == nil {
-						seenReplica[orig] = map[model.ProcID]bool{}
-					}
-					if seenReplica[orig][pid] {
-						structuralOK = false
-						break
-					}
-					seenReplica[orig][pid] = true
-				}
-			}
-		}
-	}
-	if !structuralOK {
-		ind.Power = infeasiblePenalty * 4
-		ind.Objectives = Objectives{ind.Power, infeasiblePenalty}
-		return ind, nil
-	}
-
-	sys, err := p.Compile(ph)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := core.Analyze(sys, ph.Dropped, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ind.GraphWCRT = rep.GraphWCRT
-	ind.scen.add(rep)
-
-	rel, err := reliability.Assess(p.Arch, ph.Manifest, ph.Mapping)
-	if err != nil {
-		return nil, err
-	}
-
-	ind.Feasible = rep.Feasible() && rel.OK()
-	if trackNoDrop {
-		repND, err := core.Analyze(sys, core.DropSet{}, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ind.FeasibleNoDrop = repND.Feasible() && rel.OK()
-		ind.scen.add(repND)
-	}
-
-	if ind.Feasible {
-		pw, err := power.Expected(p.Arch, ph.Manifest, ph.Mapping, ph.Alloc)
-		if err != nil {
-			return nil, err
-		}
-		ind.Power = pw.Total
-		ind.Objectives = Objectives{pw.Total, -ph.Service}
-		return ind, nil
-	}
-	// Penalty with an overrun gradient.
-	overrun := 0.0
-	for gi, g := range sys.Apps.Graphs {
-		w := rep.GraphWCRT[gi]
-		d := g.EffectiveDeadline()
-		if w.IsInfinite() {
-			overrun += 10
-		} else if w > d {
-			overrun += float64(w-d) / float64(d)
-		}
-	}
-	if !rel.OK() {
-		overrun += float64(len(rel.Violations))
-	}
-	ind.Power = infeasiblePenalty * (1 + overrun)
-	ind.Objectives = Objectives{ind.Power, infeasiblePenalty}
-	return ind, nil
+	ind, _, err := p.evaluateGrouped(g, "", trackNoDrop, cfg, newGroupShared())
+	return ind, err
 }

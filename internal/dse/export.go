@@ -30,15 +30,13 @@ func WriteFrontCSV(w io.Writer, res *Result) error {
 }
 
 // WriteHistoryCSV writes the per-generation convergence record as CSV
-// (generation, island, best_power_w, feasible_in_archive, archive_size,
-// the fitness- and structural-cache columns for cache-behavior plots,
+// (generation, island, best_power_w, feasible_in_archive, archive_size
 // and the per-migration migrant count). Multi-island runs emit one row
 // per (generation, island); single-island runs keep island 0 and
 // migrants_in 0 throughout.
 func WriteHistoryCSV(w io.Writer, res *Result) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"generation", "island", "best_power_w", "feasible", "archive",
-		"cache_hits", "cache_misses", "cache_bypassed", "struct_hits", "struct_misses",
 		"migrants_in"}); err != nil {
 		return err
 	}
@@ -47,15 +45,9 @@ func WriteHistoryCSV(w io.Writer, res *Result) error {
 		if h.BestPower >= 0 {
 			best = strconv.FormatFloat(h.BestPower, 'f', 6, 64)
 		}
-		bypassed := "0"
-		if h.CacheBypassed {
-			bypassed = "1"
-		}
 		rec := []string{
 			strconv.Itoa(h.Gen), strconv.Itoa(h.Island), best,
 			strconv.Itoa(h.Feasible), strconv.Itoa(h.ArchiveSize),
-			strconv.Itoa(h.CacheHits), strconv.Itoa(h.CacheMisses), bypassed,
-			strconv.Itoa(h.StructHits), strconv.Itoa(h.StructMisses),
 			strconv.Itoa(h.MigrantsIn),
 		}
 		if err := cw.Write(rec); err != nil {

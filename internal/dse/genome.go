@@ -69,19 +69,13 @@ func (g *Genome) Clone() *Genome {
 	return ng
 }
 
-// Key128 is a 128-bit FNV-style genome fingerprint, the duplicate-
-// suppression key of the fitness cache. It replaces the former string
-// Key: building it allocates nothing (the string key copied the whole
-// chromosome per lookup), it is a comparable value usable directly as a
-// map key, and it mixes full-width words, where the byte-string key
-// silently truncated processor ids and degrees above 255.
-//
-// Unlike core's scenario dedup — which confirms fingerprint hits
-// against the stored vectors — the fitness cache trusts the
-// fingerprint: storing genomes for confirmation would pin every
-// evaluated chromosome in memory for the cache's lifetime. At 128 bits
-// over non-adversarial GA offspring, a colliding pair within one run is
-// vanishingly improbable.
+// Key128 is a 128-bit FNV-style genome fingerprint: building it
+// allocates nothing, it is a comparable value usable directly as a map
+// key, and it mixes full-width words, so processor ids and degrees of
+// any size feed it. Callers use it to identify or deduplicate genomes
+// (e.g. in archive digests); it is a fingerprint, not an exact key — at
+// 128 bits over non-adversarial GA offspring, a colliding pair within
+// one run is vanishingly improbable.
 type Key128 struct{ Hi, Lo uint64 }
 
 // FNV-128 offset basis and prime (see internal/core's exec fingerprint
@@ -134,25 +128,6 @@ func (g *Genome) Key128() Key128 {
 		}
 	}
 	return k
-}
-
-// ShapeKey fingerprints the genome's STRUCTURE — the keep/drop section
-// and each gene's hardening decision (technique, degree, clone count) —
-// while ignoring everything mapping-related (allocation bits, task,
-// replica and voter bindings). Genomes with equal shape keys compile to
-// systems with identical job sets, so the evaluator sorts each
-// generation's cache misses by this key to run structural siblings back
-// to back, maximizing warm-start reuse through core.StructuralCache.
-func (g *Genome) ShapeKey() string {
-	buf := make([]byte, 0, len(g.Keep)+len(g.Genes)*3)
-	for _, b := range g.Keep {
-		buf = append(buf, boolByte(b))
-	}
-	for i := range g.Genes {
-		ge := &g.Genes[i]
-		buf = append(buf, byte(ge.Technique), byte(ge.K), byte(ge.Replicas))
-	}
-	return string(buf)
 }
 
 func boolByte(b bool) byte {

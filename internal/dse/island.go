@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 
-	"mcmap/internal/core"
 	"mcmap/internal/hardening"
 )
 
@@ -25,23 +24,15 @@ import (
 // Determinism: each island owns an independent RNG stream derived from
 // Options.Seed (see islandSeeds), islands synchronize only at migration
 // barriers, and migration itself runs sequentially in island order on the
-// coordinator. Candidate evaluation is pure per genome, and each island's
-// fitness/structural caches are private with cross-island sharing only
-// through barrier-built snapshots (shareCaches), so both the archives AND
-// the per-island cache counters are deterministic functions of the seed
-// (intra-island evaluation concurrency can still shift structural
-// counters when Workers > 1 on a multicore runtime).
+// coordinator. Candidate evaluation is pure per genome and islands share
+// no mutable evaluation state, so the archives AND every counter are
+// deterministic functions of the seed.
 
 // IslandStat summarizes one island's trajectory in a multi-island run.
 type IslandStat struct {
 	Island    int
 	Evaluated int
 	Feasible  int
-	// CacheHits/CacheMisses are the island's own fitness-cache outcomes
-	// (a hit may have been seeded by a sibling island through the
-	// barrier snapshot).
-	CacheHits   int
-	CacheMisses int
 	// MigrantsIn and MigrantsOut count elite individuals received from and
 	// sent to ring neighbours over every migration round.
 	MigrantsIn  int
@@ -79,8 +70,7 @@ func islandSeeds(seed int64, k int) []int64 {
 func IslandSeeds(seed int64, k int) []int64 { return islandSeeds(seed, k) }
 
 // island is one GA trajectory: its own RNG, archive and statistics, plus
-// a view of the run's shared evaluation machinery (worker pool, fitness
-// store, structural cache).
+// the run's shared evaluation machinery (analysis config, worker pool).
 type island struct {
 	idx  int
 	p    *Problem
@@ -104,10 +94,9 @@ type island struct {
 }
 
 // newIsland builds island idx with its derived seed. ev is the run's
-// shared evaluator; the island gets its own fitness-cache view (shared
-// store, private adaptive-bypass state) and a labeled pprof context
-// threaded into the analysis config so scenario workers are attributed
-// to the island.
+// shared evaluator; the island gets a labeled pprof context threaded
+// into the analysis config so scenario workers are attributed to the
+// island.
 func newIsland(idx int, p *Problem, opts Options, seed int64, ev evaluator) *island {
 	opts.Seed = seed
 	base := opts.Context
@@ -123,9 +112,6 @@ func newIsland(idx int, p *Problem, opts Options, seed int64, ev evaluator) *isl
 		rng:  rand.New(src),
 		ev:   ev,
 		ctx:  pprof.WithLabels(base, pprof.Labels("island", strconv.Itoa(idx))),
-	}
-	if ev.cache != nil {
-		isl.ev.cache = ev.cache.islandView()
 	}
 	isl.ev.cfg.ProfCtx = isl.ctx
 	if opts.Context != nil {
@@ -178,12 +164,12 @@ func (isl *island) init() error {
 	for len(genomes) < isl.opts.PopSize {
 		genomes = append(genomes, isl.prepare(isl.p.RandomGenome(isl.rng)))
 	}
-	pop, gc, err := isl.evaluateAll(genomes)
+	pop, bc, err := isl.evaluateAll(genomes)
 	if err != nil {
 		return err
 	}
 	isl.archive = isl.selectArchive(pop)
-	isl.record(isl.snapshot(0, gc))
+	isl.record(isl.snapshot(0, bc))
 	return nil
 }
 
@@ -204,13 +190,13 @@ func (isl *island) advance(from, to int) error {
 			isl.p.Mutate(child, isl.opts.MutationRate, isl.rng)
 			offspring = append(offspring, isl.prepare(child))
 		}
-		evaluated, gc, err := isl.evaluateAll(offspring)
+		evaluated, bc, err := isl.evaluateAll(offspring)
 		if err != nil {
 			return err
 		}
 		union := append(append([]*Individual(nil), isl.archive...), evaluated...)
 		isl.archive = isl.selectArchive(union)
-		isl.record(isl.snapshot(gen, gc))
+		isl.record(isl.snapshot(gen, bc))
 	}
 	return nil
 }
@@ -226,8 +212,8 @@ func (isl *island) selectArchive(union []*Individual) []*Individual {
 }
 
 // snapshot records one generation, stamped with the island index.
-func (isl *island) snapshot(gen int, gc genCacheStats) GenStat {
-	gs := snapshot(gen, isl.archive, gc)
+func (isl *island) snapshot(gen int, bc batchCounters) GenStat {
+	gs := snapshot(gen, isl.archive, bc)
 	gs.Island = isl.idx
 	return gs
 }
@@ -258,8 +244,6 @@ func (isl *island) islandStat() IslandStat {
 		Island:      isl.idx,
 		Evaluated:   isl.stats.Evaluated,
 		Feasible:    isl.stats.Feasible,
-		CacheHits:   isl.stats.CacheHits,
-		CacheMisses: isl.stats.CacheMisses,
 		MigrantsIn:  isl.migrantsIn,
 		MigrantsOut: isl.migrantsOut,
 		BestPower:   -1,
@@ -343,68 +327,22 @@ func migrateRing(islands []*island) int {
 	return total
 }
 
-// shareCaches rebuilds the cross-island cache snapshots from the
-// islands' private stores, in island slot order (first entry wins). It
-// runs only at barriers — init and migration — when every island
-// goroutine has joined, so installing the snapshots is race-free. One
-// epoch's evaluations become visible to siblings at the next barrier;
-// entries no private store retains any longer age out of the snapshot.
-func shareCaches(islands []*island) {
-	if islands[0].ev.cache != nil {
-		m := make(map[Key128]*Individual)
-		for _, isl := range islands {
-			isl.ev.cache.store.appendTo(m)
-		}
-		for _, isl := range islands {
-			isl.ev.cache.snap = m
-		}
-	}
-	if islands[0].ev.cfg.Structural != nil {
-		snap := core.NewStructSnapshot()
-		for _, isl := range islands {
-			isl.ev.cfg.Structural.ExportTo(snap)
-		}
-		for _, isl := range islands {
-			isl.ev.cfg.Structural.SetSnapshot(snap)
-		}
-	}
-}
-
 // runIslands is the multi-island orchestrator: parallel legs of
 // MigrationInterval generations separated by sequential ring-migration
 // barriers, then a final cross-island merge through one last
 // environmental selection over the union of all archives.
-//
-// Unlike the single-island path, every island owns PRIVATE fitness and
-// structural caches; cross-island sharing happens through read-only
-// snapshots rebuilt at each barrier (shareCaches). That removes all
-// cache contention from the fan-out path and makes each island's cache
-// counters a deterministic function of the seed (shared mutable stores
-// made them timing-dependent), at the cost of one-leg-delayed sharing.
 func runIslands(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individual, error) {
 	seeds := islandSeeds(opts.Seed, opts.Islands)
 	islands := make([]*island, opts.Islands)
 	for i := range islands {
 		islands[i] = newIsland(i, p, opts, seeds[i], ev)
-		if ev.cache != nil {
-			size := opts.FitnessCacheSize
-			if size <= 0 {
-				size = 4096
-			}
-			islands[i].ev.cache = newFitnessCache(size)
-		}
-		if ev.cfg.Structural != nil {
-			islands[i].ev.cfg.Structural = core.NewStructuralCache(opts.StructuralCacheSize)
-		}
 	}
 
 	startGen := 1
 	if ck := opts.Resume; ck != nil {
 		// Restore every island to the barrier state (archives, histories,
 		// stats, fast-forwarded RNGs); the leg loop then continues from
-		// the generation after the checkpointed one. Caches start cold —
-		// they never steer trajectories, so the final archive is still
-		// byte-identical to the uninterrupted run's.
+		// the generation after the checkpointed one.
 		for i := range islands {
 			restoreIsland(islands[i], &ck.Islands[i])
 		}
@@ -413,7 +351,6 @@ func runIslands(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individ
 	} else if err := forEachIsland(islands, func(isl *island) error { return isl.init() }); err != nil {
 		return nil, err
 	}
-	shareCaches(islands)
 	for start := startGen; start <= opts.Generations; start += opts.MigrationInterval {
 		end := start + opts.MigrationInterval - 1
 		if end > opts.Generations {
@@ -426,11 +363,10 @@ func runIslands(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individ
 			pprof.Do(context.Background(), pprof.Labels("phase", "migrate"), func(context.Context) {
 				res.Stats.Migrations += migrateRing(islands)
 			})
-			shareCaches(islands)
 			if opts.CheckpointSink != nil {
-				// The barrier is complete (migration applied, snapshots
-				// rebuilt): everything the remaining run depends on is in
-				// the islands' serialized state.
+				// The barrier is complete (migration applied): everything
+				// the remaining run depends on is in the islands'
+				// serialized state.
 				if err := opts.CheckpointSink(captureCheckpoint(p, opts, islands, end, res.Stats.Migrations)); err != nil {
 					return nil, fmt.Errorf("dse: checkpoint sink: %w", err)
 				}

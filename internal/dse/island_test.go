@@ -12,14 +12,12 @@ import (
 )
 
 // trajectorySignature flattens a Result into a comparable string: every
-// GenStat (floats in exact hex), the evaluation totals, and the final
-// best/front objectives. It deliberately covers the cache counters, so
-// it pins the hit/miss trajectory too, not just the archives.
+// generation's archive summary (floats in exact hex), the evaluation
+// totals, and the final best/front objectives.
 func trajectorySignature(res *Result) string {
 	var b strings.Builder
 	for _, h := range res.History {
-		fmt.Fprintf(&b, "g%d:%x:%d:%d:%d:%d:%v:%d:%d;", h.Gen, h.BestPower, h.Feasible,
-			h.ArchiveSize, h.CacheHits, h.CacheMisses, h.CacheBypassed, h.StructHits, h.StructMisses)
+		fmt.Fprintf(&b, "g%d:%x:%d:%d;", h.Gen, h.BestPower, h.Feasible, h.ArchiveSize)
 	}
 	fmt.Fprintf(&b, "|ev%d:fe%d", res.Stats.Evaluated, res.Stats.Feasible)
 	if res.Best != nil {
@@ -35,8 +33,8 @@ func trajectorySignature(res *Result) string {
 // to the pre-island engine: the two golden signatures below were
 // captured from the single-trajectory implementation (commit 81ea41b)
 // on the same problem and options, before island.go existed. Any change
-// to seeding, RNG consumption order, selection, caching or snapshot
-// arithmetic shows up here.
+// to seeding, RNG consumption order, selection or snapshot arithmetic
+// shows up here.
 func TestIslandOneMatchesGolden(t *testing.T) {
 	p := tinyProblem(t)
 	cases := []struct {
@@ -47,41 +45,38 @@ func TestIslandOneMatchesGolden(t *testing.T) {
 		{
 			name: "plain",
 			opts: Options{PopSize: 16, Generations: 8, Seed: 3},
-			golden: "g0:0x1.b1ae7fbef125bp+00:6:16:0:16:false:0:16;" +
-				"g1:0x1.91f08f2a8a651p+00:15:16:1:15:false:4:11;" +
-				"g2:0x1.5ebcd5c309b93p+00:16:16:4:12:false:8:4;" +
-				"g3:0x1.11f008f63cec6p+00:16:16:1:15:false:15:0;" +
-				"g4:0x1.11f008f63cec6p+00:16:16:2:14:false:12:2;" +
-				"g5:0x1.11f008f63cec6p+00:16:16:4:12:false:11:1;" +
-				"g6:0x1.11f008f63cec6p+00:16:16:3:13:false:12:1;" +
-				"g7:0x1.11f008f63cec6p+00:16:16:4:12:false:9:3;" +
-				"g8:0x1.11f008f63cec6p+00:16:16:9:7:false:7:0;" +
+			golden: "g0:0x1.b1ae7fbef125bp+00:6:16;" +
+				"g1:0x1.91f08f2a8a651p+00:15:16;" +
+				"g2:0x1.5ebcd5c309b93p+00:16:16;" +
+				"g3:0x1.11f008f63cec6p+00:16:16;" +
+				"g4:0x1.11f008f63cec6p+00:16:16;" +
+				"g5:0x1.11f008f63cec6p+00:16:16;" +
+				"g6:0x1.11f008f63cec6p+00:16:16;" +
+				"g7:0x1.11f008f63cec6p+00:16:16;" +
+				"g8:0x1.11f008f63cec6p+00:16:16;" +
 				"|ev144:fe107|best:0x1.11f008f63cec6p+00|f:0x1.11f008f63cec6p+00:-0x1.8p+02",
 		},
 		{
 			name: "track",
 			opts: Options{PopSize: 12, Generations: 6, Seed: 7,
 				TrackDroppingGain: true, PruneDominated: true},
-			golden: "g0:0x1.8f62d8050622bp+00:8:12:0:12:false:3:21;" +
-				"g1:0x1.88b94363e2756p+00:12:12:1:11:false:10:12;" +
-				"g2:0x1.88b94363e2756p+00:12:12:2:10:false:15:5;" +
-				"g3:0x1.87b2985265e21p+00:12:12:1:11:false:19:3;" +
-				"g4:0x1.3bec769715a8ap+00:12:12:2:10:false:20:0;" +
-				"g5:0x1.3bec769715a8ap+00:12:12:4:8:false:13:3;" +
-				"g6:0x1.3bec769715a8ap+00:12:12:1:11:false:20:2;" +
+			golden: "g0:0x1.8f62d8050622bp+00:8:12;" +
+				"g1:0x1.88b94363e2756p+00:12:12;" +
+				"g2:0x1.88b94363e2756p+00:12:12;" +
+				"g3:0x1.87b2985265e21p+00:12:12;" +
+				"g4:0x1.3bec769715a8ap+00:12:12;" +
+				"g5:0x1.3bec769715a8ap+00:12:12;" +
+				"g6:0x1.3bec769715a8ap+00:12:12;" +
 				"|ev84:fe68|best:0x1.3bec769715a8ap+00" +
 				"|f:0x1.3bec769715a8ap+00:-0x1p+02|f:0x1.87b2985265e21p+00:-0x1.8p+02",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Workers=1 pins the cache-counter trajectory exactly as the
-			// golden capture did; multi-worker runs are covered by the
-			// determinism tests instead. DisableBatch keeps the
-			// per-candidate evaluation path the capture ran on: batching
-			// shares analyses within same-system groups, which shifts the
-			// structural-cache counters baked into the signatures (never
-			// the archives — TestBatchedMatchesPerCandidate pins that).
+			// Workers=1 and DisableBatch run the schedule and the
+			// per-candidate evaluation path the golden capture ran on;
+			// multi-worker runs are covered by the determinism tests and
+			// batched ones by TestBatchedMatchesPerCandidate.
 			opts := tc.opts
 			opts.Workers = 1
 			opts.DisableBatch = true
@@ -127,11 +122,9 @@ func TestGoldenTrajectoryEngineIndependent(t *testing.T) {
 	}
 }
 
-// archiveSignature flattens only the trajectory-determined parts of a
-// Result — multi-island runs share the fitness store, so cache counters
-// legitimately vary with goroutine interleaving, but the archives (and
-// hence BestPower/Feasible/MigrantsIn per generation, the final best and
-// the front) may not.
+// archiveSignature flattens the trajectory-determined parts of a Result:
+// BestPower/Feasible/MigrantsIn per generation, the evaluation and
+// migration totals, the final best and the front.
 func archiveSignature(res *Result) string {
 	var b strings.Builder
 	for _, h := range res.History {
@@ -148,9 +141,8 @@ func archiveSignature(res *Result) string {
 }
 
 // TestMultiIslandDeterminism: a multi-island run is reproducible from
-// the one seed — island RNG streams are derived deterministically,
-// migration happens at barriers in island order, and the shared caches
-// can only change counters, never archives.
+// the one seed — island RNG streams are derived deterministically and
+// migration happens at barriers in island order.
 func TestMultiIslandDeterminism(t *testing.T) {
 	p := tinyProblem(t)
 	opts := Options{PopSize: 10, Generations: 6, Seed: 11,
@@ -168,16 +160,11 @@ func TestMultiIslandDeterminism(t *testing.T) {
 	}
 }
 
-// TestIslandCounterDeterminism pins the fix for the nondeterministic
-// per-island counter lines in cmd/ftmap: when islands shared one
-// mutable fitness store, which island got the hit for a genome two
-// islands reproduced depended on goroutine timing, so the reported
-// "island N: cache X/Y hit" lines changed between identical runs. With
-// private per-island stores and barrier-built snapshots, every island's
-// counters — not just its archive — are a deterministic function of the
-// seed. The fitness counters are tallied in evaluateAll's sequential
-// phases, so this holds at every worker budget, which is what the
-// Workers=4 case checks under -race.
+// TestIslandCounterDeterminism pins that every island's counters — not
+// just its archive — are a deterministic function of the seed: islands
+// share no mutable evaluation state, and evaluateAll folds every counter
+// sequentially in batch order, so this holds at every worker budget,
+// which is what the Workers=4 case checks under -race.
 func TestIslandCounterDeterminism(t *testing.T) {
 	p := tinyProblem(t)
 	for _, workers := range []int{1, 4} {
@@ -197,12 +184,6 @@ func TestIslandCounterDeterminism(t *testing.T) {
 		}
 		for i := range a.History {
 			ha, hb := a.History[i], b.History[i]
-			// Structural counters are tallied from the concurrent
-			// evaluation phase and may shift with scheduling when
-			// Workers > 1; everything else must be exact.
-			if workers > 1 {
-				ha.StructHits, ha.StructMisses = hb.StructHits, hb.StructMisses
-			}
 			if ha != hb {
 				t.Errorf("workers=%d: history[%d] differs across identical runs:\n run1 %+v\n run2 %+v",
 					workers, i, hb, ha)

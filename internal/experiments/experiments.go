@@ -301,18 +301,14 @@ func RescueRatio(benchName string, opts dse.Options) (*RescueResult, error) {
 // RenderRescue prints the ratio table.
 func RenderRescue(rows []*RescueResult) string {
 	t := texttable.New("Section 5.2: solutions rescued by task dropping, and re-execution share")
-	t.Row("benchmark", "evaluated", "feasible", "rescued by dropping", "re-execution share", "scenario analyses", "caches (fitness / structural)")
+	t.Row("benchmark", "evaluated", "feasible", "rescued by dropping", "re-execution share", "scenario analyses")
 	t.Sep()
 	for _, r := range rows {
 		t.Row(r.Benchmark, r.Stats.Evaluated, r.Stats.Feasible,
 			fmt.Sprintf("%.2f%%", 100*r.Stats.RescueRatio()),
 			fmt.Sprintf("%.2f%%", 100*r.Stats.ReExecutionShare()),
-			fmt.Sprintf("%d (-%d dedup, -%d pruned, %d warm)",
-				r.Stats.ScenariosAnalyzed, r.Stats.ScenariosDeduped,
-				r.Stats.ScenariosPruned, r.Stats.ScenariosIncremental),
-			fmt.Sprintf("%d/%d hit / %d hit %d warm",
-				r.Stats.CacheHits, r.Stats.CacheHits+r.Stats.CacheMisses,
-				r.Stats.StructHits, r.Stats.WarmStartJobs))
+			fmt.Sprintf("%d (-%d dedup, -%d pruned)",
+				r.Stats.ScenariosAnalyzed, r.Stats.ScenariosDeduped, r.Stats.ScenariosPruned))
 	}
 	return t.String()
 }

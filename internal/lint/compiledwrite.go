@@ -7,12 +7,11 @@ import (
 
 // CompiledWriteAnalyzer guards the immutability contract of the
 // columnar analysis tables: a sched.CompiledSystem is built once by
-// CompileSystem, cached per system (Holistic.CompiledFor, the
-// fingerprint-keyed compile cache) and then shared by every worker and
-// every candidate evaluation for the rest of the run. Writing a column
-// after the compile step therefore corrupts concurrent analyses of
-// unrelated candidates — like a cachewrite violation, nothing crashes,
-// results just silently diverge. The pass flags any assignment through
+// CompileSystem, cached per system (Holistic.CompiledFor) and then
+// shared by every worker and every scenario or batch analysis of that
+// system. Writing a column after the compile step therefore corrupts
+// concurrent analyses — nothing crashes, results just silently
+// diverge. The pass flags any assignment through
 // a CompiledSystem column field (cs.Order[i] = ..., cs.Release = ...,
 // a.cs.N++ and writes through local aliases of a column) outside
 // CompileSystem itself. Per-pass mutable state belongs in

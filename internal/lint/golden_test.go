@@ -182,10 +182,6 @@ func TestSyncCopyGolden(t *testing.T) {
 	runGolden(t, SyncCopyAnalyzer, "synccopy", "mcmap/internal/sched")
 }
 
-func TestCacheWriteGolden(t *testing.T) {
-	runGolden(t, CacheWriteAnalyzer, "cachewrite", "mcmap/internal/core")
-}
-
 func TestCompiledWriteGolden(t *testing.T) {
 	runGolden(t, CompiledWriteAnalyzer, "compiledwrite", "mcmap/internal/sched")
 }

@@ -114,7 +114,6 @@ func Analyzers() []*Analyzer {
 		MapRangeAnalyzer,
 		GoSpawnAnalyzer,
 		SyncCopyAnalyzer,
-		CacheWriteAnalyzer,
 		CompiledWriteAnalyzer,
 		TransDetAnalyzer,
 		WireSchemaAnalyzer,

@@ -17,9 +17,9 @@ import (
 // dereferences, no map lookups, no per-edge struct loads.
 //
 // A CompiledSystem is IMMUTABLE after CompileSystem returns. Every
-// Analyze of the same system — the fault-free baseline, the all-critical
-// reference and all fault scenarios of Algorithm 1, and every batched
-// candidate vector of core.AnalyzeBatch — reads one shared instance
+// Analyze of the same system — the fault-free pass and all fault
+// scenarios of Algorithm 1, and every batched candidate vector of
+// core.AnalyzeBatch — reads one shared instance
 // concurrently, so any mutation would race and corrupt sibling analyses.
 // The compiledwrite linter (internal/lint) enforces that only this file
 // writes to CompiledSystem backing arrays.
@@ -79,12 +79,18 @@ type CompiledSystem struct {
 	OutTo   []int32
 
 	// ---- Kernel peer segments (see kernel.go for the set definitions) ---
-	InterfOff  []int32
-	Interf     []int32
-	BlockOff   []int32
-	Block      []int32
-	DemandOff  []int32
-	Demand     []int32
+	InterfOff []int32
+	Interf    []int32
+	BlockOff  []int32
+	Block     []int32
+	DemandOff []int32
+	Demand    []int32
+	// Readers lists, per job, every job whose holistic equations read
+	// this job's bounds: graph successors (activation), lower-priority
+	// same-processor peers (interference, exclusion tests) and, on
+	// non-preemptive processors, all peers (the blocking term reads
+	// lower-priority finishes). Phase D sweeps the closure of the lifted
+	// nodes along exactly these edges (see liftClosure).
 	ReadersOff []int32
 	Readers    []int32
 
@@ -213,7 +219,7 @@ func CompileSystem(sys *platform.System) *CompiledSystem {
 
 	// Kernel peer segments: the same sets kernel.go derives per system,
 	// emitted straight into int32 CSR tables (see kernel.go build for the
-	// exclusion rationale).
+	// exclusion rationale), plus the reader segments.
 	for i := 0; i < n; i++ {
 		cs.InterfOff[i] = int32(len(cs.Interf))
 		cs.BlockOff[i] = int32(len(cs.Block))
@@ -298,8 +304,8 @@ func CompileSystem(sys *platform.System) *CompiledSystem {
 // CompiledSystem pins its source system (see CompiledSystem.Sys), so a
 // live key can never be recycled for a different allocation; it is also
 // the right key, because the tables embed mapping-dependent data (the
-// processor columns, edge delays, peer segments), which rules out the
-// structure-fingerprint sharing the warm-start caches use. Bounded by a
+// processor columns, edge delays, peer segments), which rules out
+// sharing them between mappings of one structure. Bounded by a
 // FIFO of compiledTablesCap entries — the working set is one system per
 // concurrently evaluated candidate.
 type compiledTables struct {

@@ -10,8 +10,8 @@ import (
 // same four-phase fixed point (A best-case precedence, B worst-case, C
 // best-case improvement, D worst-case re-run), iterated over the dense
 // columns of a CompiledSystem instead of the pointer graph. Everything
-// observable is bit-identical to the pointer path — bounds, verdicts
-// and warm snapshots (see the parity suite in compiled_test.go); only
+// observable is bit-identical to the pointer path — bounds and verdicts
+// (see the parity suite in compiled_test.go); only
 // Result.Iterations, which sched.Result documents as a diagnostic
 // outside the equality contract, comes out lower, because the compiled
 // passes sweep restricted closures where the pointer path re-sweeps
@@ -60,13 +60,10 @@ import (
 // start bound) is monotone over the pass, so demand segments persist an
 // included zone and a running sum the same way.
 //
-// Two further structural savings ride on the persistence. Each node also
+// One further structural saving rides on the persistence. Each node also
 // remembers the smallest gate among its pending peers, so a scan round
 // whose threshold cannot reach that gate is skipped outright — in steady
-// sweeps a recompute touches no segment entries at all. And warm starts
-// materialize the affected closure as a compact sweep order once per
-// analysis, so every sweep iterates only the nodes it can change instead
-// of filtering the full order per round.
+// sweeps a recompute touches no segment entries at all.
 
 // nodeScan is one node's persistent admission-scan state, packed into a
 // single cache line's worth of fields so a recompute loads and stores it
@@ -107,7 +104,6 @@ type compiledScratch struct {
 	segI, segD []int32
 	segSys     *CompiledSystem
 	scan       []nodeScan
-	aff        []bool
 	stack      []int32
 	// liftDirty marks the nodes the improvement pass changed — a lifted
 	// minAct also marks its window readers, whose admission gates read it.
@@ -117,30 +113,6 @@ type compiledScratch struct {
 	liftDirty []bool
 	affD      []bool
 	orderD    []int32
-	// pinDiff collects the clean nodes whose pinned phase-C gate
-	// (warm.minActC) differs from the phase-A value their peers' phase-B
-	// equations read. Such pins change affected readers' admission gates
-	// between phases B and D exactly like a tracked lift would, so they
-	// seed the lift closure too (see analyzeCompiledFrom).
-	pinDiff []int32
-	// closCache memoizes materialized warm-start closures per dirty set
-	// for the compiled system tagged by closSys. Scenario sweeps re-derive
-	// the same handful of dirty sets for every candidate evaluation, so
-	// the reader-closure walk is paid once per distinct set. Entries keep
-	// the full dirty-index list and compare it on lookup, so a hash
-	// collision costs a recompute, never a wrong order.
-	closSys   *CompiledSystem
-	closCache map[uint64]closEntry
-	keyBuf    []int32
-}
-
-// closEntry is one memoized warm-start closure: the dirty-index list it
-// was derived from and the materialized sweep order (nil when the
-// closure covered the whole graph and the warm start degenerates to a
-// cold run).
-type closEntry struct {
-	key   []int32
-	order []int32
 }
 
 // compiledFreelist pools compiledScratch instances, same discipline as
@@ -272,28 +244,15 @@ func (h *Holistic) analyzeCompiledWith(cs *CompiledSystem, exec []ExecBounds, s 
 	activation := s.activation
 	diverged := h.compiledWorstPass(cs, exec, res, minAct, maxFinish, activation, s, cs.Order)
 
-	var warm *warmState
-	if !diverged {
-		warm = newWarmState(n)
-		copy(warm.maxFinishB, maxFinish)
-		copy(warm.activationB, activation)
-		improved, capped := h.compiledImprove(cs, exec, res, minAct, activation, s, cs.Order)
-		if improved {
-			diverged = h.compiledWorstPass(cs, exec, res, minAct, maxFinish, activation, s, s.liftClosure(cs, cs.Order))
-		}
-		copy(warm.minActC, minAct)
-		if capped {
-			warm = nil
-		}
+	if !diverged && h.compiledImprove(cs, exec, res, minAct, activation, s, cs.Order) {
+		diverged = h.compiledWorstPass(cs, exec, res, minAct, maxFinish, activation, s, s.liftClosure(cs, cs.Order))
 	}
 
 	if diverged {
 		for i := range maxFinish {
 			maxFinish[i] = model.Infinity
 		}
-		warm = nil
 	}
-	res.warm = warm
 	res.Schedulable = true
 	for i := range maxFinish {
 		res.Bounds[i].MaxFinish = maxFinish[i]
@@ -330,70 +289,10 @@ func (s *compiledScratch) liftClosure(cs *CompiledSystem, order []int32) []int32
 	return s.orderD
 }
 
-// closureOrder resolves a warm start's dirty set to its materialized
-// sweep order, marking the closure in aff (already zeroed). cold
-// reports that the closure covers the whole graph. Orders are memoized
-// per dirty set: scenario sweeps replay the same few dirty sets for
-// every candidate, so the reader-closure walk and order filter are paid
-// once per distinct set and a hit only re-marks aff from the cached
-// order.
-func (s *compiledScratch) closureOrder(cs *CompiledSystem, dirty, aff []bool) (order []int32, cold bool) {
-	key := s.keyBuf[:0]
-	hash := uint64(1469598103934665603)
-	for i, d := range dirty {
-		if d {
-			key = append(key, int32(i))
-			hash ^= uint64(uint32(i))
-			hash *= 1099511628211
-		}
-	}
-	s.keyBuf = key
-	if s.closSys != cs {
-		if s.closCache == nil {
-			s.closCache = make(map[uint64]closEntry)
-		} else {
-			clear(s.closCache)
-		}
-		s.closSys = cs
-	}
-	if e, ok := s.closCache[hash]; ok && int32SlicesEqual(e.key, key) {
-		if e.order == nil {
-			return nil, true
-		}
-		for _, nid := range e.order {
-			aff[nid] = true
-		}
-		return e.order, false
-	}
-	var affected int
-	affected, s.stack = compiledClosure(cs, dirty, aff, s.stack)
-	if affected == cs.N {
-		s.closCache[hash] = closEntry{key: append([]int32(nil), key...)}
-		return nil, true
-	}
-	order = make([]int32, 0, affected)
-	for _, nid := range cs.Order {
-		if aff[nid] {
-			order = append(order, nid)
-		}
-	}
-	s.closCache[hash] = closEntry{key: append([]int32(nil), key...), order: order}
-	return order, false
-}
-
-func int32SlicesEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// compiledClosure is affectedClosure over the columnar reader segments.
+// compiledClosure expands the dirty set to its transitive closure along
+// the columnar reader segments, marking every reached node in aff (len(aff)
+// == nodes, all false on entry) and returning the marked count plus the
+// reusable stack.
 func compiledClosure(cs *CompiledSystem, dirty, aff []bool, stack []int32) (int, []int32) {
 	count := 0
 	stack = stack[:0]
@@ -418,146 +317,6 @@ func compiledClosure(cs *CompiledSystem, dirty, aff []bool, stack []int32) (int,
 		}
 	}
 	return count, stack
-}
-
-// AnalyzeCompiledFrom is the columnar twin of AnalyzeFrom: identical
-// warm-start contract, identical fallbacks, same Bounds and Schedulable
-// as a cold run on exec. Warm state is interchangeable with the pointer
-// path's — both record the same phase snapshots — so baselines may come
-// from either engine.
-func (h *Holistic) AnalyzeCompiledFrom(cs *CompiledSystem, exec []ExecBounds, baseline *Result, dirty []bool) (*Result, error) {
-	return h.analyzeCompiledFrom(cs, exec, baseline, dirty, true)
-}
-
-// AnalyzeCompiledFromLeaf is AnalyzeCompiledFrom without the warm-start
-// snapshot on the returned Result (see sched.LeafAnalyzer): identical
-// bounds and verdict, but the result cannot seed further warm starts.
-// Scenario fan-outs call it — of an Algorithm 1 run's backend
-// invocations only the fault-free and critical references ever serve as
-// baselines, so the per-scenario snapshot allocation and copies are
-// pure overhead.
-func (h *Holistic) AnalyzeCompiledFromLeaf(cs *CompiledSystem, exec []ExecBounds, baseline *Result, dirty []bool) (*Result, error) {
-	return h.analyzeCompiledFrom(cs, exec, baseline, dirty, false)
-}
-
-func (h *Holistic) analyzeCompiledFrom(cs *CompiledSystem, exec []ExecBounds, baseline *Result, dirty []bool, wantWarm bool) (*Result, error) {
-	if cs.Arbitrated {
-		return h.AnalyzeFrom(cs.Sys, exec, baseline, dirty)
-	}
-	s := h.getCScratch(cs)
-	defer h.cscratch.Put(s)
-	return h.analyzeCompiledFromWith(cs, exec, baseline, dirty, wantWarm, s)
-}
-
-// analyzeCompiledFromWith is the warm-start path over a caller-owned
-// scratch for a non-arbitrated lowering; s must have been prepped for
-// cs immediately before the call. Cold-run fallbacks re-prep s and
-// reuse it instead of checking out a second scratch.
-func (h *Holistic) analyzeCompiledFromWith(cs *CompiledSystem, exec []ExecBounds, baseline *Result, dirty []bool, wantWarm bool, s *compiledScratch) (*Result, error) {
-	n := cs.N
-	if baseline == nil || baseline.warm == nil || len(baseline.Bounds) != n || len(dirty) != n {
-		return h.analyzeCompiledWith(cs, exec, s)
-	}
-	if err := ValidateExec(cs.Sys, exec); err != nil {
-		return nil, err
-	}
-
-	s.aff = resizeBools(s.aff, n)
-	aff := s.aff
-	order, cold := s.closureOrder(cs, dirty, aff)
-	if cold {
-		s.prep(cs)
-		return h.analyzeCompiledWith(cs, exec, s)
-	}
-
-	res := &Result{Bounds: make([]Bounds, n)}
-	warm := baseline.warm
-
-	// Phase A: full pass — cheap, and exact for clean nodes.
-	minAct := s.minAct
-	compiledBestCase(cs, exec, res, minAct)
-
-	// Phase B over the closure, clean nodes pinned at post-B baselines.
-	maxFinish := s.maxFinish
-	activation := s.activation
-	for i := 0; i < n; i++ {
-		if !aff[i] {
-			maxFinish[i] = warm.maxFinishB[i]
-			activation[i] = warm.activationB[i]
-		}
-	}
-	if h.compiledWorstPass(cs, exec, res, minAct, maxFinish, activation, s, order) {
-		s.prep(cs)
-		return h.analyzeCompiledWith(cs, exec, s)
-	}
-
-	var nextWarm *warmState
-	if wantWarm {
-		nextWarm = newWarmState(n)
-		copy(nextWarm.maxFinishB, maxFinish)
-		copy(nextWarm.activationB, activation)
-	}
-
-	// Phase C over the closure, clean nodes pinned at post-C baselines.
-	// A pin that moves a clean node's minAct off the phase-A value its
-	// peers' phase-B equations just read changes those peers' admission
-	// gates between phases B and D exactly like a tracked lift, so the
-	// moved nodes are collected and seeded into the lift closure below.
-	s.pinDiff = s.pinDiff[:0]
-	for i := 0; i < n; i++ {
-		if !aff[i] {
-			if warm.minActC[i] != minAct[i] {
-				s.pinDiff = append(s.pinDiff, int32(i))
-			}
-			minAct[i] = warm.minActC[i]
-			res.Bounds[i].MinStart = baseline.Bounds[i].MinStart
-			res.Bounds[i].MinFinish = baseline.Bounds[i].MinFinish
-		}
-	}
-	if _, capped := h.compiledImprove(cs, exec, res, minAct, activation, s, order); capped {
-		s.prep(cs)
-		return h.analyzeCompiledWith(cs, exec, s)
-	}
-	if wantWarm {
-		copy(nextWarm.minActC, minAct)
-	}
-
-	// Phase D over the lift closure: outside it the re-run would replay
-	// phase B verbatim, so affected-but-unlifted nodes stay pinned at the
-	// phase-B values already in the columns, and clean nodes at the final
-	// baselines. "Replays phase B" additionally requires phase D to read
-	// the same pinned inputs phase B did — but the clean pins move
-	// between passes (minAct: phase-A value → baseline post-C, maxFinish:
-	// baseline post-B → baseline final), replaying the baseline run's own
-	// C/D updates. Every moved pin therefore seeds the lift closure like
-	// a tracked lift: its affected readers re-run in phase D and observe
-	// the pass-D pins, exactly as the pointer path's full re-sweep does.
-	lift := s.liftDirty
-	for _, i := range s.pinDiff {
-		lift[i] = true
-	}
-	for i := 0; i < n; i++ {
-		if !aff[i] {
-			if baseline.Bounds[i].MaxFinish != maxFinish[i] {
-				lift[i] = true
-			}
-			maxFinish[i] = baseline.Bounds[i].MaxFinish
-		}
-	}
-	if h.compiledWorstPass(cs, exec, res, minAct, maxFinish, activation, s, s.liftClosure(cs, order)) {
-		s.prep(cs)
-		return h.analyzeCompiledWith(cs, exec, s)
-	}
-
-	res.warm = nextWarm
-	res.Schedulable = true
-	for i := range maxFinish {
-		res.Bounds[i].MaxFinish = maxFinish[i]
-		if maxFinish[i].IsInfinite() || maxFinish[i] > cs.AbsDeadline[i] {
-			res.Schedulable = false
-		}
-	}
-	return res, nil
 }
 
 // compiledBestCase is bestCasePrec over the columns: one topological
@@ -592,8 +351,8 @@ func compiledBestCase(cs *CompiledSystem, exec []ExecBounds, res *Result, minAct
 // its activation inputs and every peer column its admission scans read
 // are unchanged since its last evaluation, and the persisted scan state
 // makes the recurrence return its previous fixed point verbatim. Eliding
-// such evaluations drops nothing observable — change flags, bounds and
-// warm snapshots match the pointer path exactly.
+// such evaluations drops nothing observable — change flags and bounds
+// match the pointer path exactly.
 func (h *Holistic) compiledWorstPass(cs *CompiledSystem, exec []ExecBounds, res *Result, minAct, maxFinish, activation []model.Time, s *compiledScratch, order []int32) bool {
 	n := cs.N
 	s.wflags = resizeUint8s(s.wflags, n)
@@ -792,7 +551,7 @@ func compiledWorstFinish(cs *CompiledSystem, s *compiledScratch, exec []ExecBoun
 // guaranteed-demand scan persisting its included zone and running sum
 // across calls (the admission gate — worst-case activation vs the
 // growing start bound — is monotone over the pass).
-func (h *Holistic) compiledImprove(cs *CompiledSystem, exec []ExecBounds, res *Result, minAct, activation []model.Time, sc *compiledScratch, order []int32) (improved, capped bool) {
+func (h *Holistic) compiledImprove(cs *CompiledSystem, exec []ExecBounds, res *Result, minAct, activation []model.Time, sc *compiledScratch, order []int32) (improved bool) {
 	n := cs.N
 	sc.sweepDirty = resizeBools(sc.sweepDirty, n)
 	dirty := sc.sweepDirty
@@ -807,7 +566,6 @@ func (h *Holistic) compiledImprove(cs *CompiledSystem, exec []ExecBounds, res *R
 	outOff, outTo := cs.OutOff, cs.OutTo
 	wrOff, wreaders := cs.WReadersOff, cs.WReaders
 	seg := sc.seg
-	capped = true
 	for sweep := 0; sweep < 64; sweep++ {
 		changed := false
 		for _, nid32 := range order {
@@ -902,9 +660,8 @@ func (h *Holistic) compiledImprove(cs *CompiledSystem, exec []ExecBounds, res *R
 			}
 		}
 		if !changed {
-			capped = false
 			break
 		}
 	}
-	return improved, capped
+	return improved
 }

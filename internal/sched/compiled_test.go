@@ -8,9 +8,9 @@ import (
 	"mcmap/internal/platform"
 )
 
-// requireSameResult compares every observable field of two results plus
-// the engine-internal warm snapshots: the compiled path promises
-// bit-identical analyses, not just equal verdicts. Iterations is the
+// requireSameResult compares every observable field of two results: the
+// compiled path promises bit-identical analyses, not just equal
+// verdicts. Iterations is the
 // documented exception (see sched.Result): it is a diagnostic sweep
 // count, and the compiled engine's restricted phase-D closures finish
 // in at most as many sweeps as the pointer path's full re-sweeps — so
@@ -26,14 +26,61 @@ func requireSameResult(t *testing.T, ctx string, got, want *Result) {
 	if !reflect.DeepEqual(got.Bounds, want.Bounds) {
 		t.Fatalf("%s: bounds differ:\n got %v\nwant %v", ctx, got.Bounds, want.Bounds)
 	}
-	if !reflect.DeepEqual(got.warm, want.warm) {
-		t.Fatalf("%s: warm state differs:\n got %+v\nwant %+v", ctx, got.warm, want.warm)
-	}
 }
 
-// checkCompiledAgainstPointer runs every perturbation through both
-// engines cold and requires identical results, then replays the
-// perturbations as warm starts through both incremental paths.
+// twoProcSystem builds a system rich enough to exercise every coupling
+// the holistic equations model: a cross-processor chain, same-processor
+// interference on both processors, and an independent graph.
+func twoProcSystem(t *testing.T, mutate func(*model.Architecture)) *platform.System {
+	t.Helper()
+	g := model.NewTaskGraph("g", 100).SetCritical(1e-9)
+	g.AddTask("a", 2, 5, 0, 0)
+	g.AddTask("b", 3, 6, 0, 0)
+	g.AddTask("c", 1, 4, 0, 0)
+	g.AddChannel("a", "b", 4)
+	g.AddChannel("b", "c", 4)
+	h := model.NewTaskGraph("h", 50)
+	h.AddTask("x", 1, 3, 0, 0)
+	h.AddTask("y", 1, 2, 0, 0)
+	h.AddChannel("x", "y", 2)
+	a := arch(2)
+	if mutate != nil {
+		mutate(a)
+	}
+	return compile(t, a, model.NewAppSet(g, h), model.Mapping{
+		"g/a": 0, "g/b": 1, "g/c": 0, "h/x": 0, "h/y": 1,
+	})
+}
+
+// perturbations returns exec vectors derived from the nominal one:
+// single-entry widenings, narrowings, multi-entry changes, and the
+// unchanged vector itself.
+func perturbations(nominal []ExecBounds) [][]ExecBounds {
+	var out [][]ExecBounds
+	clone := func() []ExecBounds {
+		c := make([]ExecBounds, len(nominal))
+		copy(c, nominal)
+		return c
+	}
+	for i := range nominal {
+		p := clone()
+		p[i].W *= 3 // inflate one worst case
+		out = append(out, p)
+		q := clone()
+		q[i].B = 0 // widen one best case
+		out = append(out, q)
+	}
+	all := clone()
+	for i := range all {
+		all[i].B = 0
+		all[i].W++
+	}
+	out = append(out, all, clone())
+	return out
+}
+
+// checkCompiledAgainstPointer runs the nominal vector and every
+// perturbation through both engines and requires identical results.
 func checkCompiledAgainstPointer(t *testing.T, sys *platform.System) {
 	t.Helper()
 	h := &Holistic{}
@@ -52,8 +99,7 @@ func checkCompiledAgainstPointer(t *testing.T, sys *platform.System) {
 	}
 	requireSameResult(t, "nominal", baseC, baseP)
 
-	dirty := make([]bool, len(nominal))
-	for pi, exec := range perturbations(nominal) {
+	for _, exec := range perturbations(nominal) {
 		pointer, err := h.Analyze(sys, exec)
 		if err != nil {
 			t.Fatal(err)
@@ -62,38 +108,7 @@ func checkCompiledAgainstPointer(t *testing.T, sys *platform.System) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameResult(t, "cold perturbation", compiled, pointer)
-
-		for i := range dirty {
-			dirty[i] = exec[i] != nominal[i]
-		}
-		warmP, err := h.AnalyzeFrom(sys, exec, baseP, dirty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warmC, err := h.AnalyzeCompiledFrom(cs, exec, baseC, dirty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, "warm perturbation", warmC, warmP)
-		// Cross-engine baselines: warm state is interchangeable, so a
-		// pointer baseline must warm-start the compiled path to the same
-		// fixed point (and vice versa).
-		crossC, err := h.AnalyzeCompiledFrom(cs, exec, baseP, dirty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameResult(t, "cross-baseline compiled", crossC, warmP)
-		if pi > 4 {
-			continue // a few cross checks suffice; the loop above covers all
-		}
-		crossP, err := h.AnalyzeFrom(sys, exec, baseC, dirty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(crossP.Bounds, pointer.Bounds) || crossP.Schedulable != pointer.Schedulable {
-			t.Fatalf("cross-baseline pointer warm start diverged (perturbation %d)", pi)
-		}
+		requireSameResult(t, "perturbation", compiled, pointer)
 	}
 }
 
@@ -129,8 +144,26 @@ func TestCompiledArbitratedDelegates(t *testing.T) {
 	checkCompiledAgainstPointer(t, sys)
 }
 
+// refReaders derives node nid's reader set straight from the pointer
+// graph: graph successors, lower-priority same-processor peers and, on
+// non-preemptive processors, every same-processor peer.
+func refReaders(sys *platform.System, nid platform.NodeID) []platform.NodeID {
+	node := sys.Nodes[nid]
+	out := []platform.NodeID{}
+	for _, e := range node.Out {
+		out = append(out, e.To)
+	}
+	for _, pid := range sys.ProcNodes[node.Proc] {
+		if pid != nid && (node.NonPreemptive || sys.Nodes[pid].Priority > node.Priority) {
+			out = append(out, pid)
+		}
+	}
+	return out
+}
+
 // TestCompileSystemMatchesKernel pins the columnar peer segments against
-// the pointer kernel they lower: same sets, same per-node order.
+// the pointer kernel they lower (and the reader segments against their
+// definition): same sets, same per-node order.
 func TestCompileSystemMatchesKernel(t *testing.T) {
 	sys := twoProcSystem(t, func(a *model.Architecture) {
 		a.Procs[1].NonPreemptive = true
@@ -162,28 +195,37 @@ func TestCompileSystemMatchesKernel(t *testing.T) {
 		if got, want := seg(cs.DemandOff, cs.Demand, nid), asIDs(kern.demandSeg(id)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("node %d demand = %v, want %v", nid, got, want)
 		}
-		if got, want := seg(cs.ReadersOff, cs.Readers, nid), asIDs(kern.readersSeg(id)); !reflect.DeepEqual(got, want) {
+		if got, want := seg(cs.ReadersOff, cs.Readers, nid), refReaders(sys, id); !reflect.DeepEqual(got, want) {
 			t.Fatalf("node %d readers = %v, want %v", nid, got, want)
 		}
 	}
 }
 
-// TestCompiledClosureMatchesPointer: the columnar dirty-closure expansion
-// must mark exactly the same affected set as the pointer kernel's.
+// TestCompiledClosureMatchesPointer: the columnar closure expansion
+// behind phase D's lift closure must mark exactly the nodes reachable
+// over the pointer graph's reader relation.
 func TestCompiledClosureMatchesPointer(t *testing.T) {
 	sys := twoProcSystem(t, func(a *model.Architecture) {
 		a.Procs[0].NonPreemptive = true
 	})
-	var kern holisticKernel
-	kern.build(sys)
 	cs := CompileSystem(sys)
 	n := len(sys.Nodes)
 	for seed := 0; seed < n; seed++ {
 		dirty := make([]bool, n)
 		dirty[seed] = true
 		affP := make([]bool, n)
+		countP := 0
+		for stack := []platform.NodeID{platform.NodeID(seed)}; len(stack) > 0; {
+			id := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if affP[id] {
+				continue
+			}
+			affP[id] = true
+			countP++
+			stack = append(stack, refReaders(sys, id)...)
+		}
 		affC := make([]bool, n)
-		countP, _ := affectedClosure(&kern, dirty, affP, nil)
 		countC, _ := compiledClosure(cs, dirty, affC, nil)
 		if countP != countC || !reflect.DeepEqual(affP, affC) {
 			t.Fatalf("seed %d: closure %v (%d), want %v (%d)", seed, affC, countC, affP, countP)

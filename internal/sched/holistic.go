@@ -100,7 +100,7 @@ type holisticScratch struct {
 	msgs                          []busMsg
 	// kern holds the system's precomputed peer segments (see kernel.go);
 	// kernSys remembers which system it was built for, so every analysis
-	// of the same system through this scratch — baseline, reference and
+	// of the same system through this scratch — the fault-free pass and
 	// all scenario runs — shares one build.
 	kern    holisticKernel
 	kernSys *platform.System
@@ -114,9 +114,6 @@ type holisticScratch struct {
 	// into one 16-byte entry, so the hot partition scans touch two
 	// memory streams (peers, maxFinish) instead of three.
 	peers []peerState
-	// aff and stack serve AnalyzeFrom's dirty-closure computation.
-	aff   []bool
-	stack []platform.NodeID
 }
 
 func newHolisticScratch() *holisticScratch {
@@ -145,6 +142,18 @@ func (s *holisticScratch) prep(sys *platform.System) {
 		s.kern.build(sys)
 		s.kernSys = sys
 	}
+}
+
+// resizeBools returns a false-filled slice of length n, reusing capacity.
+func resizeBools(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = false
+	}
+	return s
 }
 
 // resizeTimes returns a zeroed slice of length n, reusing capacity.
@@ -243,42 +252,25 @@ func (h *Holistic) analyzeWith(sys *platform.System, exec []ExecBounds, s *holis
 	// ---- Phase B: worst-case fixed point --------------------------------
 	maxFinish := s.maxFinish
 	activation := s.activation
-	diverged := h.worstPass(sys, exec, res, minAct, maxFinish, activation, s, nil)
+	diverged := h.worstPass(sys, exec, res, minAct, maxFinish, activation, s)
 
-	var warm *warmState
-	if !diverged {
-		// Snapshot the post-B state: AnalyzeFrom seeds unaffected nodes
-		// of a scenario run from these values (see incremental.go).
-		warm = newWarmState(n)
-		copy(warm.maxFinishB, maxFinish)
-		copy(warm.activationB, activation)
-		// ---- Phase C: best-case improvement ------------------------------
-		// Jobs whose worst-case activation certainly precedes a
-		// lower-priority job's earliest start must complete at least their
-		// bcet before it starts; folding that guaranteed demand into
-		// minStart tightens the Algorithm 1 before/after-the-fault
-		// classifications, and the improved predecessor finishes lift the
-		// activation bounds used by the exclusion tests.
-		improved, capped := h.improveBestCase(sys, exec, res, minAct, activation, s, nil)
-		if improved {
-			// ---- Phase D: re-run the worst case with tighter exclusions.
-			diverged = h.worstPass(sys, exec, res, minAct, maxFinish, activation, s, nil)
-		}
-		copy(warm.minActC, minAct)
-		if capped {
-			// The C sweep cap was hit: minActC is not a converged fixed
-			// point, so it must not seed warm starts.
-			warm = nil
-		}
+	// ---- Phase C: best-case improvement ----------------------------------
+	// Jobs whose worst-case activation certainly precedes a lower-priority
+	// job's earliest start must complete at least their bcet before it
+	// starts; folding that guaranteed demand into minStart tightens the
+	// Algorithm 1 before/after-the-fault classifications, and the improved
+	// predecessor finishes lift the activation bounds used by the exclusion
+	// tests.
+	if !diverged && h.improveBestCase(sys, exec, res, minAct, activation, s) {
+		// ---- Phase D: re-run the worst case with tighter exclusions.
+		diverged = h.worstPass(sys, exec, res, minAct, maxFinish, activation, s)
 	}
 
 	if diverged {
 		for i := range maxFinish {
 			maxFinish[i] = model.Infinity
 		}
-		warm = nil
 	}
-	res.warm = warm
 	res.Schedulable = true
 	for i := range maxFinish {
 		res.Bounds[i].MaxFinish = maxFinish[i]
@@ -312,15 +304,7 @@ func (h *Holistic) bestCasePrec(sys *platform.System, exec []ExecBounds, res *Re
 // worstPass runs the outer worst-case fixed point, filling maxFinish and
 // activation. It reports whether the recurrences failed to converge
 // (treated as divergence).
-//
-// A nil aff sweeps every node (the cold run). A non-nil aff restricts
-// seeding and sweeping to the marked nodes: unaffected entries of
-// maxFinish/activation must already hold their fixed-point values (the
-// warm-start contract of AnalyzeFrom), and because the dirty closure
-// guarantees no unaffected node depends on an affected one, iterating
-// only the affected equations converges to the same least fixed point a
-// full sweep would reach.
-func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Result, minAct, maxFinish, activation []model.Time, s *holisticScratch, aff []bool) bool {
+func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Result, minAct, maxFinish, activation []model.Time, s *holisticScratch) bool {
 	// Chaotic-iteration skip state: a node is revisited only while some
 	// input of its equation may have moved since its last recompute.
 	// Graph-successor wakes are marked per node (dirty); same-processor
@@ -339,11 +323,9 @@ func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Resul
 	s.procWakePrev = resizeInts(s.procWakePrev, nproc, maxInt)
 	wake, wakePrev := s.procWake, s.procWakePrev
 	for i := range maxFinish {
-		if aff == nil || aff[i] {
-			maxFinish[i] = res.Bounds[i].MinFinish
-			activation[i] = res.Bounds[i].MinStart
-			dirty[i] = true
-		}
+		maxFinish[i] = res.Bounds[i].MinFinish
+		activation[i] = res.Bounds[i].MinStart
+		dirty[i] = true
 	}
 	limit := sys.Hyperperiod * 4
 	busDelay := h.initBusDelays(sys, s.busDelay)
@@ -361,8 +343,8 @@ func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Resul
 	for ; iters < h.maxOuterIters(); iters++ {
 		changed := false
 		if arbitrated {
-			// Bus delays couple all senders globally, so AnalyzeFrom
-			// never warm-starts arbitrated fabrics (aff is nil here).
+			// Bus delays couple all senders globally: any change wakes
+			// every node.
 			if h.updateBusDelays(sys, exec, res, maxFinish, busDelay, s) {
 				changed = true
 				for i := range dirty {
@@ -372,9 +354,6 @@ func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Resul
 		}
 		for gi := range sys.GraphNodes {
 			for _, nid := range sys.GraphNodes[gi] {
-				if aff != nil && !aff[nid] {
-					continue
-				}
 				node := sys.Nodes[nid]
 				// Skip a node none of whose inputs moved since its last
 				// recompute: it would reproduce its current act/fin
@@ -436,13 +415,8 @@ func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Resul
 // no later than the job's current earliest start certainly executes its
 // bcet before the job can start. minAct is lifted through improved
 // predecessor finishes only (activations do not wait for interference).
-// Returns whether any bound moved, and whether the sweep cap was hit
-// before convergence (capped results must not seed warm starts).
-//
-// aff restricts the sweep exactly as in worstPass: nil lifts every
-// node; otherwise unaffected nodes must already hold their converged
-// post-C values and only affected equations iterate.
-func (h *Holistic) improveBestCase(sys *platform.System, exec []ExecBounds, res *Result, minAct, activation []model.Time, sc *holisticScratch, aff []bool) (improved, capped bool) {
+// Returns whether any bound moved.
+func (h *Holistic) improveBestCase(sys *platform.System, exec []ExecBounds, res *Result, minAct, activation []model.Time, sc *holisticScratch) (improved bool) {
 	// Chaotic-iteration skip, successor-driven: a node's improvement
 	// equations read only its predecessors' MinFinish (worst-case
 	// activations are constant for the whole pass, and every node's own
@@ -453,9 +427,7 @@ func (h *Holistic) improveBestCase(sys *platform.System, exec []ExecBounds, res 
 	sc.sweepDirty = resizeBools(sc.sweepDirty, len(sys.Nodes))
 	dirty := sc.sweepDirty
 	for i := range dirty {
-		if aff == nil || aff[i] {
-			dirty[i] = true
-		}
+		dirty[i] = true
 	}
 	// Pack the guaranteed-demand scan inputs: worst-case activations and
 	// best-case execution times are both constant for the whole pass.
@@ -464,14 +436,10 @@ func (h *Holistic) improveBestCase(sys *platform.System, exec []ExecBounds, res 
 	for i := range peers {
 		peers[i] = peerState{c: exec[i].B, gate: activation[i]}
 	}
-	capped = true
 	for sweep := 0; sweep < 64; sweep++ {
 		changed := false
 		for gi := range sys.GraphNodes {
 			for _, nid := range sys.GraphNodes[gi] {
-				if aff != nil && !aff[nid] {
-					continue
-				}
 				if !dirty[nid] {
 					continue
 				}
@@ -550,11 +518,10 @@ func (h *Holistic) improveBestCase(sys *platform.System, exec []ExecBounds, res 
 			}
 		}
 		if !changed {
-			capped = false
 			break
 		}
 	}
-	return improved, capped
+	return improved
 }
 
 // worstFinish computes the worst-case finish of job nid given its

@@ -15,8 +15,8 @@ import (
 // time. Those depend only on the compiled system, never on the
 // execution vector, so build hoists them into flat per-job peer
 // segments that stay valid for every exec vector analyzed against the
-// same system: the fault-free baseline, the all-critical reference and
-// every fault scenario of Algorithm 1 share one kernel build
+// same system: the fault-free pass and every fault scenario of
+// Algorithm 1 share one kernel build
 // (contributions are read from the exec vector at scan time, so
 // dropped jobs simply contribute zero). The pooled scratch remembers
 // which system its kernel was built for and rebuilds only when the
@@ -61,14 +61,6 @@ type holisticKernel struct {
 	// processor peers (guaranteed-demand candidates).
 	demand    []platform.NodeID
 	demandOff []int32
-	// readers segments list, per job, every job whose holistic equations
-	// read this job's bounds: graph successors (activation), lower-
-	// priority same-processor peers (interference, exclusion tests) and,
-	// on non-preemptive processors, all peers (the blocking term reads
-	// lower-priority finishes). affectedClosure expands dirty sets along
-	// exactly these edges.
-	readers    []platform.NodeID
-	readersOff []int32
 }
 
 // resizeOffsets returns a slice of length n+1, reusing capacity.
@@ -87,26 +79,15 @@ func (k *holisticKernel) build(sys *platform.System) {
 	k.interf = k.interf[:0]
 	k.block = k.block[:0]
 	k.demand = k.demand[:0]
-	k.readers = k.readers[:0]
 	k.interfOff = resizeOffsets(k.interfOff, n)
 	k.blockOff = resizeOffsets(k.blockOff, n)
 	k.demandOff = resizeOffsets(k.demandOff, n)
-	k.readersOff = resizeOffsets(k.readersOff, n)
 	for nid := 0; nid < n; nid++ {
 		k.interfOff[nid] = int32(len(k.interf))
 		k.blockOff[nid] = int32(len(k.block))
 		k.demandOff[nid] = int32(len(k.demand))
-		k.readersOff[nid] = int32(len(k.readers))
 		node := sys.Nodes[nid]
 		id := platform.NodeID(nid)
-		for _, e := range node.Out {
-			k.readers = append(k.readers, e.To)
-		}
-		for _, pid := range sys.ProcNodes[node.Proc] {
-			if pid != id && (node.NonPreemptive || sys.Nodes[pid].Priority > node.Priority) {
-				k.readers = append(k.readers, pid)
-			}
-		}
 		for _, pid := range sys.ProcNodes[node.Proc] {
 			p := sys.Nodes[pid]
 			if p.Priority >= node.Priority {
@@ -134,7 +115,6 @@ func (k *holisticKernel) build(sys *platform.System) {
 	k.interfOff[n] = int32(len(k.interf))
 	k.blockOff[n] = int32(len(k.block))
 	k.demandOff[n] = int32(len(k.demand))
-	k.readersOff[n] = int32(len(k.readers))
 }
 
 func (k *holisticKernel) interfSeg(nid platform.NodeID) []platform.NodeID {
@@ -147,8 +127,4 @@ func (k *holisticKernel) blockSeg(nid platform.NodeID) []platform.NodeID {
 
 func (k *holisticKernel) demandSeg(nid platform.NodeID) []platform.NodeID {
 	return k.demand[k.demandOff[nid]:k.demandOff[nid+1]]
-}
-
-func (k *holisticKernel) readersSeg(nid platform.NodeID) []platform.NodeID {
-	return k.readers[k.readersOff[nid]:k.readersOff[nid+1]]
 }

@@ -43,17 +43,10 @@ type Result struct {
 	// (the busy-window recurrences converged).
 	Schedulable bool
 	// Iterations is the number of outer fixed-point sweeps performed.
-	// It is a diagnostic: warm-started runs (IncrementalAnalyzer) reach
-	// the same Bounds in fewer sweeps, so equality checks between
+	// It is a diagnostic: the compiled engine reaches the same Bounds in
+	// fewer sweeps than the pointer engine, so equality checks between
 	// engines must compare Bounds and Schedulable, not Iterations.
 	Iterations int
-
-	// warm holds Holistic's per-phase fixed-point snapshots, recorded so
-	// AnalyzeFrom can seed a later run from this result. Both cold and
-	// warm-started Holistic runs record it, so warm starts chain
-	// (candidate-to-candidate, then scenario-by-scenario). Engine
-	// internal; nil on results of other backends and on divergent runs.
-	warm *warmState
 }
 
 // MaxFinishOf returns the worst-case finish of a node.
@@ -68,45 +61,6 @@ type Analyzer interface {
 	Analyze(sys *platform.System, exec []ExecBounds) (*Result, error)
 	// Name identifies the analyzer in reports.
 	Name() string
-}
-
-// IncrementalAnalyzer is an optional extension for backends that can
-// warm-start an analysis from a previously computed baseline instead of
-// iterating their fixed point from scratch. Algorithm 1 is the intended
-// caller: every fault scenario shares most of its execution-interval
-// vector with the fault-free baseline, so re-deriving only the affected
-// part of the fixed point cuts the per-scenario cost.
-//
-// AnalyzeFrom computes bounds for exec exactly as Analyze would —
-// implementations MUST converge to the same Bounds and Schedulable
-// verdict as a cold Analyze(sys, exec); only diagnostic fields such as
-// Result.Iterations may differ. baseline must be a Result previously
-// returned by Analyze on the same system (same backend instance family),
-// and dirty must have one entry per node, true for every node whose exec
-// entry may differ from the execution intervals the baseline was
-// computed with. The engine expands the dirty set to its transitive
-// dependents itself (graph successors, lower-priority same-processor
-// neighbours, …); callers only diff the exec vectors. Implementations
-// are free to fall back to a cold run whenever warm-starting is not
-// profitable or not exact (nil baseline, arbitrated fabrics, divergent
-// baselines, …), so AnalyzeFrom is always safe to call.
-type IncrementalAnalyzer interface {
-	Analyzer
-	AnalyzeFrom(sys *platform.System, exec []ExecBounds, baseline *Result, dirty []bool) (*Result, error)
-}
-
-// LeafAnalyzer is an optional refinement of IncrementalAnalyzer for
-// engines that can skip materializing the internal warm-start snapshot
-// when the caller will never use the produced Result as a baseline for
-// further warm starts (a "leaf" analysis — e.g. the per-scenario
-// invocations of Algorithm 1, which all warm from the one shared
-// reference). AnalyzeFromLeaf returns exactly what AnalyzeFrom would —
-// same Bounds, same Schedulable — but the Result may lack the snapshot,
-// so feeding it back as a baseline degrades warm starts to cold runs
-// (still correct: engines fall back on snapshot-less baselines).
-type LeafAnalyzer interface {
-	IncrementalAnalyzer
-	AnalyzeFromLeaf(sys *platform.System, exec []ExecBounds, baseline *Result, dirty []bool) (*Result, error)
 }
 
 // ConcurrentAnalyzer is an optional extension implemented by backends

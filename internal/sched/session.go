@@ -72,25 +72,6 @@ func (se *Session) Analyze(exec []ExecBounds) (*Result, error) {
 	return se.h.analyzeWith(se.sys, exec, se.scratch())
 }
 
-// AnalyzeFrom is IncrementalAnalyzer.AnalyzeFrom over the session's
-// system and scratch.
-func (se *Session) AnalyzeFrom(exec []ExecBounds, baseline *Result, dirty []bool) (*Result, error) {
-	if se.compiled() {
-		return se.h.analyzeCompiledFromWith(se.cs, exec, baseline, dirty, true, se.cscratch())
-	}
-	return se.h.analyzeFromWith(se.sys, exec, baseline, dirty, se.scratch())
-}
-
-// AnalyzeFromLeaf is LeafAnalyzer.AnalyzeFromLeaf over the session's
-// system and scratch. The pointer path has no leaf variant and returns
-// the full result — a superset of the contract.
-func (se *Session) AnalyzeFromLeaf(exec []ExecBounds, baseline *Result, dirty []bool) (*Result, error) {
-	if se.compiled() {
-		return se.h.analyzeCompiledFromWith(se.cs, exec, baseline, dirty, false, se.cscratch())
-	}
-	return se.h.analyzeFromWith(se.sys, exec, baseline, dirty, se.scratch())
-}
-
 // Close returns the pinned scratches to the backend freelists. The
 // session must not be used afterwards.
 func (se *Session) Close() {

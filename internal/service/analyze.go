@@ -17,13 +17,11 @@ import (
 	"mcmap/internal/validate"
 )
 
-// specBundle is a decoded request spec with its canonical fingerprints:
-// full (mapping included — the /analyze coalescing identity) and problem
-// (mapping cleared — the persistent-cache key shared with /dse).
+// specBundle is a decoded request spec with its canonical fingerprint
+// (mapping included — the /analyze coalescing identity).
 type specBundle struct {
 	spec *model.Spec
 	full string
-	prob string
 }
 
 // readSpec decodes and statically validates the request body. Structural
@@ -75,11 +73,7 @@ func decodeSpecBundle(body []byte) (*specBundle, error) {
 }
 
 func bundleSpec(spec *model.Spec) *specBundle {
-	return &specBundle{
-		spec: spec,
-		full: validate.Fingerprint(spec),
-		prob: validate.Fingerprint(&model.Spec{Architecture: spec.Architecture, Apps: spec.Apps}),
-	}
+	return &specBundle{spec: spec, full: validate.Fingerprint(spec)}
 }
 
 // analyzeParams are the /analyze query parameters, resolved to their
@@ -90,7 +84,10 @@ type analyzeParams struct {
 	prune   bool
 }
 
-func resolveAnalyzeParams(r *http.Request, spec *model.Spec) analyzeParams {
+// resolveAnalyzeParams resolves the query against the spec. A drop list
+// naming graphs that do not exist or are not droppable is an input
+// error, reported with every bad name before any work is queued.
+func resolveAnalyzeParams(r *http.Request, spec *model.Spec) (analyzeParams, error) {
 	p := analyzeParams{dropped: core.DropSet{}}
 	drop := "*"
 	if r.URL.Query().Has("drop") {
@@ -105,10 +102,22 @@ func resolveAnalyzeParams(r *http.Request, spec *model.Spec) analyzeParams {
 		}
 	case "":
 	default:
+		var bad []string
 		for _, name := range strings.Split(drop, ",") {
-			if name = strings.TrimSpace(name); name != "" {
+			if name = strings.TrimSpace(name); name == "" {
+				continue
+			}
+			switch g := spec.Apps.Graph(name); {
+			case g == nil:
+				bad = append(bad, strconv.Quote(name)+" (no such graph)")
+			case !g.Droppable():
+				bad = append(bad, strconv.Quote(name)+" (not droppable)")
+			default:
 				p.dropped[name] = true
 			}
+		}
+		if len(bad) > 0 {
+			return p, fmt.Errorf("invalid drop parameter: %s", strings.Join(bad, ", "))
 		}
 	}
 	names := make([]string, 0, len(p.dropped))
@@ -118,7 +127,7 @@ func resolveAnalyzeParams(r *http.Request, spec *model.Spec) analyzeParams {
 	sort.Strings(names)
 	p.dropKey = strings.Join(names, ",")
 	p.prune = r.URL.Query().Get("prune") == "true" || r.URL.Query().Get("prune") == "1"
-	return p
+	return p, nil
 }
 
 // graphReport is one application's row in the /analyze response.
@@ -139,12 +148,9 @@ type analyzeResponse struct {
 	Dropped    []string      `json:"dropped"`
 	Graphs     []graphReport `json:"graphs"`
 
-	ScenariosAnalyzed    int `json:"scenarios_analyzed"`
-	ScenariosDeduped     int `json:"scenarios_deduped"`
-	ScenariosPruned      int `json:"scenarios_pruned"`
-	ScenariosIncremental int `json:"scenarios_incremental"`
-	StructHits           int `json:"struct_hits"`
-	StructMisses         int `json:"struct_misses"`
+	ScenariosAnalyzed int `json:"scenarios_analyzed"`
+	ScenariosDeduped  int `json:"scenarios_deduped"`
+	ScenariosPruned   int `json:"scenarios_pruned"`
 }
 
 // flight is one in-flight coalesced analysis: the leader computes,
@@ -223,7 +229,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if b == nil {
 		return
 	}
-	params := resolveAnalyzeParams(r, b.spec)
+	params, err := resolveAnalyzeParams(r, b.spec)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	key := b.full + ";drop=" + params.dropKey + ";prune=" + strconv.FormatBool(params.prune)
 
 	// Canonical warm path: an identical request already finished under a
@@ -298,9 +308,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 // runAnalyze executes one coalesced analysis: compile, run Algorithm 1
-// with the problem's persistent structural cache, and marshal the
-// response. Runs on a queue runner; compute is bounded by the shared
-// pool.
+// and marshal the response. Runs on a queue runner; compute is bounded
+// by the shared pool.
 func (s *Server) runAnalyze(b *specBundle, params analyzeParams) (int, []byte) {
 	s.stats.analyzeRuns.Add(1)
 	sys, err := platform.Compile(b.spec.Architecture, b.spec.Apps, b.spec.Mapping, nil)
@@ -310,25 +319,19 @@ func (s *Server) runAnalyze(b *specBundle, params analyzeParams) (int, []byte) {
 	cfg := core.NewConfig()
 	cfg.Pool = s.pool
 	cfg.PruneDominated = params.prune
-	cfg.Structural = s.caches.forProblem(b.prob).structural
 	rep, err := core.Analyze(sys, params.dropped, cfg)
 	if err != nil {
 		return http.StatusInternalServerError, mustJSON(map[string]string{"error": err.Error()})
 	}
-	s.stats.structHits.Add(int64(rep.StructHits))
-	s.stats.structMisses.Add(int64(rep.StructMisses))
 
 	resp := analyzeResponse{
-		Feasible:             rep.Feasible(),
-		NormalOK:             rep.NormalOK,
-		CriticalOK:           rep.CriticalOK,
-		Dropped:              []string{},
-		ScenariosAnalyzed:    rep.ScenariosAnalyzed,
-		ScenariosDeduped:     rep.ScenariosDeduped,
-		ScenariosPruned:      rep.ScenariosPruned,
-		ScenariosIncremental: rep.ScenariosIncremental,
-		StructHits:           rep.StructHits,
-		StructMisses:         rep.StructMisses,
+		Feasible:          rep.Feasible(),
+		NormalOK:          rep.NormalOK,
+		CriticalOK:        rep.CriticalOK,
+		Dropped:           []string{},
+		ScenariosAnalyzed: rep.ScenariosAnalyzed,
+		ScenariosDeduped:  rep.ScenariosDeduped,
+		ScenariosPruned:   rep.ScenariosPruned,
 	}
 	for name := range params.dropped {
 		resp.Dropped = append(resp.Dropped, name)

@@ -3,153 +3,7 @@ package service
 import (
 	"container/list"
 	"sync"
-
-	"mcmap/internal/core"
-	"mcmap/internal/dse"
 )
-
-// problemCaches is the persistent cross-request cache state of ONE
-// problem (one architecture + application set, identified by its
-// canonical fingerprint with the mapping cleared):
-//
-//   - the structural cache lets /analyze requests over different mappings
-//     of the same problem — and every candidate of every /dse job on it —
-//     warm-start each other's fault-free and critical-reference passes;
-//   - the fitness stores memoize DSE evaluations across jobs, so a genome
-//     explored by an earlier run is a cache hit in a later one. The store
-//     is split by the TrackDroppingGain flag: FeasibleNoDrop is stored
-//     per entry and is garbage under the other setting.
-//
-// Scoping the caches per problem fingerprint is what makes sharing them
-// sound: both caches assume every lookup concerns the same compiled
-// problem, and the daemon serves arbitrarily many different ones.
-type problemCaches struct {
-	structural *core.StructuralCache
-
-	mu      sync.Mutex
-	fitness map[bool]*dse.FitnessStore // keyed by TrackDroppingGain
-}
-
-// fitnessFor returns the problem's fitness store for the given
-// TrackDroppingGain setting, creating it on first use.
-func (pc *problemCaches) fitnessFor(track bool, capacity int) *dse.FitnessStore {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	fs, ok := pc.fitness[track]
-	if !ok {
-		fs = dse.NewFitnessStore(capacity)
-		pc.fitness[track] = fs
-	}
-	return fs
-}
-
-// fitnessLen sums the entries retained across the problem's stores.
-func (pc *problemCaches) fitnessLen() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	n := 0
-	for _, fs := range pc.fitness {
-		n += fs.Len()
-	}
-	return n
-}
-
-// cacheRegistry maps problem fingerprints to their persistent caches,
-// bounding the number of distinct problems the daemon retains state for
-// (LRU eviction — a daemon fed thousands of one-shot problems must not
-// hold every structural cache forever).
-type cacheRegistry struct {
-	mu         sync.Mutex
-	max        int
-	structSize int
-	ll         *list.List // front = most recently used
-	byFP       map[string]*list.Element
-}
-
-type registryEntry struct {
-	fp     string
-	caches *problemCaches
-}
-
-func newCacheRegistry(maxProblems, structSize int) *cacheRegistry {
-	return &cacheRegistry{
-		max:        maxProblems,
-		structSize: structSize,
-		ll:         list.New(),
-		byFP:       make(map[string]*list.Element, maxProblems),
-	}
-}
-
-// forProblem returns (creating if needed) the caches of the problem with
-// the given fingerprint, refreshing its recency. Evicted problems lose
-// their caches; in-flight jobs holding a reference keep using it — the
-// registry only controls what FUTURE requests can warm-start from.
-func (cr *cacheRegistry) forProblem(fp string) *problemCaches {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	if el, ok := cr.byFP[fp]; ok {
-		cr.ll.MoveToFront(el)
-		return el.Value.(*registryEntry).caches
-	}
-	pc := &problemCaches{
-		structural: core.NewStructuralCache(cr.structSize),
-		fitness:    make(map[bool]*dse.FitnessStore, 2),
-	}
-	cr.byFP[fp] = cr.ll.PushFront(&registryEntry{fp: fp, caches: pc})
-	if cr.ll.Len() > cr.max {
-		oldest := cr.ll.Back()
-		cr.ll.Remove(oldest)
-		delete(cr.byFP, oldest.Value.(*registryEntry).fp)
-	}
-	return pc
-}
-
-// problemStat is one problem's cache occupancy on /stats. The
-// fingerprint is truncated: it identifies the problem to an operator who
-// has the full prints from their own specs without bloating the payload.
-type problemStat struct {
-	Fingerprint    string `json:"fingerprint"`
-	StructEntries  int    `json:"struct_entries"`
-	FitnessEntries int    `json:"fitness_entries"`
-}
-
-// detail reports per-problem cache occupancy in recency order (most
-// recently used first).
-func (cr *cacheRegistry) detail() []problemStat {
-	cr.mu.Lock()
-	entries := make([]*registryEntry, 0, cr.ll.Len())
-	for el := cr.ll.Front(); el != nil; el = el.Next() {
-		entries = append(entries, el.Value.(*registryEntry))
-	}
-	cr.mu.Unlock()
-	out := make([]problemStat, 0, len(entries))
-	for _, e := range entries {
-		fp := e.fp
-		if len(fp) > 16 {
-			fp = fp[:16]
-		}
-		out = append(out, problemStat{
-			Fingerprint:    fp,
-			StructEntries:  e.caches.structural.Len(),
-			FitnessEntries: e.caches.fitnessLen(),
-		})
-	}
-	return out
-}
-
-// snapshot reports the registry's size and total fitness-store entries.
-func (cr *cacheRegistry) snapshot() (problems, fitnessEntries int) {
-	cr.mu.Lock()
-	entries := make([]*problemCaches, 0, cr.ll.Len())
-	for el := cr.ll.Front(); el != nil; el = el.Next() {
-		entries = append(entries, el.Value.(*registryEntry).caches)
-	}
-	cr.mu.Unlock()
-	for _, pc := range entries {
-		fitnessEntries += pc.fitnessLen()
-	}
-	return len(entries), fitnessEntries
-}
 
 // resultCache is the bounded LRU over finished /analyze responses, keyed
 // by the full request fingerprint (canonical spec + resolved parameters).

@@ -78,7 +78,7 @@ func badParam(name, v string) error {
 
 // options builds the engine options for one run of this job. The
 // trajectory-steering fields come from the request; the machinery fields
-// (pool, caches, context, callbacks) are the server's.
+// (pool, context, callbacks) are the server's.
 func (p dseParams) options() dse.Options {
 	return dse.Options{
 		PopSize:           p.pop,
@@ -157,13 +157,6 @@ func (s *Server) runDSE(ctx context.Context, j *job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := s.caches.forProblem(j.spec.prob)
-	// Persistent per-problem structural cache: candidates of this job —
-	// and of every past and future job or /analyze on the same problem —
-	// warm-start each other. Multi-island runs substitute private caches
-	// internally (counter determinism); the single-island path and the
-	// final /analyze of a chosen design profit either way.
-	p.Analysis.Structural = pc.structural
 
 	opts := j.params.options()
 	opts.Pool = s.pool
@@ -189,13 +182,6 @@ func (s *Server) runDSE(ctx context.Context, j *job) ([]byte, error) {
 			return nil
 		}
 	}
-	if opts.Islands <= 1 {
-		// Cross-job fitness memoization (single-island only; see
-		// dse.FitnessStore): genomes explored by earlier jobs over this
-		// problem are warm hits here.
-		opts.FitnessStore = pc.fitnessFor(j.params.track, s.cfg.FitnessStoreSize)
-	}
-
 	res, err := dse.Optimize(p, opts)
 	if err != nil {
 		return nil, err
@@ -221,10 +207,6 @@ type dseResult struct {
 	Evaluated     int `json:"evaluated"`
 	FeasibleCount int `json:"feasible_count"`
 	Migrations    int `json:"migrations"`
-	CacheHits     int `json:"cache_hits"`
-	CacheMisses   int `json:"cache_misses"`
-	StructHits    int `json:"struct_hits"`
-	StructMisses  int `json:"struct_misses"`
 }
 
 type bestDesign struct {
@@ -241,10 +223,6 @@ func (s *Server) marshalDSEResult(p *dse.Problem, res *dse.Result) ([]byte, erro
 		Evaluated:     res.Stats.Evaluated,
 		FeasibleCount: res.Stats.Feasible,
 		Migrations:    res.Stats.Migrations,
-		CacheHits:     res.Stats.CacheHits,
-		CacheMisses:   res.Stats.CacheMisses,
-		StructHits:    res.Stats.StructHits,
-		StructMisses:  res.Stats.StructMisses,
 	}
 	for _, ind := range res.Front {
 		dropped := ind.Dropped

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -204,5 +207,74 @@ func TestRestartMarksInterruptedJobsFailed(t *testing.T) {
 	st3 := jobState(t, s3, ack.ID)
 	if st3.State != stateDone || len(st3.Result) == 0 {
 		t.Fatalf("finished job after restart: state %q result %d bytes", st3.State, len(st3.Result))
+	}
+}
+
+// TestResumeFromEarlierReleaseDataDir pins compatibility with data
+// directories written before the DSE caches were removed:
+// testdata/restart holds one job record (j1, cancelled past its first
+// migration barrier) whose persisted GenStat events and gob checkpoint
+// still carry the fitness- and structural-cache counter fields. A
+// daemon booted on a copy of that directory must reload the job and
+// resume it to exactly the result an uninterrupted run of the same
+// request computes today.
+func TestResumeFromEarlierReleaseDataDir(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "restart", "jobs")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "jobs", e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := os.ReadFile(filepath.Join(src, "j1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var persisted persistedJob
+	if err := json.Unmarshal(rec, &persisted); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Config{Workers: 4, Runners: 3, DataDir: dir}, nil)
+	defer s.Close()
+	st := jobState(t, s, "j1")
+	if st.State != stateCancelled || st.CheckpointGen < 5 || st.Generations == 0 {
+		t.Fatalf("reloaded job = %+v, want a cancelled job with a checkpoint and events", st)
+	}
+
+	submit := func(target string, body []byte) string {
+		t.Helper()
+		rr := do(s, http.MethodPost, target, body)
+		if rr.Code != http.StatusAccepted {
+			t.Fatalf("POST %s: status %d: %s", target, rr.Code, rr.Body.String())
+		}
+		var ack struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), &ack); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, target, func() bool { return jobState(t, s, ack.ID).State == stateDone })
+		return ack.ID
+	}
+	resumed := submit("/jobs/j1/resume", nil)
+	p := persisted.Params
+	ref := submit(fmt.Sprintf("/dse?pop=%d&gens=%d&seed=%d&islands=%d&migration_interval=%d",
+		p.Pop, p.Gens, p.Seed, p.Islands, p.Interval), persisted.Spec)
+
+	got, want := jobState(t, s, resumed).Result, jobState(t, s, ref).Result
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed result differs from an uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -9,10 +9,6 @@
 //     canonical spec fingerprint and parameters) share ONE analysis, and
 //     repeats are served from a bounded result cache without recomputing
 //     or even re-encoding anything;
-//   - persistent per-problem caches: a structural cache shared by every
-//     analysis and DSE candidate over the same architecture+apps, and
-//     cross-job fitness-memoization stores, both keyed by problem
-//     fingerprint and bounded by an LRU registry;
 //   - a bounded job queue with backpressure (429 + Retry-After when
 //     full) and priorities (analyses preempt DSE legs at the queue), all
 //     compute drawing from one shared workpool budget;
@@ -56,15 +52,6 @@ type Config struct {
 	QueueDepth int
 	// ResultCacheSize bounds the /analyze response cache. Default 256.
 	ResultCacheSize int
-	// MaxProblems bounds how many distinct problems (architecture+apps
-	// fingerprints) keep persistent caches. Default 32.
-	MaxProblems int
-	// StructuralCacheSize is the per-problem structural cache bound
-	// (core.StructuralCache). Default 512.
-	StructuralCacheSize int
-	// FitnessStoreSize is the per-problem cross-job fitness store bound.
-	// Default 4096.
-	FitnessStoreSize int
 	// MaxBodyBytes bounds request bodies. Default 16 MiB.
 	MaxBodyBytes int64
 	// IslandHosts lists fleet worker addresses (host:port, each running
@@ -102,15 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.ResultCacheSize <= 0 {
 		c.ResultCacheSize = 256
 	}
-	if c.MaxProblems <= 0 {
-		c.MaxProblems = 32
-	}
-	if c.StructuralCacheSize <= 0 {
-		c.StructuralCacheSize = 512
-	}
-	if c.FitnessStoreSize <= 0 {
-		c.FitnessStoreSize = 4096
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
 	}
@@ -129,8 +107,6 @@ type counters struct {
 	jobsDone        atomic.Int64
 	jobsFailed      atomic.Int64
 	jobsCancelled   atomic.Int64
-	structHits      atomic.Int64 // /analyze structural-cache hits
-	structMisses    atomic.Int64
 }
 
 // Server is the daemon. Create with New, mount via Handler, stop with
@@ -142,7 +118,6 @@ type Server struct {
 	mux     *http.ServeMux
 	queue   *jobQueue
 	jobs    *jobTable
-	caches  *cacheRegistry
 	results *resultCache
 	stats   counters
 	started time.Time
@@ -163,7 +138,6 @@ func New(cfg Config, pool *workpool.Pool) *Server {
 		mux:      http.NewServeMux(),
 		queue:    newJobQueue(cfg.QueueDepth),
 		jobs:     newJobTable(),
-		caches:   newCacheRegistry(cfg.MaxProblems, cfg.StructuralCacheSize),
 		results:  newResultCache(cfg.ResultCacheSize),
 		inflight: make(map[string]*flight),
 		started:  time.Now(),
@@ -291,20 +265,17 @@ func (s *Server) retryAfterSeconds() int {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	qa, qd := s.queue.lengths()
-	problems, fitnessEntries := s.caches.snapshot()
 	bytesIn, bytesOut := dse.TransportCounters()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": int(time.Since(s.started).Seconds()),
 		"workers":        s.pool.Cap(),
 		"workers_in_use": s.pool.InUse(),
 		"analyze": map[string]int64{
-			"requests":      s.stats.analyzeRequests.Load(),
-			"runs":          s.stats.analyzeRuns.Load(),
-			"coalesced":     s.stats.coalesced.Load(),
-			"result_hits":   s.stats.resultHits.Load(),
-			"cached":        int64(s.results.len()),
-			"struct_hits":   s.stats.structHits.Load(),
-			"struct_misses": s.stats.structMisses.Load(),
+			"requests":    s.stats.analyzeRequests.Load(),
+			"runs":        s.stats.analyzeRuns.Load(),
+			"coalesced":   s.stats.coalesced.Load(),
+			"result_hits": s.stats.resultHits.Load(),
+			"cached":      int64(s.results.len()),
 		},
 		"jobs": map[string]int64{
 			"accepted":  s.stats.jobsAccepted.Load(),
@@ -317,11 +288,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"dse":      int64(qd),
 			"depth":    int64(s.cfg.QueueDepth),
 			"rejected": s.stats.rejected.Load(),
-		},
-		"caches": map[string]any{
-			"problems":        int64(problems),
-			"fitness_entries": int64(fitnessEntries),
-			"per_problem":     s.caches.detail(),
 		},
 		// Fleet transport traffic is process-global (a daemon is either a
 		// coordinator or a worker): frame payload bytes after compression,

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -438,8 +440,7 @@ func TestCancelResumeMatchesUninterrupted(t *testing.T) {
 	if err := json.Unmarshal(jobState(t, s, refAck.ID).Result, &ref); err != nil {
 		t.Fatalf("reference result: %v", err)
 	}
-	// Archive-derived fields must match exactly (cache counters differ:
-	// the cross-job fitness store warms differently per run).
+	// Archive-derived fields must match exactly.
 	resumedBest, _ := json.Marshal(resumed.Best)
 	refBest, _ := json.Marshal(ref.Best)
 	if !bytes.Equal(resumedBest, refBest) {
@@ -475,11 +476,6 @@ func TestStatsAndHealth(t *testing.T) {
 		Jobs    map[string]int64 `json:"jobs"`
 		Queue   map[string]int64 `json:"queue"`
 		Fleet   map[string]int64 `json:"fleet"`
-		Caches  struct {
-			Problems       int64         `json:"problems"`
-			FitnessEntries int64         `json:"fitness_entries"`
-			PerProblem     []problemStat `json:"per_problem"`
-		} `json:"caches"`
 	}
 	if err := json.Unmarshal(rr.Body.Bytes(), &stats); err != nil {
 		t.Fatalf("stats payload: %v", err)
@@ -487,11 +483,10 @@ func TestStatsAndHealth(t *testing.T) {
 	if stats.Analyze["requests"] != 2 || stats.Analyze["runs"] != 1 || stats.Analyze["result_hits"] != 1 {
 		t.Fatalf("analyze stats = %v, want requests=2 runs=1 result_hits=1", stats.Analyze)
 	}
-	if stats.Caches.Problems != 1 {
-		t.Fatalf("caches.problems = %d, want 1", stats.Caches.Problems)
-	}
-	if len(stats.Caches.PerProblem) != 1 || stats.Caches.PerProblem[0].Fingerprint == "" {
-		t.Fatalf("caches.per_problem = %+v, want one fingerprinted entry", stats.Caches.PerProblem)
+	// One canonical and one raw-bytes entry for the single distinct
+	// request.
+	if stats.Analyze["cached"] != 2 {
+		t.Fatalf("analyze.cached = %d, want 2", stats.Analyze["cached"])
 	}
 	if _, ok := stats.Fleet["bytes_in"]; !ok {
 		t.Fatalf("fleet stats missing transport counters: %v", stats.Fleet)
@@ -511,5 +506,41 @@ func TestBadRequests(t *testing.T) {
 	}
 	if rr := do(s, http.MethodPost, "/dse?pop=banana", specJSON(t, problemSpec(t, 3))); rr.Code != http.StatusBadRequest {
 		t.Fatalf("bad pop: status %d, want 400", rr.Code)
+	}
+
+	// A drop list naming a missing or a non-droppable graph is rejected
+	// up front, listing every bad name, and never reaches the queue.
+	spec := mappedSpec(t)
+	critical := ""
+	for _, g := range spec.Apps.Graphs {
+		if !g.Droppable() {
+			critical = g.Name
+			break
+		}
+	}
+	if critical == "" {
+		t.Fatal("fixture has no non-droppable graph")
+	}
+	for _, tc := range []struct{ drop, want string }{
+		{"nosuch", `"nosuch" (no such graph)`},
+		{critical, strconv.Quote(critical) + " (not droppable)"},
+		{"nosuch," + critical, `"nosuch" (no such graph), ` + strconv.Quote(critical) + " (not droppable)"},
+	} {
+		rr := do(s, http.MethodPost, "/analyze?drop="+url.QueryEscape(tc.drop), specJSON(t, spec))
+		if rr.Code != http.StatusBadRequest {
+			t.Fatalf("drop=%s: status %d, want 400 (%s)", tc.drop, rr.Code, rr.Body.String())
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+			t.Fatalf("drop=%s: error payload: %v", tc.drop, err)
+		}
+		if !strings.Contains(body.Error, tc.want) {
+			t.Fatalf("drop=%s: error %q does not list %s", tc.drop, body.Error, tc.want)
+		}
+	}
+	if runs := s.stats.analyzeRuns.Load(); runs != 0 {
+		t.Fatalf("rejected requests ran %d analyses", runs)
 	}
 }

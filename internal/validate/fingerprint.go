@@ -28,9 +28,9 @@ import (
 //
 // The mapping is part of the hash (an analysis request for the same
 // applications on a different mapping is different work). Callers that
-// want an identity for the PROBLEM rather than the candidate — e.g. to
-// key caches that deliberately span mappings, like core.StructuralCache
-// — should fingerprint a Spec with the Mapping field cleared.
+// want an identity for the PROBLEM rather than the candidate — e.g. the
+// problem identity a DSE checkpoint is resumed against — should
+// fingerprint a Spec with the Mapping field cleared.
 //
 // Fingerprint never panics, accepts arbitrarily malformed or partial
 // specs (nil architecture, nil apps, nil graphs in the slice), and is a

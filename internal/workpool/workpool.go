@@ -22,7 +22,7 @@
 // Tasks run on long-lived workers spawned lazily up to the budget, so a
 // fan-out over N microsecond-scale jobs costs N channel sends, not N
 // goroutine start/stop cycles, and per-worker state (scratch arenas in
-// sched, dirty vectors in core) stays warm in cache across batches.
+// sched) stays warm in cache across batches.
 package workpool
 
 import (

@@ -243,8 +243,8 @@ func AnalyzeWCRT(sys *System, dropped DropSet) (*Report, error) {
 }
 
 // NewAnalysisConfig returns the recommended Algorithm 1 configuration
-// (holistic backend, scenario deduplication, incremental warm-started
-// scenario analysis). Adjust fields — e.g. PruneDominated or Workers —
+// (compiled holistic backend, scenario deduplication, parallel scenario
+// fan-out). Adjust fields — e.g. PruneDominated or Workers —
 // and pass the result to AnalyzeWCRTWith.
 func NewAnalysisConfig() AnalysisConfig { return core.NewConfig() }
 
@@ -255,9 +255,8 @@ func AnalyzeWCRTWith(sys *System, dropped DropSet, cfg AnalysisConfig) (*Report,
 
 // AnalyzeBatch evaluates many candidate execution-interval vectors
 // against one compiled system in a single call: the system is lowered
-// once into the compiled engine's columnar tables, the first vector is
-// analyzed cold and every further vector warm-starts from it, with
-// evaluations fanning out over cfg.Workers. results[i] matches an
+// once into the compiled engine's columnar tables and the vectors'
+// analyses fan out over cfg.Workers. results[i] matches an
 // independent analysis of execs[i] exactly (only the Iterations
 // diagnostic may differ). Use it to sweep execution-bound hypotheses —
 // sensitivity scans, portfolio re-validation — over a fixed mapping;
