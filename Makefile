@@ -2,7 +2,7 @@
 # extra dependencies are required.
 
 GO         ?= go
-BENCH      ?= BenchmarkAnalyzeParallel|BenchmarkAnalyzeBatch|BenchmarkCompiledKernel|BenchmarkScenarioDedup|BenchmarkAlgorithm1|BenchmarkHolistic|BenchmarkWorstFinishKernel|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport
+BENCH      ?= BenchmarkAnalyzeParallel|BenchmarkAnalyzeBatch|BenchmarkScenarioDedup|BenchmarkAlgorithm1|BenchmarkHolistic|BenchmarkWorstFinishKernel|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport
 # BENCHPKGS lists every package contributing guarded benchmarks: the
 # root integration benchmarks plus the dse package's evaluation-primitive
 # benchmarks.
@@ -34,8 +34,8 @@ perfbench:
 # lint is the static-analysis gate: gofmt, go vet, and the repo's own
 # invariant linter (cmd/mcmaplint) in module mode — the per-package
 # rules (determinism, map-range ordering, pool-bounded goroutine
-# spawning, sync-type copies, compiled-system immutability) plus the
-# whole-repo call-graph rules (transitive
+# spawning, sync-type copies) plus the whole-repo call-graph rules
+# (transitive
 # determinism, pinned wire schema, lock-order cycles,
 # deadline/cancellation guards; DESIGN.md §8). CI additionally runs
 # golangci-lint (.golangci.yml); locally this target needs nothing
@@ -52,13 +52,15 @@ wire-schema:
 	$(GO) run ./cmd/mcmaplint -wire-schema > internal/lint/testdata/wire_schema.golden
 	@git diff --stat -- internal/lint/testdata/wire_schema.golden
 
-# fuzz smoke-tests the spec input path, the static validator and the
-# distributed frame layer for $(FUZZTIME) each (the same budget the CI
+# fuzz smoke-tests the spec input path, the static validator, the
+# distributed frame layer and the analysis (production Reports against
+# the reference backend's) for $(FUZZTIME) each (the same budget the CI
 # job uses). Native Go fuzzing: one target per invocation.
 fuzz:
 	$(GO) test ./internal/model -run '^$$' -fuzz FuzzReadSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/validate -run '^$$' -fuzz FuzzCheckSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dse -run '^$$' -fuzz FuzzTransportFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReferenceReportParity -fuzztime $(FUZZTIME)
 
 # bench runs the performance-critical micro-benchmarks and writes the
 # machine-readable results (a test2json stream, one JSON object per
@@ -90,9 +92,9 @@ bench:
 # transport gate bounds persistent-TCP distributed runs against the
 # fork/exec pipe mode. Same gates CI runs; see .github/workflows/ci.yml.
 benchguard:
-	$(GO) test -run '^$$' -bench 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkCompiledKernel|BenchmarkAnalyzeParallel|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport' -count 3 -json $(BENCHPKGS) > bench_current.json
+	$(GO) test -run '^$$' -bench 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkAnalyzeParallel|BenchmarkScenarioDedup|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport' -count 3 -json $(BENCHPKGS) > bench_current.json
 	$(GO) run ./cmd/benchguard -baseline $(BENCHOUT) -current bench_current.json \
-		-threshold 15 -require 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkCompiledKernel|BenchmarkIslandDSE/islands=1|BenchmarkSPEA2Select' \
+		-threshold 15 -require 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkIslandDSE/islands=1|BenchmarkSPEA2Select' \
 		-ratio 'BenchmarkAnalyzeParallel/tasks=162/scenarios=15/workers=8vs1:w8_over_w1<=1.10,BenchmarkIslandDSE/islands=4<=1.30*BenchmarkIslandDSE/islands=1,BenchmarkDaemonWarmVsCold:warm_over_cold<=0.20,BenchmarkGenerationBatching:batched_over_percand<=0.83,BenchmarkDistributedTransport/transport=tcp<=1.10*BenchmarkDistributedTransport/transport=pipe'
 	@rm -f bench_current.json
 

@@ -274,9 +274,11 @@ func BenchmarkAlgorithm1Scaling(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("tasks=%d/jobs=%d", tasks, len(sys.Nodes)), func(b *testing.B) {
-			// One config (and thus one analyzer) for the whole run, like
-			// every real caller that sweeps candidates: the compiled
-			// system lowering is built once and amortized.
+			// One config (and thus one analyzer) analyzes the same system
+			// b.N times, so pooled scratches keep their kernel build
+			// across iterations. Real callers analyze a new system per
+			// candidate or request and pay that build every time; the
+			// end-to-end benchmark (perfbench/) measures that shape.
 			cfg := core.NewConfig()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -403,10 +405,10 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeBatch contrasts core.AnalyzeBatch — one compiled
-// lowering, the vectors' analyses fanned out over the default worker
-// budget — with the sequential sweep that analyzes every candidate
-// vector in turn over the same lowering. The candidate set models a
+// BenchmarkAnalyzeBatch contrasts core.AnalyzeBatch — the vectors'
+// analyses fanned out over the default worker budget — with the
+// sequential sweep that analyzes every candidate vector in turn through
+// one backend. The candidate set models a
 // sensitivity-style sweep on a wide sparse synthetic: the nominal vector
 // plus 15 variants, each inflating one task's WCET by 25% (spread across
 // the node list).
@@ -437,49 +439,11 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 	})
 	b.Run("loop", func(b *testing.B) {
 		h := &sched.Holistic{}
-		cs := h.CompiledFor(sys)
 		for i := 0; i < b.N; i++ {
 			for _, exec := range execs {
-				if _, err := h.AnalyzeCompiled(cs, exec); err != nil {
+				if _, err := h.Analyze(sys, exec); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}
-	})
-}
-
-// BenchmarkCompiledKernel is the head-to-head of the two analysis
-// engines on one backend invocation over the dense 64-task synthetic
-// (the BenchmarkWorstFinishKernel system): the pointer-graph fixed
-// point against the columnar SoA kernel over the same tables. Both
-// produce byte-identical Results (see TestCompiledMatchesPointer*), so
-// the gap is pure engine overhead.
-func BenchmarkCompiledKernel(b *testing.B) {
-	bench := benchmarks.Synth(benchmarks.SynthConfig{
-		Name: "kernel-64", Procs: 4,
-		CriticalApps: 2, DroppableApps: 2,
-		MinTasks: 16, MaxTasks: 16,
-		Seed: 9,
-	})
-	sys, _, err := bench.CompiledSample(benchmarks.MapLoadBalance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := &sched.Holistic{}
-	exec := sched.NominalExec(sys)
-	b.Run("engine=pointer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := h.Analyze(sys, exec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("engine=compiled", func(b *testing.B) {
-		cs := h.CompiledFor(sys)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := h.AnalyzeCompiled(cs, exec); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

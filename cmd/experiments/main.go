@@ -46,7 +46,6 @@ func main() {
 	migrationInterval := flag.Int("migration-interval", 10, "generations between Pareto-elite ring migrations (multi-island runs)")
 	islandProcs := flag.Bool("island-procs", false, "run each island in its own child process (GA subcommands; archives identical to in-process islands)")
 	prune := flag.Bool("prune", false, "skip dominated fault scenarios inside every fitness evaluation (same WCRTs and verdicts; fewer backend runs)")
-	compiled := flag.Bool("compiled", true, "use the compiled columnar (SoA) analysis kernel; -compiled=false falls back to the pointer-graph engine (identical results, slower)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Usage = usage
@@ -67,7 +66,6 @@ func main() {
 	opts.MigrationInterval = *migrationInterval
 	opts.Distributed = *islandProcs
 	opts.PruneDominated = *prune
-	opts.DisableCompiled = !*compiled
 	mcRuns := 10000
 	if *quick {
 		mcRuns = 500
@@ -90,7 +88,7 @@ func main() {
 		"dropgain":   func() error { return dropgain(opts) },
 		"ratio":      func() error { return ratio(opts) },
 		"pareto":     func() error { return pareto(opts) },
-		"ablation":   func() error { return ablation(*quick, *seed, *workers, *islands, *migrationInterval, !*compiled) },
+		"ablation":   func() error { return ablation(*quick, *seed, *workers, *islands, *migrationInterval) },
 		"related":    related,
 	}
 	if cmd == "all" {
@@ -110,7 +108,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: experiments [-quick] [-seed N] [-workers N] [-islands K] [-migration-interval M] [-compiled=BOOL] [-cpuprofile F] [-memprofile F] <subcommand>
+	fmt.Fprintf(os.Stderr, `usage: experiments [-quick] [-seed N] [-workers N] [-islands K] [-migration-interval M] [-cpuprofile F] [-memprofile F] <subcommand>
 
 subcommands:
   motivation   Figure 1 motivational example
@@ -179,12 +177,11 @@ func pareto(opts dse.Options) error {
 	return nil
 }
 
-func ablation(quick bool, seed int64, workers, islands, migrationInterval int, disableCompiled bool) error {
+func ablation(quick bool, seed int64, workers, islands, migrationInterval int) error {
 	opts := dse.Options{PopSize: 48, Generations: 60, Seed: seed, Workers: workers,
-		Islands: islands, MigrationInterval: migrationInterval, DisableCompiled: disableCompiled}
+		Islands: islands, MigrationInterval: migrationInterval}
 	if quick {
-		opts = dse.Options{PopSize: 24, Generations: 15, Seed: seed, Workers: workers,
-			Islands: islands, MigrationInterval: migrationInterval, DisableCompiled: disableCompiled}
+		opts.PopSize, opts.Generations = 24, 15
 	}
 	r, err := experiments.Ablations(opts)
 	if err != nil {

@@ -39,7 +39,6 @@ func main() {
 	noDrop := flag.Bool("nodrop", false, "disable task dropping (T_d always empty)")
 	track := flag.Bool("track", false, "track the dropping-rescue ratio (doubles analysis cost)")
 	prune := flag.Bool("prune", false, "skip dominated fault scenarios inside every fitness evaluation (same WCRTs and verdicts; fewer backend runs)")
-	compiled := flag.Bool("compiled", true, "use the compiled columnar (SoA) analysis kernel; -compiled=false falls back to the pointer-graph engine (identical results, slower)")
 	out := flag.String("o", "", "write the best design's spec (arch+apps+mapping) to this JSON file")
 	csvPrefix := flag.String("csv", "", "write <prefix>-front.csv and <prefix>-history.csv for plotting")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -102,7 +101,6 @@ func main() {
 		Islands: *islands, MigrationInterval: *migrationInterval, Distributed: *islandProcs,
 		IslandHosts:     splitHosts(*islandHosts),
 		DisableDropping: *noDrop, TrackDroppingGain: *track, PruneDominated: *prune,
-		DisableCompiled: !*compiled,
 	})
 	if err != nil {
 		fatal(stopProf, err)

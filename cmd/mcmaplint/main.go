@@ -1,8 +1,8 @@
 // Command mcmaplint runs the repository's invariant linter suite (see
 // internal/lint): the per-package rules (determinism, maprange,
-// gospawn, synccopy, compiledwrite) plus the whole-repo
-// call-graph rules (transdet, wireschema, lockorder, ctxdeadline). It
-// is wired into `make lint` and CI; run it over the whole module with
+// gospawn, synccopy) plus the whole-repo call-graph rules (transdet,
+// wireschema, lockorder, ctxdeadline). It is wired into `make lint` and
+// CI; run it over the whole module with
 //
 //	go run ./cmd/mcmaplint ./...
 //

@@ -1,11 +1,13 @@
 package mcmap_test
 
 import (
+	"strings"
 	"testing"
 
 	"mcmap"
 	"mcmap/internal/benchmarks"
 	"mcmap/internal/core"
+	"mcmap/internal/model"
 	"mcmap/internal/platform"
 	"mcmap/internal/sim"
 )
@@ -167,5 +169,44 @@ func TestSensitivityOnOptimizedDesign(t *testing.T) {
 	}
 	if len(slacks) != b.Apps.NumTasks() {
 		t.Errorf("slack rows = %d, want %d", len(slacks), b.Apps.NumTasks())
+	}
+}
+
+// TestTinyBandwidthMessageIsNeverFree: with a vanishing fabric bandwidth
+// a 1000-byte cross-processor message takes longer than any
+// representable time. Its delay must saturate at Infinity, so Algorithm
+// 1 reports the design infeasible. An unsaturated transfer time
+// overflows to a large negative delay, which makes the message free and
+// the design feasible with a 5 us WCRT.
+func TestTinyBandwidthMessageIsNeverFree(t *testing.T) {
+	spec, err := model.ReadSpec(strings.NewReader(`{
+		"architecture": {"name": "slow-link",
+			"procs": [{"id": 0, "name": "p0"}, {"id": 1, "name": "p1"}],
+			"fabric": {"bandwidth": 1e-300, "base_latency": 0}},
+		"apps": {"graphs": [{"name": "g", "period": 1000, "reliability_bound": 1e-9,
+			"tasks": [{"id": "g/a", "name": "a", "bcet": 1, "wcet": 2},
+				{"id": "g/b", "name": "b", "bcet": 1, "wcet": 3}],
+			"channels": [{"src": "g/a", "dst": "g/b", "size": 1000}]}]},
+		"mapping": {"g/a": 0, "g/b": 1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := platform.Compile(spec.Architecture, spec.Apps, spec.Mapping, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sys.Node("g/b")
+	if len(b.In) != 1 || b.In[0].Delay != model.Infinity {
+		t.Fatalf("message delay = %v, want Infinity", b.In)
+	}
+	rep, err := core.Analyze(sys, core.DropSet{}, core.NewConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Feasible() || !rep.WCRTOf("g").IsInfinite() {
+		t.Fatalf("feasible=%v wcrt=%v, want an infeasible design with an infinite WCRT", rep.Feasible(), rep.WCRTOf("g"))
+	}
+	if _, err := sim.Run(sys, sim.Config{}); err != nil {
+		t.Fatal(err)
 	}
 }

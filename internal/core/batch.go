@@ -6,21 +6,20 @@ import (
 )
 
 // AnalyzeBatch evaluates many candidate execution-interval vectors
-// against ONE system in a single call: the system is lowered once (the
-// compiled engine's SoA tables are shared by every evaluation) and the
-// vectors' cold analyses fan out over Config.Workers exactly like the
-// scenario analyses inside Analyze, sharing Config.Pool budgets.
+// against ONE system in a single call: the vectors' analyses fan out
+// over Config.Workers exactly like the scenario analyses inside
+// Analyze, sharing Config.Pool budgets, and each worker runs its share
+// through one backend session on the system.
 //
 // results[i] corresponds to execs[i] and is identical — bounds,
 // verdict — to an independent analyzer.Analyze(sys, execs[i]) call. The
 // batch entry point serves callers that sweep exec-bound hypotheses
-// over a fixed mapping: portfolio re-validation, sensitivity scans, and
-// the batch benchmarks gating the compiled kernel.
+// over a fixed mapping: portfolio re-validation and sensitivity scans.
 func AnalyzeBatch(sys *platform.System, execs [][]sched.ExecBounds, cfg Config) ([]*sched.Result, error) {
 	if len(execs) == 0 {
 		return []*sched.Result{}, nil
 	}
-	analyzer := cfg.engageCompiled(cfg.analyzer(), sys)
+	analyzer := cfg.analyzer()
 	jobs := make([]scenarioJob, len(execs))
 	for i := range jobs {
 		jobs[i] = scenarioJob{sc: Scenario{Trigger: platform.NodeID(-1)}, exec: execs[i]}

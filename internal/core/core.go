@@ -112,18 +112,6 @@ type Config struct {
 	// concurrency layers. Purely observational — it never affects
 	// results.
 	ProfCtx context.Context
-	// Compiled routes every backend invocation of an Analyze call
-	// through the columnar engine: the system is lowered once into
-	// contiguous SoA tables (sched.CompiledSystem, cached per backend
-	// instance) and the fixed point iterates over dense int32 indices
-	// instead of the pointer graph. Reports are bound-for-bound identical
-	// to the pointer path — the compiled kernel replicates the sweep
-	// trajectories verbatim (see internal/sched/compiled_analysis.go) —
-	// and arbitrated fabrics transparently delegate back to the pointer
-	// path, which models bus contention. Applies only to the holistic
-	// backend; other analyzers run unchanged. Enabled by default in
-	// NewConfig; the zero Config leaves it off.
-	Compiled bool
 }
 
 func (c Config) analyzer() sched.Analyzer {
@@ -145,12 +133,12 @@ func (c Config) workers(analyzer sched.Analyzer) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// NewConfig returns the recommended configuration: compiled holistic
-// backend with scenario deduplication and parallel scenario fan-out over
+// NewConfig returns the recommended configuration: the holistic backend
+// with scenario deduplication and parallel scenario fan-out over
 // GOMAXPROCS workers. Dominance pruning stays opt-in: it thins
 // Report.Scenarios, which Explain consumers may not want.
 func NewConfig() Config {
-	return Config{Analyzer: &sched.Holistic{}, DedupScenarios: true, Compiled: true}
+	return Config{Analyzer: &sched.Holistic{}, DedupScenarios: true}
 }
 
 // Scenario identifies one state-transition hypothesis: the trigger job
@@ -230,7 +218,7 @@ func Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error)
 	if err := ctxErr(cfg.Ctx); err != nil {
 		return nil, err
 	}
-	analyzer := cfg.engageCompiled(cfg.analyzer(), sys)
+	analyzer := cfg.analyzer()
 
 	rep := &Report{
 		Sys:       sys,

@@ -126,11 +126,10 @@ func synthSample(t *testing.T, seed int64, strat benchmarks.MappingStrategy) (*p
 	return sys, dropped
 }
 
-// reportSignature serializes everything the Report contract promises to
-// be engine-independent: the verdicts, the aggregated WCRTs, the normal
-// pass, and (when includeScenarios) every scenario's identity, exec
-// vector, bounds and verdict. Result.Iterations is excluded — it counts
-// backend sweeps and legitimately differs between the two engines.
+// reportSignature serializes the verdicts, the aggregated WCRTs, the
+// normal pass, and (when includeScenarios) every scenario's identity,
+// exec vector, bounds and verdict. Result.Iterations is left to
+// paritySignature, which adds it.
 func reportSignature(rep *core.Report, includeScenarios bool) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "normalOK=%v criticalOK=%v\n", rep.NormalOK, rep.CriticalOK)

@@ -3,18 +3,16 @@ package dse
 // Generation-batched evaluation: instead of running every candidate
 // through its own Decode→Apply→Compile→Analyze pipeline, evaluateAll
 // groups the generation's candidates by the system they compile to and
-// evaluates each group against ONE compiled lowering —
-// the DSE-side twin of core.AnalyzeBatch, which pioneered the
-// one-lowering-many-evaluations economics for exec-bound sweeps. The
-// grouping exploits what the chromosome encoding leaves out of the
-// compiled system:
+// evaluates each group against ONE compiled system. The grouping
+// exploits what the chromosome encoding leaves out of the compiled
+// system:
 //
 //   - the Keep section selects the drop set but never changes the
 //     compiled job set or mapping, so same-system candidates differing
-//     only in Keep share the compile, the reliability assessment and the
-//     compiled lowering, and differ only in which core.Analyze drop sets
-//     they need — one analysis per DISTINCT drop set, reused by every
-//     sibling carrying it;
+//     only in Keep share the compile and the reliability assessment, and
+//     differ only in which core.Analyze drop sets they need — one
+//     analysis per DISTINCT drop set, reused by every sibling carrying
+//     it;
 //   - the Alloc section gates structural validity and power but never
 //     enters the compiled system either;
 //   - don't-care loci (ReplicaMap tails beyond Replicas, K under
@@ -23,16 +21,12 @@ package dse
 //     candidates equal up to don't-care bits are full phenotype
 //     duplicates and replay a sibling's Individual outright.
 //
-// Sharing one *platform.System pointer across a group is what engages
-// the compiled engine's per-system lowering cache (Config.engageCompiled
-// keys by system identity, exactly as one core.AnalyzeBatch call does):
-// the group is lowered once instead of once per member. Every shared
-// artifact is identical to what a member's private evaluation would have
-// produced — compilation, assessment and analysis are pure functions of
-// (system, drop set) — so batched and per-candidate evaluation yield
-// byte-identical Individuals and archives (pinned by
-// TestBatchedMatchesPerCandidate); only the scenario counters differ,
-// because shared analyses run the backend fewer times.
+// Every shared artifact is identical to what a member's private
+// evaluation would have produced — compilation, assessment and analysis
+// are pure functions of (system, drop set) — so batched and
+// per-candidate evaluation yield byte-identical Individuals and archives
+// (pinned by TestBatchedMatchesPerCandidate); only the scenario counters
+// differ, because shared analyses run the backend fewer times.
 //
 // Per-candidate evaluation is the degenerate case: Options.DisableBatch
 // puts every genome in a group of its own, and Problem.Evaluate runs a
@@ -148,7 +142,7 @@ type groupReports struct {
 }
 
 // groupShared is the state one batch group accumulates while its members
-// evaluate: the compiled system (one lowering for the whole group), the
+// evaluate: the compiled system (one compile for the whole group), the
 // reliability assessment (a function of manifest + mapping, both shared)
 // and the per-drop-set reports. Built lazily by the first member that
 // passes the structural-validity gate; members run sequentially within

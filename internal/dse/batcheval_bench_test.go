@@ -105,7 +105,7 @@ func indSignature(ind *Individual) string {
 // BenchmarkGenerationBatching gates the batched evaluation primitive on
 // its target workload: one generation of same-system cohorts (see
 // makeBatchGeneration), evaluated batched — buildBatchGroups plus
-// evalGroup, one compile/assessment/lowering per group and one analysis
+// evalGroup, one compile and assessment per group and one analysis
 // per distinct drop set — and per-candidate — Problem.evaluate per
 // genome, the DisableBatch path — inside one timing window. Both sides
 // run sequentially (the Workers=1 engine drain) in batch order, so every

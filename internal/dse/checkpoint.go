@@ -135,13 +135,16 @@ func problemFingerprint(p *Problem) string {
 
 // optsSignature canonicalizes every option that steers the trajectory.
 // Worker counts, the pool and DisableBatch are deliberately absent: they
-// change scheduling and counters, never archives.
+// change scheduling and counters, never archives. The literal
+// nocompiled=false stands for a removed engine switch, so signatures
+// persisted by earlier releases still match and their checkpoints
+// resume.
 func optsSignature(o Options) string {
 	return fmt.Sprintf(
-		"v%d;pop=%d;arch=%d;gens=%d;seed=%d;mut=%g;islands=%d;mig=%d;sel=%s;track=%t;prune=%t;nocompiled=%t;nodrop=%t;norepair=%t;noseeds=%t",
+		"v%d;pop=%d;arch=%d;gens=%d;seed=%d;mut=%g;islands=%d;mig=%d;sel=%s;track=%t;prune=%t;nocompiled=false;nodrop=%t;norepair=%t;noseeds=%t",
 		checkpointVersion, o.PopSize, o.ArchiveSize, o.Generations, o.Seed, o.MutationRate,
 		o.Islands, o.MigrationInterval, o.Selector.Name(), o.TrackDroppingGain,
-		o.PruneDominated, o.DisableCompiled, o.DisableDropping, o.DisableRepair, o.NoSeeds)
+		o.PruneDominated, o.DisableDropping, o.DisableRepair, o.NoSeeds)
 }
 
 // captureCheckpoint snapshots the run at a barrier. It is called with

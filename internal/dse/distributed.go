@@ -120,7 +120,6 @@ type wireOptions struct {
 	Selector          string
 	TrackDroppingGain bool
 	PruneDominated    bool
-	DisableCompiled   bool
 	DisableDropping   bool
 	DisableRepair     bool
 	DisableBatch      bool
@@ -183,7 +182,6 @@ func runIslandsDistributed(p *Problem, opts Options, res *Result) ([]*Individual
 		Selector:          opts.Selector.Name(),
 		TrackDroppingGain: opts.TrackDroppingGain,
 		PruneDominated:    opts.PruneDominated,
-		DisableCompiled:   opts.DisableCompiled,
 		DisableDropping:   opts.DisableDropping,
 		DisableRepair:     opts.DisableRepair,
 		DisableBatch:      opts.DisableBatch,
@@ -397,7 +395,6 @@ func buildWorkerIsland(init *wireInit) (*island, error) {
 		Selector:          sel,
 		TrackDroppingGain: init.Opts.TrackDroppingGain,
 		PruneDominated:    init.Opts.PruneDominated,
-		DisableCompiled:   init.Opts.DisableCompiled,
 		DisableDropping:   init.Opts.DisableDropping,
 		DisableRepair:     init.Opts.DisableRepair,
 		DisableBatch:      init.Opts.DisableBatch,

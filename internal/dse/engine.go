@@ -134,7 +134,7 @@ type Options struct {
 	IslandHosts []string
 	// DisableBatch forces per-candidate evaluation, switching off the
 	// generation-batched path that groups same-system genomes of a
-	// generation against one compiled lowering (shared analyses and
+	// generation against one compiled system (shared analyses and
 	// phenotype replays — see batcheval.go). Batching never changes the
 	// optimization trajectory (archives are byte-identical either way,
 	// pinned by TestBatchedMatchesPerCandidate); only the scenario and
@@ -161,12 +161,6 @@ type Options struct {
 	// scenarios are skipped without changing WCRTs or verdicts, which is
 	// exactly what the GA consumes. Off by default for paper fidelity.
 	PruneDominated bool
-	// DisableCompiled forces the pointer-graph analysis engine
-	// (core.Config.Compiled = false) for every fitness evaluation. The
-	// compiled columnar kernel is on by default and produces
-	// byte-identical Reports; this switch exists for benchmarking the
-	// two engines against each other and as an escape hatch.
-	DisableCompiled bool
 	// DisableDropping forces every droppable application to be kept
 	// (T_d is always empty) — the "without task dropping" baseline.
 	DisableDropping bool
@@ -511,9 +505,6 @@ func newRunEvaluator(p *Problem, opts Options) (evaluator, Options) {
 	ev.cfg.Pool = ev.pool
 	if opts.PruneDominated {
 		ev.cfg.PruneDominated = true
-	}
-	if opts.DisableCompiled {
-		ev.cfg.Compiled = false
 	}
 	if pw, ok := opts.Selector.(poolWirer); ok {
 		opts.Selector = pw.withPool(ev.pool)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mcmap/internal/sched"
 	"mcmap/internal/workpool"
 )
 
@@ -29,6 +30,18 @@ func trajectorySignature(res *Result) string {
 	return b.String()
 }
 
+// plainGolden is the "plain" case of TestIslandOneMatchesGolden.
+const plainGolden = "g0:0x1.b1ae7fbef125bp+00:6:16;" +
+	"g1:0x1.91f08f2a8a651p+00:15:16;" +
+	"g2:0x1.5ebcd5c309b93p+00:16:16;" +
+	"g3:0x1.11f008f63cec6p+00:16:16;" +
+	"g4:0x1.11f008f63cec6p+00:16:16;" +
+	"g5:0x1.11f008f63cec6p+00:16:16;" +
+	"g6:0x1.11f008f63cec6p+00:16:16;" +
+	"g7:0x1.11f008f63cec6p+00:16:16;" +
+	"g8:0x1.11f008f63cec6p+00:16:16;" +
+	"|ev144:fe107|best:0x1.11f008f63cec6p+00|f:0x1.11f008f63cec6p+00:-0x1.8p+02"
+
 // TestIslandOneMatchesGolden pins the Islands=1 trajectory byte-for-byte
 // to the pre-island engine: the two golden signatures below were
 // captured from the single-trajectory implementation (commit 81ea41b)
@@ -43,18 +56,9 @@ func TestIslandOneMatchesGolden(t *testing.T) {
 		golden string
 	}{
 		{
-			name: "plain",
-			opts: Options{PopSize: 16, Generations: 8, Seed: 3},
-			golden: "g0:0x1.b1ae7fbef125bp+00:6:16;" +
-				"g1:0x1.91f08f2a8a651p+00:15:16;" +
-				"g2:0x1.5ebcd5c309b93p+00:16:16;" +
-				"g3:0x1.11f008f63cec6p+00:16:16;" +
-				"g4:0x1.11f008f63cec6p+00:16:16;" +
-				"g5:0x1.11f008f63cec6p+00:16:16;" +
-				"g6:0x1.11f008f63cec6p+00:16:16;" +
-				"g7:0x1.11f008f63cec6p+00:16:16;" +
-				"g8:0x1.11f008f63cec6p+00:16:16;" +
-				"|ev144:fe107|best:0x1.11f008f63cec6p+00|f:0x1.11f008f63cec6p+00:-0x1.8p+02",
+			name:   "plain",
+			opts:   Options{PopSize: 16, Generations: 8, Seed: 3},
+			golden: plainGolden,
 		},
 		{
 			name: "track",
@@ -99,26 +103,21 @@ func TestIslandOneMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestGoldenTrajectoryEngineIndependent re-checks the islands=1 golden
-// with the analysis engine pinned to each side of the Config.Compiled
-// switch: tinyProblem defaults to the compiled engine (core.NewConfig),
-// so the golden capture above already certifies it, and the pointer
-// engine must reproduce the identical trajectory — the GA's decisions
-// may not depend on which backend computed the WCRTs.
+// TestGoldenTrajectoryEngineIndependent re-runs the islands=1 "plain"
+// golden with the analysis backend swapped for sched.Reference: the GA's
+// decisions may not depend on which engine computed the WCRTs, so the
+// unoptimized reference must reproduce the production trajectory byte
+// for byte. Batching stays on, so the batched evaluation path is
+// covered too.
 func TestGoldenTrajectoryEngineIndependent(t *testing.T) {
-	opts := Options{PopSize: 16, Generations: 8, Seed: 3, Workers: 1}
-	var sigs [2]string
-	for i, compiled := range []bool{true, false} {
-		p := tinyProblem(t)
-		p.Analysis.Compiled = compiled
-		res, err := Optimize(p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sigs[i] = trajectorySignature(res)
+	p := tinyProblem(t)
+	p.Analysis.Analyzer = sched.Reference{}
+	res, err := Optimize(p, Options{PopSize: 16, Generations: 8, Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sigs[0] != sigs[1] {
-		t.Errorf("trajectory depends on the analysis engine:\ncompiled %s\n pointer %s", sigs[0], sigs[1])
+	if got := trajectorySignature(res); got != plainGolden {
+		t.Errorf("reference-backed trajectory diverged from the golden:\n got %s\nwant %s", got, plainGolden)
 	}
 }
 

@@ -182,14 +182,6 @@ func TestSyncCopyGolden(t *testing.T) {
 	runGolden(t, SyncCopyAnalyzer, "synccopy", "mcmap/internal/sched")
 }
 
-func TestCompiledWriteGolden(t *testing.T) {
-	runGolden(t, CompiledWriteAnalyzer, "compiledwrite", "mcmap/internal/sched")
-}
-
-func TestCompiledWriteSkipsOtherPackages(t *testing.T) {
-	runGoldenExpectNone(t, CompiledWriteAnalyzer, "compiledwrite", "mcmap/internal/dse")
-}
-
 func TestTransDetGolden(t *testing.T) {
 	runModuleGolden(t, TransDetAnalyzer, "transdet", map[string]string{
 		"clock": "tmod/internal/clock",

@@ -114,7 +114,6 @@ func Analyzers() []*Analyzer {
 		MapRangeAnalyzer,
 		GoSpawnAnalyzer,
 		SyncCopyAnalyzer,
-		CompiledWriteAnalyzer,
 		TransDetAnalyzer,
 		WireSchemaAnalyzer,
 		LockOrderAnalyzer,

@@ -1,6 +1,9 @@
 package model
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestFabricKinds(t *testing.T) {
 	if FabricIdeal.String() != "ideal" || FabricSharedBus.String() != "shared-bus" ||
@@ -64,5 +67,44 @@ func TestTransferTimeBetweenMesh(t *testing.T) {
 	bus := Fabric{Kind: FabricSharedBus, Bandwidth: 8, BaseLatency: 10}
 	if got := bus.TransferTimeBetween(0, 3, 64, 4); got != 18 {
 		t.Errorf("bus = %v, want 18", got)
+	}
+}
+
+// TestTransferTimeSaturates: a transfer too slow to represent must come
+// out as Infinity, never as a wrapped-around negative (free) delay.
+func TestTransferTimeSaturates(t *testing.T) {
+	const big = Time(math.MaxInt64 - 10)
+	cases := []struct {
+		name string
+		f    Fabric
+		size int64
+		want Time
+	}{
+		{"ordinary", Fabric{Bandwidth: 8, BaseLatency: 10}, 64, 18},
+		{"infinite bandwidth", Fabric{BaseLatency: 10}, 64, 10},
+		{"empty message", Fabric{Bandwidth: 1e-300, BaseLatency: 10}, 0, 10},
+		{"tiny bandwidth", Fabric{Bandwidth: 1e-300, BaseLatency: 50}, 1000, Infinity},
+		{"huge base latency", Fabric{Bandwidth: 1, BaseLatency: big}, 1000, Infinity},
+		{"huge base latency, no payload", Fabric{Bandwidth: 1, BaseLatency: big}, 0, Infinity},
+		{"huge base latency, infinite bandwidth", Fabric{BaseLatency: big}, 1000, Infinity},
+		{"sum just below infinity", Fabric{Bandwidth: 1, BaseLatency: Infinity - 1001}, 1000, Infinity - 1},
+		{"sum reaching infinity", Fabric{Bandwidth: 1, BaseLatency: Infinity - 1000}, 1000, Infinity},
+	}
+	for _, c := range cases {
+		if got := c.f.TransferTime(c.size); got != c.want {
+			t.Errorf("%s: TransferTime = %d, want %d", c.name, got, c.want)
+		}
+		if got := c.f.TransferTimeBetween(0, 1, c.size, 4); got != c.want {
+			t.Errorf("%s: TransferTimeBetween = %d, want %d", c.name, got, c.want)
+		}
+	}
+	// The mesh hop term saturates too: 2 hops add one extra base latency.
+	mesh := Fabric{Kind: FabricMesh, MeshWidth: 2, Bandwidth: 1, BaseLatency: Infinity / 2}
+	if got := mesh.TransferTimeBetween(0, 3, 1000, 4); got != Infinity {
+		t.Errorf("mesh near infinity = %d, want Infinity", got)
+	}
+	mesh.BaseLatency = big
+	if got := mesh.TransferTimeBetween(0, 3, 1000, 4); got != Infinity {
+		t.Errorf("mesh huge latency = %d, want Infinity", got)
 	}
 }

@@ -170,6 +170,7 @@ func (f Fabric) MeshHops(a, b ProcID, nProcs int) int {
 // TransferTimeBetween returns the contention-free time to move size bytes
 // from processor a to processor b (callers handle the same-processor
 // zero-cost case). For meshes the latency term scales with the hop count.
+// Like TransferTime it saturates at Infinity.
 func (f Fabric) TransferTimeBetween(a, b ProcID, size int64, nProcs int) Time {
 	base := f.TransferTime(size)
 	if f.EffectiveKind() != FabricMesh {
@@ -179,20 +180,28 @@ func (f Fabric) TransferTimeBetween(a, b ProcID, size int64, nProcs int) Time {
 	if hops <= 1 {
 		return base
 	}
-	return base + f.BaseLatency*Time(hops-1)
+	extra := Time(hops - 1)
+	if f.BaseLatency > (Infinity-1)/extra {
+		return Infinity
+	}
+	return SatAdd(base, f.BaseLatency*extra)
 }
 
 // TransferTime returns the contention-free time to move size bytes across
 // the fabric (zero for local, same-processor communication, which the
-// caller decides).
+// caller decides). It saturates at Infinity: a transfer too slow to
+// represent (a vanishing bandwidth, a huge base latency) never arrives,
+// rather than wrapping around to a negative, free delay.
 func (f Fabric) TransferTime(size int64) Time {
-	if size <= 0 {
-		return f.BaseLatency
+	var payload Time
+	if size > 0 && f.Bandwidth > 0 {
+		t := math.Ceil(float64(size) / f.Bandwidth)
+		if !(t < float64(Infinity)) {
+			return Infinity
+		}
+		payload = Time(t)
 	}
-	if f.Bandwidth <= 0 {
-		return f.BaseLatency
-	}
-	return f.BaseLatency + Time(math.Ceil(float64(size)/f.Bandwidth))
+	return SatAdd(f.BaseLatency, payload)
 }
 
 // Architecture is the MPSoC platform A = (P, nw).

@@ -25,10 +25,10 @@ import (
 // It is useful as a sanity oracle (Holistic must never exceed it), as a
 // drop-in for the wrapper ablation benchmarks, and as a template for
 // integrating external analyses.
-type Coarse struct {
-	// MaxOuterIters caps the activation fixed point (default 64).
-	MaxOuterIters int
-}
+type Coarse struct{}
+
+// coarseSweepCap caps Coarse's activation fixed point.
+const coarseSweepCap = 64
 
 // Name implements Analyzer.
 func (c *Coarse) Name() string { return "coarse-sum" }
@@ -36,13 +36,6 @@ func (c *Coarse) Name() string { return "coarse-sum" }
 // ConcurrencySafe implements ConcurrentAnalyzer: Analyze keeps all
 // mutable state on the stack and in its Result.
 func (c *Coarse) ConcurrencySafe() bool { return true }
-
-func (c *Coarse) maxOuterIters() int {
-	if c.MaxOuterIters > 0 {
-		return c.MaxOuterIters
-	}
-	return 64
-}
 
 // Analyze implements Analyzer.
 func (c *Coarse) Analyze(sys *platform.System, exec []ExecBounds) (*Result, error) {
@@ -75,7 +68,7 @@ func (c *Coarse) Analyze(sys *platform.System, exec []ExecBounds) (*Result, erro
 	}
 	limit := sys.Hyperperiod * 4
 	iters := 0
-	for ; iters < c.maxOuterIters(); iters++ {
+	for ; iters < coarseSweepCap; iters++ {
 		changed := false
 		for gi := range sys.GraphNodes {
 			for _, nid := range sys.GraphNodes[gi] {

@@ -39,11 +39,6 @@ import (
 // instance may be shared by every worker of a parallel scenario fan-out.
 // Do not copy a Holistic after first use (it embeds a sync.Mutex).
 type Holistic struct {
-	// MaxOuterIters caps the outer fixed point; zero selects the default
-	// (256). Hitting the cap saturates unconverged jobs to infinity,
-	// which keeps the result safe.
-	MaxOuterIters int
-
 	// scratch recycles the fixed-point working sets across Analyze calls.
 	// Under the DSE loop the backend runs millions of times on
 	// same-sized systems; reusing the buffers removes the dominant
@@ -53,12 +48,12 @@ type Holistic struct {
 	// under allocation-heavy scenario fan-outs that turned kernel
 	// rebuilding into a measurable fraction of the analysis itself.
 	scratch scratchFreelist
-
-	// compiled caches columnar system lowerings for the compiled kernel
-	// (see compiled.go); cscratch pools its per-call working sets.
-	compiled compiledTables
-	cscratch compiledFreelist
 }
+
+// outerSweepCap caps the outer worst-case fixed point of Holistic and
+// Reference. Hitting the cap saturates every bound to infinity, which
+// keeps the result safe.
+const outerSweepCap = 256
 
 // scratchFreelist is a mutex-guarded stack of scratches. Get/Put critical
 // sections are a pointer pop/push, so contention stays negligible even
@@ -214,13 +209,6 @@ func (h *Holistic) Name() string { return "holistic-job-rta" }
 // of concurrent Analyze calls.
 func (h *Holistic) ConcurrencySafe() bool { return true }
 
-func (h *Holistic) maxOuterIters() int {
-	if h.MaxOuterIters > 0 {
-		return h.MaxOuterIters
-	}
-	return 256
-}
-
 // Analyze implements Analyzer.
 func (h *Holistic) Analyze(sys *platform.System, exec []ExecBounds) (*Result, error) {
 	s := h.getScratch(sys)
@@ -340,7 +328,7 @@ func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Resul
 	}
 
 	iters := 0
-	for ; iters < h.maxOuterIters(); iters++ {
+	for ; iters < outerSweepCap; iters++ {
 		changed := false
 		if arbitrated {
 			// Bus delays couple all senders globally: any change wakes
@@ -407,7 +395,7 @@ func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Resul
 		}
 	}
 	res.Iterations += iters
-	return iters >= h.maxOuterIters()
+	return iters >= outerSweepCap
 }
 
 // improveBestCase lifts MinStart using guaranteed higher-priority demand:
@@ -647,7 +635,8 @@ type busMsg struct {
 }
 
 // initBusDelays resets the reusable delay map to the uncontended
-// transmission times.
+// transmission times, summed over parallel channels (see
+// updateBusDelays).
 func (h *Holistic) initBusDelays(sys *platform.System, out map[edgeKey]model.Time) map[edgeKey]model.Time {
 	if !sys.Arch.Fabric.Arbitrated() {
 		return nil
@@ -656,7 +645,8 @@ func (h *Holistic) initBusDelays(sys *platform.System, out map[edgeKey]model.Tim
 	for _, node := range sys.Nodes {
 		for _, e := range node.Out {
 			if e.Delay > 0 {
-				out[edgeKey{e.From, e.To}] = e.Delay
+				k := edgeKey{e.From, e.To}
+				out[k] = model.SatAdd(out[k], e.Delay)
 			}
 		}
 	}
@@ -671,6 +661,10 @@ func (h *Holistic) initBusDelays(sys *platform.System, out map[edgeKey]model.Tim
 // (sender certainly finished before this sender could start, or certainly
 // starts after this message's window). Returns true when any delay
 // changed.
+//
+// Parallel channels between the same two jobs are one message: the
+// sender queues them together at one priority and the receiver waits for
+// all of them, so the message carries their summed transmission time.
 func (h *Holistic) updateBusDelays(sys *platform.System, exec []ExecBounds, res *Result, maxFinish []model.Time, delays map[edgeKey]model.Time, s *holisticScratch) bool {
 	// Under crossbar arbitration, messages contend only with messages to
 	// the same destination processor; the shared bus is one contention
@@ -678,6 +672,8 @@ func (h *Holistic) updateBusDelays(sys *platform.System, exec []ExecBounds, res 
 	crossbar := sys.Arch.Fabric.EffectiveKind() == model.FabricCrossbar
 	msgs := s.msgs[:0]
 	for _, node := range sys.Nodes {
+		first := len(msgs)
+	edges:
 		for _, e := range node.Out {
 			if e.Delay <= 0 {
 				continue
@@ -685,12 +681,19 @@ func (h *Holistic) updateBusDelays(sys *platform.System, exec []ExecBounds, res 
 			if exec[e.From].W == 0 {
 				continue // dropped sender transmits nothing
 			}
+			key := edgeKey{e.From, e.To}
+			for i := first; i < len(msgs); i++ {
+				if msgs[i].key == key {
+					msgs[i].c = model.SatAdd(msgs[i].c, e.Delay)
+					continue edges
+				}
+			}
 			dom := 0
 			if crossbar {
 				dom = int(sys.Nodes[e.To].Proc) + 1
 			}
 			msgs = append(msgs, busMsg{
-				key: edgeKey{e.From, e.To}, c: e.Delay,
+				key: key, c: e.Delay,
 				prio: node.Priority, sender: e.From, domain: dom,
 			})
 		}

@@ -33,19 +33,3 @@ func TestCloneExec(t *testing.T) {
 		t.Error("CloneExec aliases storage")
 	}
 }
-
-func TestHolisticCustomIterationCap(t *testing.T) {
-	g := model.NewTaskGraph("g", 100).SetCritical(1e-9)
-	g.AddTask("a", 3, 7, 0, 0)
-	sys := compile(t, arch(1), model.NewAppSet(g), model.Mapping{"g/a": 0})
-	h := &Holistic{MaxOuterIters: 1}
-	res, err := h.Analyze(sys, NominalExec(sys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With a cap of 1 outer sweep a single-task system still converges.
-	_ = res
-	if h.maxOuterIters() != 1 {
-		t.Error("cap not honored")
-	}
-}

@@ -42,10 +42,10 @@ type Result struct {
 	// Schedulable is true when every worst-case finish time is finite
 	// (the busy-window recurrences converged).
 	Schedulable bool
-	// Iterations is the number of outer fixed-point sweeps performed.
-	// It is a diagnostic: the compiled engine reaches the same Bounds in
-	// fewer sweeps than the pointer engine, so equality checks between
-	// engines must compare Bounds and Schedulable, not Iterations.
+	// Iterations is the number of outer worst-case fixed-point sweeps
+	// that changed a bound, summed over the analysis's worst-case
+	// passes. Holistic and Reference sweep the same sequence of states,
+	// so their counts are equal, not merely their Bounds.
 	Iterations int
 }
 

@@ -19,28 +19,19 @@ type SessionAnalyzer interface {
 }
 
 // Session is a single-goroutine analysis context with pinned scratch
-// state. Scratches are checked out of the backend's freelists lazily on
-// first use and returned by Close; between analyses they are re-prepped
-// to the exact state a fresh checkout would establish, which is what
-// makes session results byte-identical to the plain entry points.
+// state. The scratch is checked out of the backend's freelist lazily on
+// first use and returned by Close; between analyses it is re-prepped to
+// the exact state a fresh checkout would establish, which is what makes
+// session results byte-identical to the plain entry points.
 type Session struct {
 	h   *Holistic
 	sys *platform.System
-	cs  *CompiledSystem // non-nil: route through the compiled kernel
 	hs  *holisticScratch
-	cst *compiledScratch
 }
 
-// OpenSession implements SessionAnalyzer for the pointer-graph engine.
+// OpenSession implements SessionAnalyzer.
 func (h *Holistic) OpenSession(sys *platform.System) *Session {
 	return &Session{h: h, sys: sys}
-}
-
-// OpenCompiledSession pins scratch for analyses of cs through the
-// compiled kernel; arbitrated lowerings transparently use the pointer
-// path, exactly like the compiled entry points.
-func (h *Holistic) OpenCompiledSession(cs *CompiledSystem) *Session {
-	return &Session{h: h, sys: cs.Sys, cs: cs}
 }
 
 func (se *Session) scratch() *holisticScratch {
@@ -54,26 +45,13 @@ func (se *Session) scratch() *holisticScratch {
 	return se.hs
 }
 
-func (se *Session) cscratch() *compiledScratch {
-	if se.cst == nil {
-		se.cst = se.h.cscratch.Get()
-	}
-	se.cst.prep(se.cs)
-	return se.cst
-}
-
-func (se *Session) compiled() bool { return se.cs != nil && !se.cs.Arbitrated }
-
 // Analyze is Analyzer.Analyze over the session's system and scratch.
 func (se *Session) Analyze(exec []ExecBounds) (*Result, error) {
-	if se.compiled() {
-		return se.h.analyzeCompiledWith(se.cs, exec, se.cscratch())
-	}
 	return se.h.analyzeWith(se.sys, exec, se.scratch())
 }
 
-// Close returns the pinned scratches to the backend freelists. The
-// session must not be used afterwards.
+// Close returns the pinned scratch to the backend freelist. The session
+// must not be used afterwards.
 func (se *Session) Close() {
 	if se == nil {
 		return
@@ -81,10 +59,6 @@ func (se *Session) Close() {
 	if se.hs != nil {
 		se.h.scratch.Put(se.hs)
 		se.hs = nil
-	}
-	if se.cst != nil {
-		se.h.cscratch.Put(se.cst)
-		se.cst = nil
 	}
 }
 

@@ -49,36 +49,68 @@ func TestBusSerializesMessages(t *testing.T) {
 	}
 }
 
-// TestBusAnalysisBoundsBusSimulation: the shared-bus RTA dominates the
-// arbitrated simulation on the same system.
+// TestBusAnalysisBoundsBusSimulation: the arbitrated-fabric RTA of
+// Holistic and of the Reference oracle dominates the arbitrated
+// simulation on the same system. In the parallel cases a sends b two
+// channels: they are queued one after the other and b waits for both, so
+// alone b finishes at 1+10+20+1 = 32.
 func TestBusAnalysisBoundsBusSimulation(t *testing.T) {
-	a := arch(4)
-	a.Fabric = model.Fabric{Kind: model.FabricSharedBus, Bandwidth: 1, BaseLatency: 0}
-	g1 := model.NewTaskGraph("g1", 1000).SetCritical(1e-9)
-	g1.AddTask("a", 1, 1, 0, 0)
-	g1.AddTask("b", 1, 1, 0, 0)
-	g1.AddChannel("a", "b", 50)
-	g2 := model.NewTaskGraph("g2", 1000).SetCritical(1e-9)
-	g2.AddTask("c", 1, 1, 0, 0)
-	g2.AddTask("d", 1, 1, 0, 0)
-	g2.AddChannel("c", "d", 70)
-	m := model.Mapping{"g1/a": 0, "g1/b": 1, "g2/c": 2, "g2/d": 3}
-	sys := compile(t, a, model.NewAppSet(g1, g2), m)
-	res, err := (&sched.Holistic{}).Analyze(sys, sched.NominalExec(sys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := mustRun(t, sys, Config{})
-	for gi := range run.GraphWCRT {
-		// Graph response vs analyzed sink bound.
-		var bound model.Time
-		for _, nid := range sys.GraphNodes[gi] {
-			if len(sys.Nodes[nid].Out) == 0 && res.Bounds[nid].MaxFinish > bound {
-				bound = res.Bounds[nid].MaxFinish
+	for _, c := range []struct {
+		name   string
+		kind   model.FabricKind
+		ab, cd []int64 // channel sizes a->b (g1) and c->d (g2, none: no g2)
+		simG1  model.Time
+	}{
+		{"shared-bus", model.FabricSharedBus, []int64{50}, []int64{70}, 0},
+		{"shared-bus/parallel", model.FabricSharedBus, []int64{10, 20}, nil, 32},
+		{"shared-bus/parallel-competing", model.FabricSharedBus, []int64{10, 20}, []int64{15, 25}, 0},
+		{"crossbar/parallel", model.FabricCrossbar, []int64{10, 20}, nil, 32},
+		{"crossbar/parallel-competing", model.FabricCrossbar, []int64{10, 20}, []int64{15, 25}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			a := arch(4)
+			a.Fabric = model.Fabric{Kind: c.kind, Bandwidth: 1, BaseLatency: 0}
+			g1 := model.NewTaskGraph("g1", 1000).SetCritical(1e-9)
+			g1.AddTask("a", 1, 1, 0, 0)
+			g1.AddTask("b", 1, 1, 0, 0)
+			for _, size := range c.ab {
+				g1.AddChannel("a", "b", size)
 			}
-		}
-		if run.GraphWCRT[gi] > bound {
-			t.Errorf("graph %d: simulated %v exceeds bus bound %v", gi, run.GraphWCRT[gi], bound)
-		}
+			apps := model.NewAppSet(g1)
+			m := model.Mapping{"g1/a": 0, "g1/b": 1}
+			if len(c.cd) > 0 {
+				g2 := model.NewTaskGraph("g2", 1000).SetCritical(1e-9)
+				g2.AddTask("c", 1, 1, 0, 0)
+				g2.AddTask("d", 1, 1, 0, 0)
+				for _, size := range c.cd {
+					g2.AddChannel("c", "d", size)
+				}
+				apps = model.NewAppSet(g1, g2)
+				m["g2/c"], m["g2/d"] = 2, 3
+			}
+			sys := compile(t, a, apps, m)
+			run := mustRun(t, sys, Config{})
+			if c.simG1 != 0 && run.GraphWCRT[0] != c.simG1 {
+				t.Fatalf("simulated g1 = %v, want %v", run.GraphWCRT[0], c.simG1)
+			}
+			for _, an := range []sched.Analyzer{&sched.Holistic{}, sched.Reference{}} {
+				res, err := an.Analyze(sys, sched.NominalExec(sys))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for gi := range run.GraphWCRT {
+					// Graph response vs analyzed sink bound.
+					var bound model.Time
+					for _, nid := range sys.GraphNodes[gi] {
+						if len(sys.Nodes[nid].Out) == 0 && res.Bounds[nid].MaxFinish > bound {
+							bound = res.Bounds[nid].MaxFinish
+						}
+					}
+					if run.GraphWCRT[gi] > bound {
+						t.Errorf("%s: graph %d simulated %v exceeds bus bound %v", an.Name(), gi, run.GraphWCRT[gi], bound)
+					}
+				}
+			}
+		})
 	}
 }

@@ -243,7 +243,7 @@ func AnalyzeWCRT(sys *System, dropped DropSet) (*Report, error) {
 }
 
 // NewAnalysisConfig returns the recommended Algorithm 1 configuration
-// (compiled holistic backend, scenario deduplication, parallel scenario
+// (holistic backend, scenario deduplication, parallel scenario
 // fan-out). Adjust fields — e.g. PruneDominated or Workers —
 // and pass the result to AnalyzeWCRTWith.
 func NewAnalysisConfig() AnalysisConfig { return core.NewConfig() }
@@ -254,13 +254,11 @@ func AnalyzeWCRTWith(sys *System, dropped DropSet, cfg AnalysisConfig) (*Report,
 }
 
 // AnalyzeBatch evaluates many candidate execution-interval vectors
-// against one compiled system in a single call: the system is lowered
-// once into the compiled engine's columnar tables and the vectors'
-// analyses fan out over cfg.Workers. results[i] matches an
-// independent analysis of execs[i] exactly (only the Iterations
-// diagnostic may differ). Use it to sweep execution-bound hypotheses —
-// sensitivity scans, portfolio re-validation — over a fixed mapping;
-// see DESIGN.md §7.8.
+// against one compiled system in a single call: the vectors' analyses
+// fan out over cfg.Workers, and results[i] matches an independent
+// analysis of execs[i] exactly. Use it to sweep execution-bound
+// hypotheses — sensitivity scans, portfolio re-validation — over a
+// fixed mapping.
 func AnalyzeBatch(sys *System, execs [][]ExecBounds, cfg AnalysisConfig) ([]*SchedResult, error) {
 	return core.AnalyzeBatch(sys, execs, cfg)
 }
