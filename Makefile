@@ -2,7 +2,7 @@
 # extra dependencies are required.
 
 GO         ?= go
-BENCH      ?= BenchmarkAnalyzeParallel|BenchmarkAnalyzeBatch|BenchmarkScenarioDedup|BenchmarkAlgorithm1|BenchmarkHolistic|BenchmarkWorstFinishKernel|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport
+BENCH      ?= BenchmarkAnalyzeParallel|BenchmarkScenarioDedup|BenchmarkAlgorithm1|BenchmarkHolistic|BenchmarkWorstFinishKernel|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport
 # BENCHPKGS lists every package contributing guarded benchmarks: the
 # root integration benchmarks plus the dse package's evaluation-primitive
 # benchmarks.

@@ -405,50 +405,6 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeBatch contrasts core.AnalyzeBatch — the vectors'
-// analyses fanned out over the default worker budget — with the
-// sequential sweep that analyzes every candidate vector in turn through
-// one backend. The candidate set models a
-// sensitivity-style sweep on a wide sparse synthetic: the nominal vector
-// plus 15 variants, each inflating one task's WCET by 25% (spread across
-// the node list).
-func BenchmarkAnalyzeBatch(b *testing.B) {
-	bench := benchmarks.Synth(benchmarks.SynthConfig{
-		Name: "sparse", Procs: 12, CriticalApps: 4, DroppableApps: 4,
-		MinTasks: 2, MaxTasks: 4, Seed: 3,
-	})
-	sys, _, err := bench.CompiledSample(benchmarks.MapLoadBalance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nominal := sched.NominalExec(sys)
-	execs := [][]sched.ExecBounds{nominal}
-	for k := 1; k < 16; k++ {
-		v := sched.CloneExec(nominal)
-		i := k * len(v) / 16
-		v[i].W += v[i].W/4 + 1
-		execs = append(execs, v)
-	}
-	cfg := core.NewConfig()
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeBatch(sys, execs, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("loop", func(b *testing.B) {
-		h := &sched.Holistic{}
-		for i := 0; i < b.N; i++ {
-			for _, exec := range execs {
-				if _, err := h.Analyze(sys, exec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkIslandDSE measures the island-model machinery at IDENTICAL
 // work: islands=1 runs the four island trajectories of seed 1 (their
 // derived seeds via dse.IslandSeeds) back to back through the plain

@@ -24,13 +24,13 @@ package dse
 // Every shared artifact is identical to what a member's private
 // evaluation would have produced — compilation, assessment and analysis
 // are pure functions of (system, drop set) — so batched and
-// per-candidate evaluation yield byte-identical Individuals and archives
-// (pinned by TestBatchedMatchesPerCandidate); only the scenario counters
-// differ, because shared analyses run the backend fewer times.
+// per-candidate evaluation yield byte-identical Individuals (pinned
+// member by member by TestBatchedMatchesPerCandidate); only the
+// scenario counters differ, because shared analyses run the backend
+// fewer times.
 //
-// Per-candidate evaluation is the degenerate case: Options.DisableBatch
-// puts every genome in a group of its own, and Problem.Evaluate runs a
-// one-member group, so one evaluation body serves every path.
+// Per-candidate evaluation is the degenerate case: Problem.Evaluate
+// runs a one-member group, so one evaluation body serves every path.
 //
 // Determinism: groups are formed sequentially over the generation in
 // batch order (first-appearance order), members evaluate in batch order
@@ -106,17 +106,9 @@ type batchGroup struct {
 }
 
 // buildBatchGroups partitions the generation by compiled system in
-// first-appearance order; the grouping never reorders members. With
-// perCandidate set every genome forms a group of its own, so no key is
-// computed and nothing is shared.
-func buildBatchGroups(p *Problem, genomes []*Genome, perCandidate bool) []*batchGroup {
+// first-appearance order; the grouping never reorders members.
+func buildBatchGroups(p *Problem, genomes []*Genome) []*batchGroup {
 	groups := make([]*batchGroup, 0, len(genomes))
-	if perCandidate {
-		for i := range genomes {
-			groups = append(groups, &batchGroup{members: []int{i}, drop: []string{""}, pheno: []string{""}})
-		}
-		return groups
-	}
 	bySys := make(map[string]*batchGroup, len(genomes))
 	for i := range genomes {
 		sk := p.sysKey(genomes[i])

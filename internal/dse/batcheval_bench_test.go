@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mcmap/internal/benchmarks"
+	"mcmap/internal/workpool"
 )
 
 // batchBenchProblem builds a synthetic problem whose per-candidate
@@ -107,9 +108,9 @@ func indSignature(ind *Individual) string {
 // makeBatchGeneration), evaluated batched — buildBatchGroups plus
 // evalGroup, one compile and assessment per group and one analysis
 // per distinct drop set — and per-candidate — Problem.evaluate per
-// genome, the DisableBatch path — inside one timing window. Both sides
-// run sequentially (the Workers=1 engine drain) in batch order, so every
-// iteration pays the true first-sight cost the GA pays. Results are
+// genome — inside one timing window. Both sides run sequentially (the
+// Workers=1 engine drain) in batch order, so every iteration pays the
+// true first-sight cost the GA pays. Results are
 // checked identical member for member
 // (the TestBatchedMatchesPerCandidate guarantee); the reported
 // batched_over_percand quotient is drift-immune like the other ratio
@@ -117,9 +118,9 @@ func indSignature(ind *Individual) string {
 // where its sharing actually engages.
 func BenchmarkGenerationBatching(b *testing.B) {
 	p := batchBenchProblem(b)
-	opts := Options{Workers: 1}
-	ev, opts := newRunEvaluator(p, opts)
-	defer ev.pool.Close()
+	pool := workpool.New(1)
+	defer pool.Close()
+	ev, opts := newRunEvaluator(p, Options{Workers: 1, Pool: pool})
 	isl := newIsland(0, p, opts, 1, ev)
 
 	rng := rand.New(rand.NewSource(7))
@@ -129,7 +130,7 @@ func BenchmarkGenerationBatching(b *testing.B) {
 		out := make([]*Individual, len(genomes))
 		errs := make([]error, len(genomes))
 		hits := 0
-		for _, grp := range buildBatchGroups(p, genomes, false) {
+		for _, grp := range buildBatchGroups(p, genomes) {
 			isl.evalGroup(grp, genomes, out, errs)
 			hits += grp.hits
 		}

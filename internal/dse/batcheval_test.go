@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mcmap/internal/model"
+	"mcmap/internal/workpool"
 )
 
 // batchSignature renders everything batching promises to preserve: the
@@ -31,13 +32,14 @@ func batchSignature(res *Result) string {
 }
 
 // TestBatchedMatchesPerCandidate is the generation-batching safety
-// guarantee (referenced by the Options.DisableBatch contract): batched
-// evaluation must reproduce the per-candidate trajectory byte for byte —
-// same archives, same front, same best — while actually sharing work
-// (BatchHits > 0). Runs plain, with the no-dropping re-analysis that
-// TrackDroppingGain shares per drop set, and with dominance pruning.
+// guarantee: every member of a batched generation (isl.evaluateAll)
+// must evaluate exactly as it does alone (Problem.Evaluate), on
+// same-system cohorts where batching actually shares work (hits > 0)
+// and on random repaired genomes. Runs plain, with the no-dropping
+// re-analysis that TrackDroppingGain shares per drop set, and with
+// dominance pruning. A full batched run must also report consistent
+// batch counters.
 func TestBatchedMatchesPerCandidate(t *testing.T) {
-	p := tinyProblem(t)
 	for _, tc := range []struct {
 		name         string
 		track, prune bool
@@ -47,44 +49,74 @@ func TestBatchedMatchesPerCandidate(t *testing.T) {
 		{name: "prune", prune: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := Options{PopSize: 16, Generations: 8, Seed: 3,
-				TrackDroppingGain: tc.track, PruneDominated: tc.prune}
+			p := tinyProblem(t)
+			p.Analysis.PruneDominated = tc.prune
+			pool := workpool.New(2)
+			defer pool.Close()
+			ev, opts := newRunEvaluator(p, Options{
+				TrackDroppingGain: tc.track, PruneDominated: tc.prune, Pool: pool,
+			}.withDefaults())
+			isl := newIsland(0, p, opts, 1, ev)
 
-			perCand := base
-			perCand.DisableBatch = true
-			want, err := Optimize(p, perCand)
+			rng := rand.New(rand.NewSource(11))
+			random := make([]*Genome, 24)
+			for i := range random {
+				random[i] = p.RandomGenome(rng)
+				p.Repair(random[i], rng)
+			}
+			for _, gen := range []struct {
+				name    string
+				genomes []*Genome
+				shares  bool
+			}{
+				{"cohorts", makeBatchGeneration(p, rng, 4, 8), true},
+				{"random", random, false},
+			} {
+				got, bc, err := isl.evaluateAll(gen.genomes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gen.shares && bc.hits == 0 {
+					t.Fatalf("%s: batched generation shared no work (groups=%d)", gen.name, bc.groups)
+				}
+				for i, g := range gen.genomes {
+					want, err := p.Evaluate(g, tc.track)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i].Genome != g {
+						t.Fatalf("%s member %d: result carries another genome", gen.name, i)
+					}
+					if gs, ws := indSignature(got[i]), indSignature(want); gs != ws {
+						t.Errorf("%s member %d: batched evaluation diverged from per-candidate:\n got %s\nwant %s",
+							gen.name, i, gs, ws)
+					}
+				}
+			}
+
+			res, err := Optimize(p, Options{PopSize: 16, Generations: 8, Seed: 3,
+				TrackDroppingGain: tc.track, PruneDominated: tc.prune})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Optimize(p, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if gs, ws := batchSignature(got), batchSignature(want); gs != ws {
-				t.Errorf("batched trajectory diverged from per-candidate:\n got %s\nwant %s", gs, ws)
-			}
-			if want.Stats.BatchGroups != 0 || want.Stats.BatchHits != 0 {
-				t.Fatalf("DisableBatch run reported batch traffic: %+v", want.Stats)
-			}
-			if got.Stats.BatchGroups == 0 || got.Stats.BatchHits == 0 {
+			if res.Stats.BatchGroups == 0 || res.Stats.BatchHits == 0 {
 				t.Fatalf("batched run shared no work (groups=%d hits=%d) — a converging GA should produce same-system cohorts",
-					got.Stats.BatchGroups, got.Stats.BatchHits)
+					res.Stats.BatchGroups, res.Stats.BatchHits)
 			}
 			// Per-generation batch counters must be consistent: hits only
 			// happen inside groups, and the per-gen entries sum to the run
 			// totals.
 			groups, hits := 0, 0
-			for _, h := range got.History {
+			for _, h := range res.History {
 				if h.BatchHits > 0 && h.BatchGroups == 0 {
 					t.Fatalf("generation %d reports batch hits without groups: %+v", h.Gen, h)
 				}
 				groups += h.BatchGroups
 				hits += h.BatchHits
 			}
-			if groups != got.Stats.BatchGroups || hits != got.Stats.BatchHits {
+			if groups != res.Stats.BatchGroups || hits != res.Stats.BatchHits {
 				t.Fatalf("per-gen batch counters (groups=%d hits=%d) do not sum to stats (%d, %d)",
-					groups, hits, got.Stats.BatchGroups, got.Stats.BatchHits)
+					groups, hits, res.Stats.BatchGroups, res.Stats.BatchHits)
 			}
 		})
 	}

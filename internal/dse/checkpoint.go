@@ -134,8 +134,8 @@ func problemFingerprint(p *Problem) string {
 }
 
 // optsSignature canonicalizes every option that steers the trajectory.
-// Worker counts, the pool and DisableBatch are deliberately absent: they
-// change scheduling and counters, never archives. The literal
+// Worker counts and the pool are deliberately absent: they change
+// scheduling, never archives. The literal
 // nocompiled=false stands for a removed engine switch, so signatures
 // persisted by earlier releases still match and their checkpoints
 // resume.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -237,6 +239,44 @@ func TestOptimizeCancelled(t *testing.T) {
 			pool.Release()
 		}
 	}
+}
+
+// TestOptimizeReleasesPrivatePool: the pool Optimize creates when
+// Options.Pool is nil is closed before it returns, so repeated runs at
+// any island count leave no worker goroutines behind, while a caller's
+// pool is never closed and keeps accepting work.
+func TestOptimizeReleasesPrivatePool(t *testing.T) {
+	p := tinyProblem(t)
+	base := runtime.NumGoroutine()
+	for _, islands := range []int{1, 2, 3} {
+		for seed := int64(1); seed <= 3; seed++ {
+			if _, err := Optimize(p, Options{PopSize: 8, Generations: 2, Seed: seed,
+				Islands: islands, MigrationInterval: 1, Workers: 4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Closed pools' workers exit asynchronously; poll for the drain.
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before: Optimize leaked its private pool", n, base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	pool := workpool.New(4)
+	defer pool.Close()
+	if _, err := Optimize(p, Options{PopSize: 8, Generations: 2, Seed: 1,
+		Islands: 2, MigrationInterval: 1, Workers: 4, Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	var ran sync.WaitGroup
+	ran.Add(1)
+	if !pool.Submit(ran.Done) {
+		t.Fatal("caller-owned pool refused Submit after Optimize returned")
+	}
+	ran.Wait()
 }
 
 // TestProgressStream pins the streaming contract: every recorded GenStat

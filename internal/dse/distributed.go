@@ -1,18 +1,20 @@
 package dse
 
-// This file implements the distributed island mode: each island of a
-// distributed run lives outside the coordinating goroutine — in a child
-// process on the same machine (pipe transport, a re-exec of the current
-// binary) or on a fleet worker reached over TCP (Options.IslandHosts,
-// served by ServeIslands / mcmapd -worker) — and the coordinator drives
-// legs, ring migration and the final merge over length-prefixed gob
-// frames (transport.go). The orchestration mirrors runIslands exactly —
-// same derived seeds, same leg boundaries, same migration quirks, same
-// slot-order stats merge — so the archives of a distributed run are
-// byte-identical to the in-process mode for any given seed, counters
-// included (pinned by TestDistributedMatchesInProcess and
-// TestFleetMatchesInProcess): islands share no evaluation state in
-// either mode, and evaluation is pure per genome.
+// This file implements the remote venues of the island orchestrator:
+// each island of a distributed run lives outside the coordinating
+// process — in a child process on the same machine (pipe transport, a
+// re-exec of the current binary) or on a fleet worker reached over TCP
+// (Options.IslandHosts, served by ServeIslands / mcmapd -worker). The
+// coordinator drives them with the same orchestrator (runIslands,
+// island.go) and the same request sequence as in-process islands; only
+// the endpoints differ, carrying each request as a length-prefixed gob
+// frame (transport.go) instead of applying it in-process. Derived
+// seeds, leg boundaries, migration and the slot-order merge are
+// therefore the same in every venue, and the archives of a distributed
+// run are byte-identical to the in-process mode for any given seed,
+// counters included (pinned by TestDistributedMatchesInProcess and
+// TestFleetMatchesInProcess): islands share no evaluation state in any
+// venue, and evaluation is pure per genome.
 //
 // Protocol. Every frame is a 4-byte big-endian length (bit 31 marks
 // flate compression) followed by one gob-encoded wireMsg. The
@@ -52,9 +54,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"mcmap/internal/model"
+	"mcmap/internal/workpool"
 )
 
 // Wire message kinds. Replies echo the request kind except where a
@@ -87,7 +89,7 @@ type wireMsg struct {
 	N int
 	// In carries the migrants entering the receiving island; OutCount is
 	// the size of the elite set that island contributed to the round
-	// (counted by the receiver, exactly like migrateRing does).
+	// (counted by the receiver, see island.receive).
 	In       []*Individual
 	OutCount int
 	// Elites answers an elites request.
@@ -122,7 +124,6 @@ type wireOptions struct {
 	PruneDominated    bool
 	DisableDropping   bool
 	DisableRepair     bool
-	DisableBatch      bool
 	NoSeeds           bool
 	MaxK              int
 	MaxReplicas       int
@@ -150,11 +151,12 @@ func selectorByName(name string) (Selector, bool) {
 	return nil, false
 }
 
-// runIslandsDistributed is the out-of-process twin of runIslands: one
-// worker per island — child processes over pipes, or fleet workers over
-// TCP when Options.IslandHosts is set (island i connects to
-// IslandHosts[i mod len]) — same legs, same ring, same merge order.
-func runIslandsDistributed(p *Problem, opts Options, res *Result) ([]*Individual, error) {
+// remoteEndpoints builds one remote endpoint per island: child
+// processes over pipes, or fleet workers over TCP when
+// Options.IslandHosts is set (island i connects to IslandHosts[i mod
+// len]). Each endpoint carries the init payload its worker builds the
+// island from.
+func remoteEndpoints(p *Problem, opts Options) ([]*islandEndpoint, error) {
 	if _, ok := selectorByName(opts.Selector.Name()); !ok {
 		return nil, fmt.Errorf("dse: distributed islands support only the built-in selectors (spea2, elitist), not %q", opts.Selector.Name())
 	}
@@ -184,156 +186,38 @@ func runIslandsDistributed(p *Problem, opts Options, res *Result) ([]*Individual
 		PruneDominated:    opts.PruneDominated,
 		DisableDropping:   opts.DisableDropping,
 		DisableRepair:     opts.DisableRepair,
-		DisableBatch:      opts.DisableBatch,
 		NoSeeds:           opts.NoSeeds,
 		MaxK:              p.MaxK,
 		MaxReplicas:       p.MaxReplicas,
 	}
 
-	k := opts.Islands
-	seeds := islandSeeds(opts.Seed, k)
-	eps := make([]*islandEndpoint, 0, k)
-	takeovers := 0
-	failed := true
-	defer func() {
-		if failed {
-			for _, ep := range eps {
-				ep.kill()
-			}
-		}
-	}()
-	if len(opts.IslandHosts) > 0 {
-		for i := 0; i < k; i++ {
-			addr := opts.IslandHosts[i%len(opts.IslandHosts)]
-			eps = append(eps, &islandEndpoint{slot: i, tr: &tcpTransport{addr: addr}, takeovers: &takeovers})
-		}
-	} else {
-		exe, err := os.Executable()
-		if err != nil {
+	var exe string
+	if len(opts.IslandHosts) == 0 {
+		var err error
+		if exe, err = os.Executable(); err != nil {
 			return nil, fmt.Errorf("dse: locating executable for island workers: %w", err)
 		}
-		for i := 0; i < k; i++ {
+	}
+	eps := make([]*islandEndpoint, 0, opts.Islands)
+	for i, seed := range islandSeeds(opts.Seed, opts.Islands) {
+		ep := &islandEndpoint{slot: i, init: &wireInit{
+			SpecJSON: specJSON.Bytes(), Opts: wopts, Island: i, Seed: seed,
+		}}
+		if len(opts.IslandHosts) > 0 {
+			ep.tr = &tcpTransport{addr: opts.IslandHosts[i%len(opts.IslandHosts)]}
+		} else {
 			pt, err := spawnPipeWorker(exe)
 			if err != nil {
+				for _, ep := range eps {
+					ep.kill()
+				}
 				return nil, fmt.Errorf("dse: starting island worker %d: %w", i, err)
 			}
-			eps = append(eps, &islandEndpoint{slot: i, tr: pt, takeovers: &takeovers})
+			ep.tr = pt
 		}
+		eps = append(eps, ep)
 	}
-
-	// broadcast sends one request to every listed worker, then collects
-	// the replies in slot order; the workers overlap their computation.
-	broadcast := func(idx []int, req func(i int) *wireMsg, wantKind string) ([]*wireMsg, error) {
-		for _, i := range idx {
-			eps[i].send(req(i), wantKind)
-		}
-		replies := make([]*wireMsg, len(eps))
-		for _, i := range idx {
-			msg, err := eps[i].collect()
-			if err != nil {
-				return nil, fmt.Errorf("dse: island worker %d: %w", i, err)
-			}
-			replies[i] = msg
-		}
-		return replies, nil
-	}
-	all := make([]int, k)
-	for i := range all {
-		all[i] = i
-	}
-
-	// Generation 0 on every island.
-	if _, err := broadcast(all, func(i int) *wireMsg {
-		return &wireMsg{Kind: kindInit, Init: &wireInit{
-			SpecJSON: specJSON.Bytes(), Opts: wopts, Island: i, Seed: seeds[i],
-		}}
-	}, kindAck); err != nil {
-		return nil, err
-	}
-
-	// Legs and migration barriers, mirroring runIslands' loop bounds.
-	// Cancellation is coarse here: the coordinator checks the context at
-	// each leg boundary only (workers have no context to thread it into),
-	// so a cancelled distributed run stops within one leg.
-	for start := 1; start <= opts.Generations; start += opts.MigrationInterval {
-		if opts.Context != nil {
-			if err := opts.Context.Err(); err != nil {
-				return nil, err
-			}
-		}
-		end := start + opts.MigrationInterval - 1
-		if end > opts.Generations {
-			end = opts.Generations
-		}
-		if _, err := broadcast(all, func(int) *wireMsg {
-			return &wireMsg{Kind: kindAdvance, From: start, To: end}
-		}, kindAck); err != nil {
-			return nil, err
-		}
-		if end >= opts.Generations {
-			continue
-		}
-		// One ring-migration round. The elites are captured from every
-		// pre-merge archive first (exactly like migrateRing), then each
-		// receiver merges its predecessor's set; islands receiving an
-		// empty set are skipped entirely, including their MigrantsOut
-		// tally — the in-process accounting quirk, preserved.
-		n := migrationElites(opts.ArchiveSize)
-		elites, err := broadcast(all, func(int) *wireMsg {
-			return &wireMsg{Kind: kindElites, N: n}
-		}, kindElites)
-		if err != nil {
-			return nil, err
-		}
-		var receivers []int
-		for i := 0; i < k; i++ {
-			if len(elites[(i-1+k)%k].Elites) > 0 {
-				receivers = append(receivers, i)
-				res.Stats.Migrations += len(elites[(i-1+k)%k].Elites)
-			}
-		}
-		if _, err := broadcast(receivers, func(i int) *wireMsg {
-			return &wireMsg{
-				Kind:     kindMigrants,
-				In:       elites[(i-1+k)%k].Elites,
-				OutCount: len(elites[i].Elites),
-			}
-		}, kindAck); err != nil {
-			return nil, err
-		}
-	}
-
-	// Harvest in slot order — the same fold order as runIslands.
-	dones, err := broadcast(all, func(int) *wireMsg { return &wireMsg{Kind: kindFinish} }, kindDone)
-	if err != nil {
-		return nil, err
-	}
-	failed = false
-	for i, ep := range eps {
-		if err := ep.close(); err != nil {
-			return nil, fmt.Errorf("dse: island worker %d exited: %w", i, err)
-		}
-	}
-	res.Stats.IslandTakeovers = takeovers
-
-	union := make([]*Individual, 0, k*opts.ArchiveSize)
-	for _, msg := range dones {
-		d := msg.Done
-		if d == nil {
-			return nil, errors.New("dse: island worker sent an empty done frame")
-		}
-		res.Stats.merge(&d.Stats)
-		res.Stats.IslandStats = append(res.Stats.IslandStats, d.Island)
-		res.History = append(res.History, d.History...)
-		union = append(union, d.Archive...)
-	}
-	sort.SliceStable(res.History, func(i, j int) bool {
-		if res.History[i].Gen != res.History[j].Gen {
-			return res.History[i].Gen < res.History[j].Gen
-		}
-		return res.History[i].Island < res.History[j].Island
-	})
-	return opts.Selector.Select(union, opts.ArchiveSize), nil
+	return eps, nil
 }
 
 // RunIslandWorker serves one island of a distributed run over the
@@ -366,12 +250,9 @@ func RunIslandWorker(r io.Reader, w io.Writer) error {
 
 // buildWorkerIsland reconstructs the worker's island from an init
 // frame: spec → Problem (revalidated), wire options → Options, then the
-// same evaluator wiring Optimize performs, scaled to the worker's own
-// budget.
+// same evaluator wiring Optimize performs, on a private pool of the
+// worker's own budget (the worker closes it).
 func buildWorkerIsland(init *wireInit) (*island, error) {
-	if init == nil {
-		return nil, errors.New("dse: island init frame without payload")
-	}
 	spec, err := model.ReadSpec(bytes.NewReader(init.SpecJSON))
 	if err != nil {
 		return nil, err
@@ -397,8 +278,8 @@ func buildWorkerIsland(init *wireInit) (*island, error) {
 		PruneDominated:    init.Opts.PruneDominated,
 		DisableDropping:   init.Opts.DisableDropping,
 		DisableRepair:     init.Opts.DisableRepair,
-		DisableBatch:      init.Opts.DisableBatch,
 		NoSeeds:           init.Opts.NoSeeds,
+		Pool:              workpool.New(init.Opts.Workers),
 	}
 	ev, opts := newRunEvaluator(p, opts)
 	return newIsland(init.Island, p, opts, init.Seed, ev), nil

@@ -112,9 +112,9 @@ type Options struct {
 	MigrationInterval int
 	// Distributed runs each island of a multi-island run in its own
 	// child process (a re-exec of the current binary), for multicore
-	// scaling past the Go runtime's shared-heap contention. The
-	// orchestration mirrors the in-process mode exactly — same seeds,
-	// legs and migration order — so the resulting Result is
+	// scaling past the Go runtime's shared-heap contention. One
+	// orchestrator drives in-process and out-of-process islands alike —
+	// same seeds, legs and migration order — so the resulting Result is
 	// byte-identical, counters included. Requires a built-in Selector
 	// and a host binary that routes to RunIslandWorker when
 	// IslandWorkerEnv is set (see cmd/ftmap); ignored at Islands=1.
@@ -123,7 +123,7 @@ type Options struct {
 	// workers instead of child processes: island i connects to
 	// IslandHosts[i mod len(IslandHosts)], each address serving island
 	// legs via ServeIslands (mcmapd -worker). Orchestration, seeds and
-	// merge order are identical to the pipe mode, so the final archive
+	// merge order are those of every other venue, so the final archive
 	// stays byte-identical to the in-process islands=K run. Connections
 	// are persistent with deadline-based heartbeats; a lost worker is
 	// re-dialed with exponential backoff and replayed, and on
@@ -132,22 +132,14 @@ type Options struct {
 	// depend on which worker died. Implies Distributed; ignored at
 	// Islands=1; not supported with checkpoint/resume (like Distributed).
 	IslandHosts []string
-	// DisableBatch forces per-candidate evaluation, switching off the
-	// generation-batched path that groups same-system genomes of a
-	// generation against one compiled system (shared analyses and
-	// phenotype replays — see batcheval.go). Batching never changes the
-	// optimization trajectory (archives are byte-identical either way,
-	// pinned by TestBatchedMatchesPerCandidate); only the scenario and
-	// batch counters differ, since shared analyses run the backend
-	// fewer times. This switch exists for ablation benchmarks and as an
-	// escape hatch.
-	DisableBatch bool
 	// Pool optionally shares a caller-owned worker budget across several
 	// Optimize runs — the experiments grid runs its seed × strategy ×
 	// benchmark cells concurrently against one pool so the whole grid
 	// saturates the machine without oversubscribing it. When nil (the
-	// default), Optimize creates a private pool of Workers slots. Sharing
-	// a pool never changes any run's trajectory, only its scheduling.
+	// default), Optimize creates a private pool of Workers slots and
+	// closes it before returning; a caller's pool is never closed.
+	// Sharing a pool never changes any run's trajectory, only its
+	// scheduling.
 	Pool *workpool.Pool
 	// Selector is the environmental selection strategy (default SPEA2,
 	// as in the paper).
@@ -183,11 +175,11 @@ type Options struct {
 	// streaming-progress hook of the analysis service. The engine
 	// serializes calls (multi-island runs record concurrently, but
 	// Progress never runs reentrantly); the callback must not block for
-	// long, since it runs on the island coordinator. Ring-migration
-	// annotations (GenStat.MigrantsIn) land in Result.History after the
-	// callback has fired for the barrier generation. Not invoked by
-	// Distributed runs, whose children own their histories until the
-	// finish.
+	// long, since it runs on the goroutine evolving the island.
+	// Ring-migration annotations (GenStat.MigrantsIn) land in
+	// Result.History after the callback has fired for the barrier
+	// generation. Not invoked by Distributed runs, whose children own
+	// their histories until the finish.
 	Progress func(GenStat)
 	// CheckpointSink, when non-nil, receives the full run state at every
 	// migration barrier (for single-island runs: every
@@ -249,8 +241,8 @@ type GenStat struct {
 	// BatchGroups counts the multi-member same-system groups the batched
 	// evaluator formed this generation; BatchHits counts the candidates
 	// served by a group sibling (a shared analysis or a phenotype
-	// replay) instead of a full pipeline of their own. Both zero with
-	// DisableBatch or when no generation member shares a system.
+	// replay) instead of a full pipeline of their own. Both zero when no
+	// generation member shares a system.
 	BatchGroups int
 	BatchHits   int
 }
@@ -406,29 +398,31 @@ func Optimize(p *Problem, opts Options) (*Result, error) {
 			fn(gs)
 		}
 	}
-	res := &Result{Stats: Stats{TechniqueCounts: map[hardening.Technique]int{}}}
-
+	if opts.Pool == nil {
+		opts.Pool = workpool.New(opts.Workers)
+		// Deferred before the islands run, so it fires after every
+		// endpoint has been closed or killed and no island still draws
+		// from the pool.
+		defer opts.Pool.Close()
+	}
 	ev, opts := newRunEvaluator(p, opts)
 
-	var archive []*Individual
-	if opts.Islands == 1 {
+	var eps []*islandEndpoint
+	if distributed {
 		var err error
-		archive, err = runSingle(p, opts, ev, res)
-		if err != nil {
-			return nil, err
-		}
-	} else if distributed {
-		var err error
-		archive, err = runIslandsDistributed(p, opts, res)
-		if err != nil {
+		if eps, err = remoteEndpoints(p, opts); err != nil {
 			return nil, err
 		}
 	} else {
-		var err error
-		archive, err = runIslands(p, opts, ev, res)
-		if err != nil {
-			return nil, err
+		for i, seed := range islandSeeds(opts.Seed, opts.Islands) {
+			eps = append(eps, &islandEndpoint{slot: i,
+				local: &islandWorker{isl: newIsland(i, p, opts, seed, ev)}})
 		}
+	}
+	res := &Result{Stats: Stats{TechniqueCounts: map[hardening.Technique]int{}}}
+	archive, err := runIslands(p, opts, eps, res)
+	if err != nil {
+		return nil, err
 	}
 
 	// Harvest.
@@ -444,63 +438,18 @@ func Optimize(p *Problem, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// runSingle is the single-island trajectory. Without checkpointing it is
-// one uninterrupted advance — the historical engine verbatim. With a
-// CheckpointSink or Resume it runs in MigrationInterval-generation legs,
-// checkpointing at each leg boundary below Generations; the legged loop
-// performs the identical operation sequence (advance(1,10); advance(11,20)
-// ≡ advance(1,20)), so the split never changes the trajectory.
-func runSingle(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individual, error) {
-	isl := newIsland(0, p, opts, opts.Seed, ev)
-	start := 1
-	if ck := opts.Resume; ck != nil {
-		restoreIsland(isl, &ck.Islands[0])
-		res.Stats.Migrations = ck.Migrations
-		start = ck.Gen + 1
-	} else if err := isl.init(); err != nil {
-		return nil, err
-	}
-	if opts.CheckpointSink == nil {
-		if err := isl.advance(start, opts.Generations); err != nil {
-			return nil, err
-		}
-	} else {
-		for from := start; from <= opts.Generations; from += opts.MigrationInterval {
-			to := from + opts.MigrationInterval - 1
-			if to > opts.Generations {
-				to = opts.Generations
-			}
-			if err := isl.advance(from, to); err != nil {
-				return nil, err
-			}
-			if to < opts.Generations {
-				if err := opts.CheckpointSink(captureCheckpoint(p, opts, []*island{isl}, to, 0)); err != nil {
-					return nil, fmt.Errorf("dse: checkpoint sink: %w", err)
-				}
-			}
-		}
-	}
-	res.Stats.merge(&isl.stats)
-	res.History = isl.history
-	return isl.archive, nil
-}
-
 // newRunEvaluator builds a run's evaluation machinery from its options:
-// one worker budget for the whole run — candidate evaluations acquire
-// from the pool, the scenario fan-out nested inside core.Analyze and
-// the SPEA-II selection kernels borrow spare tokens from the same pool
-// (see workpool), and every island draws from it too — plus the
-// pool-wired selector. Shared
-// by Optimize and the distributed-island worker (RunIslandWorker),
-// which performs exactly this wiring against its own child-sized
-// worker budget.
+// one worker budget for the whole run (opts.Pool, which must be set) —
+// candidate evaluations acquire from the pool, the scenario fan-out
+// nested inside core.Analyze and the SPEA-II selection kernels borrow
+// spare tokens from the same pool (see workpool), and every island
+// draws from it too — plus the pool-wired selector. Shared by Optimize
+// and the island worker (buildWorkerIsland), which performs exactly
+// this wiring against its own worker budget.
 func newRunEvaluator(p *Problem, opts Options) (evaluator, Options) {
 	ev := evaluator{
 		cfg:  p.Analysis,
 		pool: opts.Pool,
-	}
-	if ev.pool == nil {
-		ev.pool = workpool.New(opts.Workers)
 	}
 	ev.cfg.Pool = ev.pool
 	if opts.PruneDominated {
@@ -593,7 +542,7 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, batchCounters,
 	var bc batchCounters
 	// Groups — not candidates — are the fan-out unit, keeping every
 	// sharing decision worker-count independent.
-	groups := buildBatchGroups(p, genomes, opts.DisableBatch)
+	groups := buildBatchGroups(p, genomes)
 	// The island goroutine is the batch coordinator: it blocks for ONE
 	// pool slot (keeping sibling islands budget-bounded), then drains the
 	// group list inline, with up to width-1 helpers submitted to the

@@ -2,31 +2,35 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime/pprof"
 	"sort"
 	"strconv"
-	"sync"
 
 	"mcmap/internal/hardening"
 )
 
-// This file implements the island-model layer of the GA: K SPEA-II
-// populations evolve concurrently on the run's shared worker budget, with
-// periodic Pareto-elite migration over a ring topology and a final
-// cross-island non-dominated merge. A single-island run takes the same
-// code path minus migration and merge, performing exactly the operations
-// of the pre-island engine in the same order — the islands=1 trajectory
-// is byte-identical to the historical single-trajectory GA (pinned by
-// TestIslandOneMatchesGolden).
+// This file implements the island-model layer of the GA and its one
+// orchestrator. K SPEA-II populations evolve concurrently, with periodic
+// Pareto-elite migration over a ring topology and a final cross-island
+// non-dominated merge. runIslands drives every island through the same
+// request sequence — init, advance legs, elites and migrants at each
+// barrier, finish — over an islandEndpoint (transport.go), whatever
+// venue serves it: an in-process island on the run's shared worker
+// pool, a child process over pipes, or a fleet worker over TCP
+// (distributed.go). A single-island run is the K=1 case minus migration
+// and merge, performing exactly the operations of the pre-island engine
+// in the same order — the islands=1 trajectory is byte-identical to the
+// historical single-trajectory GA (pinned by TestIslandOneMatchesGolden).
 //
 // Determinism: each island owns an independent RNG stream derived from
 // Options.Seed (see islandSeeds), islands synchronize only at migration
-// barriers, and migration itself runs sequentially in island order on the
-// coordinator. Candidate evaluation is pure per genome and islands share
-// no mutable evaluation state, so the archives AND every counter are
-// deterministic functions of the seed.
+// barriers, and every run-level aggregate folds in island slot order.
+// Candidate evaluation is pure per genome and islands share no mutable
+// evaluation state, so the archives AND every counter are deterministic
+// functions of the seed, in every venue.
 
 // IslandStat summarizes one island's trajectory in a multi-island run.
 type IslandStat struct {
@@ -88,7 +92,6 @@ type island struct {
 	archive []*Individual
 	history []GenStat
 	stats   Stats
-	err     error
 
 	migrantsIn, migrantsOut int
 }
@@ -256,33 +259,18 @@ func (isl *island) islandStat() IslandStat {
 	return st
 }
 
-// forEachIsland runs fn on every island, concurrently when there is more
-// than one. Island goroutines carry the island's pprof labels, which
-// every goroutine they spawn (evaluation workers, selection helpers,
-// scenario helpers) inherits.
-func forEachIsland(islands []*island, fn func(*island) error) error {
-	if len(islands) == 1 {
-		islands[0].err = fn(islands[0])
-	} else {
-		var wg sync.WaitGroup
-		for _, isl := range islands {
-			wg.Add(1)
-			//lint:allow gospawn one coordinator per island; all work inside acquires from the shared pool
-			go func(isl *island) {
-				defer wg.Done()
-				pprof.Do(isl.ctx, pprof.Labels(), func(context.Context) {
-					isl.err = fn(isl)
-				})
-			}(isl)
-		}
-		wg.Wait()
+// receive merges a ring neighbour's migrants into the archive through
+// the island's environmental selection and annotates the last recorded
+// generation. outCount is the size of the elite set this island sent in
+// the same round.
+func (isl *island) receive(in []*Individual, outCount int) {
+	isl.migrantsOut += outCount
+	isl.migrantsIn += len(in)
+	union := append(append([]*Individual(nil), isl.archive...), in...)
+	isl.archive = isl.selectArchive(union)
+	if len(isl.history) > 0 {
+		isl.history[len(isl.history)-1].MigrantsIn += len(in)
 	}
-	for _, isl := range islands {
-		if isl.err != nil {
-			return fmt.Errorf("dse: island %d: %w", isl.idx, isl.err)
-		}
-	}
-	return nil
 }
 
 // migrationElites is how many archive members each island sends per
@@ -295,103 +283,163 @@ func migrationElites(archiveSize int) int {
 	return n
 }
 
-// migrateRing performs one migration round over the ring topology:
-// island i receives the elites of island i-1 (mod K). All outgoing elite
-// sets are captured from the pre-migration archives first, then merged
-// sequentially in island order through each receiver's environmental
-// selection, so the round is a deterministic function of the archives.
-// The merge is annotated on the last recorded generation's MigrantsIn.
-// Returns the total number of migrants exchanged.
-func migrateRing(islands []*island) int {
-	k := len(islands)
-	n := migrationElites(islands[0].opts.ArchiveSize)
-	outs := make([][]*Individual, k)
-	for i, isl := range islands {
-		outs[i] = isl.elites(n)
-	}
-	total := 0
-	for i, isl := range islands {
-		in := outs[(i-1+k)%k]
-		if len(in) == 0 {
-			continue
+// runIslands is the island orchestrator. Each leg of MigrationInterval
+// generations is one advance request to every endpoint; below the
+// horizon a barrier follows: one ring-migration round when there is more
+// than one island, then the checkpoint. The finish replies fold in slot
+// order. A single island's archive is the result as is; K archives merge
+// through one last environmental selection over their union. Resume and
+// CheckpointSink reach into in-process islands, so Optimize refuses them
+// for remote endpoints.
+func runIslands(p *Problem, opts Options, eps []*islandEndpoint, res *Result) ([]*Individual, error) {
+	k := len(eps)
+	failed := true
+	defer func() {
+		if failed {
+			for _, ep := range eps {
+				ep.kill()
+			}
 		}
-		isl.migrantsOut += len(outs[i])
-		isl.migrantsIn += len(in)
-		union := append(append([]*Individual(nil), isl.archive...), in...)
-		isl.archive = isl.selectArchive(union)
-		if len(isl.history) > 0 {
-			isl.history[len(isl.history)-1].MigrantsIn += len(in)
-		}
-		total += len(in)
-	}
-	return total
-}
+	}()
 
-// runIslands is the multi-island orchestrator: parallel legs of
-// MigrationInterval generations separated by sequential ring-migration
-// barriers, then a final cross-island merge through one last
-// environmental selection over the union of all archives.
-func runIslands(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individual, error) {
-	seeds := islandSeeds(opts.Seed, opts.Islands)
-	islands := make([]*island, opts.Islands)
-	for i := range islands {
-		islands[i] = newIsland(i, p, opts, seeds[i], ev)
+	// broadcast sends one request to every listed endpoint, then collects
+	// the replies in slot order; the islands overlap their computation.
+	broadcast := func(idx []int, req func(i int) *wireMsg, wantKind string) ([]*wireMsg, error) {
+		for _, i := range idx {
+			eps[i].send(req(i), wantKind)
+		}
+		replies := make([]*wireMsg, k)
+		for _, i := range idx {
+			msg, err := eps[i].collect()
+			if err != nil {
+				return nil, fmt.Errorf("dse: island %d: %w", i, err)
+			}
+			replies[i] = msg
+		}
+		return replies, nil
+	}
+	all := make([]int, k)
+	for i := range all {
+		all[i] = i
 	}
 
-	startGen := 1
+	start := 1
 	if ck := opts.Resume; ck != nil {
 		// Restore every island to the barrier state (archives, histories,
-		// stats, fast-forwarded RNGs); the leg loop then continues from
-		// the generation after the checkpointed one.
-		for i := range islands {
-			restoreIsland(islands[i], &ck.Islands[i])
+		// stats, fast-forwarded RNGs); the legs continue from the
+		// generation after the checkpointed one.
+		for i, ep := range eps {
+			restoreIsland(ep.local.isl, &ck.Islands[i])
 		}
 		res.Stats.Migrations = ck.Migrations
-		startGen = ck.Gen + 1
-	} else if err := forEachIsland(islands, func(isl *island) error { return isl.init() }); err != nil {
+		start = ck.Gen + 1
+	} else if _, err := broadcast(all, func(i int) *wireMsg {
+		return &wireMsg{Kind: kindInit, Init: eps[i].init}
+	}, kindAck); err != nil {
 		return nil, err
 	}
-	for start := startGen; start <= opts.Generations; start += opts.MigrationInterval {
-		end := start + opts.MigrationInterval - 1
-		if end > opts.Generations {
-			end = opts.Generations
+
+	// The coordinator checks cancellation at leg boundaries; in-process
+	// islands also check it between generations and candidate claims.
+	for from := start; from <= opts.Generations; from += opts.MigrationInterval {
+		if opts.Context != nil {
+			if err := opts.Context.Err(); err != nil {
+				return nil, err
+			}
 		}
-		if err := forEachIsland(islands, func(isl *island) error { return isl.advance(start, end) }); err != nil {
+		to := from + opts.MigrationInterval - 1
+		if to > opts.Generations {
+			to = opts.Generations
+		}
+		if _, err := broadcast(all, func(int) *wireMsg {
+			return &wireMsg{Kind: kindAdvance, From: from, To: to}
+		}, kindAck); err != nil {
 			return nil, err
 		}
-		if end < opts.Generations {
-			pprof.Do(context.Background(), pprof.Labels("phase", "migrate"), func(context.Context) {
-				res.Stats.Migrations += migrateRing(islands)
-			})
-			if opts.CheckpointSink != nil {
-				// The barrier is complete (migration applied): everything
-				// the remaining run depends on is in the islands'
-				// serialized state.
-				if err := opts.CheckpointSink(captureCheckpoint(p, opts, islands, end, res.Stats.Migrations)); err != nil {
-					return nil, fmt.Errorf("dse: checkpoint sink: %w", err)
+		if to == opts.Generations {
+			break
+		}
+		if k > 1 {
+			// One ring-migration round: island i receives the elites of
+			// island i-1. Every elite set is captured from the pre-merge
+			// archives before any island merges; islands receiving an
+			// empty set are skipped entirely, including their MigrantsOut
+			// tally.
+			n := migrationElites(opts.ArchiveSize)
+			elites, err := broadcast(all, func(int) *wireMsg {
+				return &wireMsg{Kind: kindElites, N: n}
+			}, kindElites)
+			if err != nil {
+				return nil, err
+			}
+			var receivers []int
+			for i := 0; i < k; i++ {
+				if in := elites[(i-1+k)%k].Elites; len(in) > 0 {
+					receivers = append(receivers, i)
+					res.Stats.Migrations += len(in)
 				}
+			}
+			if _, err := broadcast(receivers, func(i int) *wireMsg {
+				return &wireMsg{
+					Kind:     kindMigrants,
+					In:       elites[(i-1+k)%k].Elites,
+					OutCount: len(elites[i].Elites),
+				}
+			}, kindAck); err != nil {
+				return nil, err
+			}
+		}
+		if opts.CheckpointSink != nil {
+			// The barrier is complete (migration applied): everything the
+			// remaining run depends on is in the islands' serialized state.
+			islands := make([]*island, k)
+			for i, ep := range eps {
+				islands[i] = ep.local.isl
+			}
+			if err := opts.CheckpointSink(captureCheckpoint(p, opts, islands, to, res.Stats.Migrations)); err != nil {
+				return nil, fmt.Errorf("dse: checkpoint sink: %w", err)
 			}
 		}
 	}
 
-	// Fold per-island statistics and histories; the history is ordered by
-	// (generation, island) so convergence plots interleave naturally.
-	for _, isl := range islands {
-		res.Stats.merge(&isl.stats)
-		res.Stats.IslandStats = append(res.Stats.IslandStats, isl.islandStat())
-		res.History = append(res.History, isl.history...)
+	dones, err := broadcast(all, func(int) *wireMsg { return &wireMsg{Kind: kindFinish} }, kindDone)
+	if err != nil {
+		return nil, err
 	}
+	failed = false
+	for i, ep := range eps {
+		if err := ep.close(); err != nil {
+			return nil, fmt.Errorf("dse: island worker %d exited: %w", i, err)
+		}
+		if ep.takenOver {
+			res.Stats.IslandTakeovers++
+		}
+	}
+
+	union := make([]*Individual, 0, k*opts.ArchiveSize)
+	for _, msg := range dones {
+		d := msg.Done
+		if d == nil {
+			return nil, errors.New("dse: island worker sent an empty done frame")
+		}
+		res.Stats.merge(&d.Stats)
+		res.History = append(res.History, d.History...)
+		union = append(union, d.Archive...)
+		if k > 1 {
+			res.Stats.IslandStats = append(res.Stats.IslandStats, d.Island)
+		}
+	}
+	if k == 1 {
+		return union, nil
+	}
+	// The history is ordered by (generation, island) so convergence plots
+	// interleave naturally.
 	sort.SliceStable(res.History, func(i, j int) bool {
 		if res.History[i].Gen != res.History[j].Gen {
 			return res.History[i].Gen < res.History[j].Gen
 		}
 		return res.History[i].Island < res.History[j].Island
 	})
-
-	union := make([]*Individual, 0, opts.Islands*opts.ArchiveSize)
-	for _, isl := range islands {
-		union = append(union, isl.archive...)
-	}
 	var merged []*Individual
 	pprof.Do(context.Background(), pprof.Labels("phase", "migrate"), func(context.Context) {
 		merged = opts.Selector.Select(union, opts.ArchiveSize)

@@ -77,13 +77,10 @@ func TestIslandOneMatchesGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Workers=1 and DisableBatch run the schedule and the
-			// per-candidate evaluation path the golden capture ran on;
-			// multi-worker runs are covered by the determinism tests and
-			// batched ones by TestBatchedMatchesPerCandidate.
+			// Workers=1 runs the schedule the golden capture ran on;
+			// multi-worker runs are covered by the determinism tests.
 			opts := tc.opts
 			opts.Workers = 1
-			opts.DisableBatch = true
 			res, err := Optimize(p, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -1,17 +1,18 @@
 package dse
 
-// This file is the transport-agnostic half of the distributed-island
-// protocol: framing (length-prefixed self-contained gob, flate-compressed
-// above a size threshold), the Transport interface both the pipe and TCP
+// This file is the venue-agnostic half of the island protocol: framing
+// (length-prefixed self-contained gob, flate-compressed above a size
+// threshold), the Transport interface both the pipe and TCP
 // implementations satisfy, the worker-side protocol state machine shared
-// by every server (pipe child, TCP fleet worker, coordinator-local
-// takeover), and the coordinator's per-island endpoint with its replay
-// log and failure recovery. The orchestration itself — legs, migration,
-// merge — lives in distributed.go and never sees which transport carries
-// its frames.
+// by every venue (in-process island, pipe child, TCP fleet worker,
+// coordinator-local takeover), and the coordinator's per-island
+// endpoint. The orchestrator (runIslands, island.go) talks to endpoints
+// only; it never sees whether an island runs in-process, behind a pipe
+// or behind a socket.
 //
-// Failure model. Every state-bearing request the worker has acknowledged
-// (init, advance, migrants) is appended to the endpoint's replay log.
+// Failure model. Every state-bearing request a remote worker has
+// acknowledged (init, advance, migrants) is appended to the endpoint's
+// replay log.
 // Island evolution is a pure function of that request sequence — the
 // init frame pins the problem, options and seed; advance and migrants
 // frames pin every RNG draw and archive merge — so a lost worker is
@@ -30,11 +31,14 @@ package dse
 import (
 	"bytes"
 	"compress/flate"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"runtime/pprof"
+	"sync"
 	"sync/atomic"
 )
 
@@ -192,11 +196,16 @@ func checkReply(msg *wireMsg, wantKind string) (*wireMsg, error) {
 
 // islandWorker is the worker-side protocol state machine: one island
 // driven through init / advance / elites / migrants / finish requests.
-// It is shared verbatim by the pipe server (RunIslandWorker), the TCP
-// fleet server (ServeIslands) and the coordinator's local takeover, so
-// every execution venue performs the identical operation sequence.
+// It is shared verbatim by in-process islands, the pipe server
+// (RunIslandWorker), the TCP fleet server (ServeIslands) and the
+// coordinator's local takeover, so every execution venue performs the
+// identical operation sequence.
 type islandWorker struct {
 	isl *island
+	// ownsPool is set when the island was built from an init payload,
+	// on a private pool the worker must release. In-process islands are
+	// built up front on the run's pool, which Optimize owns.
+	ownsPool bool
 }
 
 // handle applies one request and returns its reply. A returned error is
@@ -208,14 +217,20 @@ func (w *islandWorker) handle(msg *wireMsg) (*wireMsg, error) {
 	}
 	switch msg.Kind {
 	case kindInit:
-		isl, err := buildWorkerIsland(msg.Init)
-		if err == nil {
-			err = isl.init()
+		// A payload builds the island; an in-process island is built
+		// already and its init frame carries none.
+		if msg.Init != nil {
+			isl, err := buildWorkerIsland(msg.Init)
+			if err != nil {
+				return nil, err
+			}
+			w.isl, w.ownsPool = isl, true
+		} else if w.isl == nil {
+			return nil, errors.New("dse: island init frame without payload")
 		}
-		if err != nil {
+		if err := w.isl.init(); err != nil {
 			return nil, err
 		}
-		w.isl = isl
 		return &wireMsg{Kind: kindAck}, nil
 	case kindAdvance:
 		if err := w.isl.advance(msg.From, msg.To); err != nil {
@@ -225,16 +240,7 @@ func (w *islandWorker) handle(msg *wireMsg) (*wireMsg, error) {
 	case kindElites:
 		return &wireMsg{Kind: kindElites, Elites: w.isl.elites(msg.N)}, nil
 	case kindMigrants:
-		// The receiver half of migrateRing, verbatim: counters, selection
-		// merge, history annotation.
-		isl := w.isl
-		isl.migrantsOut += msg.OutCount
-		isl.migrantsIn += len(msg.In)
-		union := append(append([]*Individual(nil), isl.archive...), msg.In...)
-		isl.archive = isl.selectArchive(union)
-		if len(isl.history) > 0 {
-			isl.history[len(isl.history)-1].MigrantsIn += len(msg.In)
-		}
+		w.isl.receive(msg.In, msg.OutCount)
 		return &wireMsg{Kind: kindAck}, nil
 	case kindFinish:
 		return &wireMsg{Kind: kindDone, Done: &wireDone{
@@ -248,56 +254,79 @@ func (w *islandWorker) handle(msg *wireMsg) (*wireMsg, error) {
 	}
 }
 
-// close releases the worker's private pool (buildWorkerIsland always
-// creates one; the wire carries no shared pools). Call only after the
-// last handle has returned — fan-outs have joined by then.
+// close releases the pool the worker built from an init payload. Call
+// only after the last handle has returned — fan-outs have joined by
+// then.
 func (w *islandWorker) close() {
-	if w.isl != nil && w.isl.ev.pool != nil {
+	if w.ownsPool {
 		w.isl.ev.pool.Close()
 	}
 }
 
-// islandEndpoint is the coordinator's handle on one island slot: the
-// transport carrying its frames, the replay log that makes worker loss
-// recoverable, and — after a takeover — the in-process worker serving
-// the slot for the rest of the run.
+// islandEndpoint is the coordinator's handle on one island slot. An
+// in-process slot is a local worker from the start. A remote slot has
+// the transport carrying its frames and the replay log that makes
+// worker loss recoverable — and, after a takeover, the local worker
+// serving the slot for the rest of the run.
 type islandEndpoint struct {
 	slot int
+	// init is the payload of the slot's init request: the spec, options
+	// and seed a remote worker builds its island from. Nil for
+	// in-process slots, whose island is built up front.
+	init *wireInit
 	tr   Transport
 	// log accumulates the state-bearing requests (init, advance,
-	// migrants) the worker has acknowledged, in order. It is the slot's
-	// recovery script: replayed against a fresh worker it reconstructs
-	// the exact island state, because evolution is deterministic in the
-	// request sequence. Elites and finish requests are read-only and are
-	// not logged. The log is small — a handful of control frames per leg
-	// plus the migrant payloads.
+	// migrants) the remote worker has acknowledged, in order. It is the
+	// slot's recovery script: replayed against a fresh worker it
+	// reconstructs the exact island state, because evolution is
+	// deterministic in the request sequence. Elites and finish requests
+	// are read-only and are not logged, and local workers keep no log.
+	// The log is small — a handful of control frames per leg plus the
+	// migrant payloads.
 	log []*wireMsg
-	// local is non-nil once the slot has been taken over; requests are
-	// then applied in-process and the transport is dead.
-	local *islandWorker
+	// local serves the slot in-process: set up front for in-process
+	// slots, and after a takeover (takenOver) for remote ones, whose
+	// transport is dead from then on.
+	local     *islandWorker
+	takenOver bool
 	// pending is the request sent by the broadcast phase whose reply has
 	// not been collected yet, with the reply kind it expects.
 	pending     *wireMsg
 	pendingKind string
-	// takeovers points at the run-level counter shared by all endpoints.
-	takeovers *int
+	// running joins the goroutine applying a request to the local
+	// worker; reply and err are its outcome, read after the join.
+	running sync.WaitGroup
+	reply   *wireMsg
+	err     error
 }
 
-// send starts one request/reply exchange. Transport write errors are
-// deliberately swallowed: the matching collect observes the broken
-// stream on its read and owns all recovery, which keeps the broadcast's
+// send starts one request/reply exchange. A local worker applies the
+// request on its own goroutine, under the island's pprof labels (which
+// every goroutine it spawns inherits), so the islands of a broadcast
+// compute concurrently. Transport write errors are deliberately
+// swallowed: the matching collect observes the broken stream on its
+// read and owns all recovery, which keeps the broadcast's
 // send-all-then-collect overlap intact.
 func (ep *islandEndpoint) send(req *wireMsg, wantKind string) {
 	ep.pending, ep.pendingKind = req, wantKind
-	if ep.local != nil {
+	if ep.local == nil {
+		_ = ep.tr.Send(req)
 		return
 	}
-	_ = ep.tr.Send(req)
+	w := ep.local
+	ep.running.Add(1)
+	//lint:allow gospawn one coordinator goroutine per island request; all work inside acquires from the shared pool
+	go func() {
+		defer ep.running.Done()
+		pprof.Do(w.isl.ctx, pprof.Labels(), func(context.Context) {
+			ep.reply, ep.err = w.handle(req)
+		})
+	}()
 }
 
-// collect finishes the exchange send started: it reads the reply (or
-// applies the request in-process after a takeover), logging state-
-// bearing requests once acknowledged. On a transport failure it runs the
+// collect finishes the exchange send started: it joins the local
+// worker's goroutine, or reads the remote reply and logs the
+// acknowledged state-bearing request. On a transport failure it runs the
 // recovery ladder — reconnect + replay where the transport supports it,
 // deterministic local takeover otherwise — and only reports an error for
 // worker-side failures, which no venue can outrun.
@@ -308,12 +337,10 @@ func (ep *islandEndpoint) collect() (*wireMsg, error) {
 		return nil, fmt.Errorf("dse: island %d: collect without a pending request", ep.slot)
 	}
 	if ep.local != nil {
-		reply, err := ep.local.handle(req)
-		if err != nil {
-			return nil, err
-		}
-		ep.logIf(req)
-		return reply, nil
+		ep.running.Wait()
+		reply, err := ep.reply, ep.err
+		ep.reply, ep.err = nil, nil
+		return reply, err
 	}
 	reply, err := ep.tr.Recv(want)
 	if err == nil {
@@ -355,9 +382,7 @@ func (ep *islandEndpoint) recover(req *wireMsg, want string) (*wireMsg, error) {
 		w.close()
 		return nil, err
 	}
-	ep.local = w
-	*ep.takeovers++
-	ep.logIf(req)
+	ep.local, ep.takenOver = w, true
 	return reply, nil
 }
 
@@ -392,20 +417,23 @@ func (ep *islandEndpoint) logIf(req *wireMsg) {
 }
 
 // close releases the endpoint after a successful run: clean transport
-// shutdown for remote slots, pool release for taken-over ones.
+// shutdown for remote slots, the same release as kill for local ones.
 func (ep *islandEndpoint) close() error {
-	if ep.local != nil {
-		ep.local.close()
-		return nil
+	if ep.local == nil {
+		return ep.tr.Close()
 	}
-	return ep.tr.Close()
+	ep.kill()
+	return nil
 }
 
-// kill tears the endpoint down on error paths.
+// kill tears the endpoint down on error paths. A local request still in
+// flight is waited out before the worker releases its pool, so a failed
+// or cancelled run has released every pool slot when Optimize returns.
 func (ep *islandEndpoint) kill() {
-	if ep.local != nil {
-		ep.local.close()
+	if ep.local == nil {
+		ep.tr.Kill()
 		return
 	}
-	ep.tr.Kill()
+	ep.running.Wait()
+	ep.local.close()
 }

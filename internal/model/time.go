@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is the base time unit of the library: one microsecond, stored as a
 // signed 64-bit integer. All schedulability arithmetic is performed on
@@ -28,10 +31,14 @@ func (t Time) IsInfinite() bool { return t >= Infinity }
 func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
 
 // String renders the time in engineering units (us, ms or s).
+// math.MinInt64 has no positive counterpart, so it prints as raw
+// microseconds.
 func (t Time) String() string {
 	switch {
 	case t.IsInfinite():
 		return "inf"
+	case t == math.MinInt64:
+		return fmt.Sprintf("%dus", int64(t))
 	case t < 0:
 		return "-" + (-t).String()
 	case t < Millisecond:

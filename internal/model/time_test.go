@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +19,8 @@ func TestTimeString(t *testing.T) {
 		{Second, "1s"},
 		{1500 * Millisecond, "1.500s"},
 		{-2 * Millisecond, "-2ms"},
+		{math.MinInt64, "-9223372036854775808us"},
+		{math.MinInt64 + 1, "-inf"},
 		{Infinity, "inf"},
 		{Infinity + 5, "inf"},
 	}

@@ -214,38 +214,3 @@ func (p *Pool) FanOut(max int, work func()) {
 		f.wait()
 	}
 }
-
-// FanOutChunked partitions the index range [0, n) into contiguous
-// chunks of size grain and runs body over them from the calling
-// goroutine plus up to max-1 pool helpers. body must be safe for
-// concurrent invocation on disjoint ranges; chunks are claimed off a
-// shared atomic cursor, so per-chunk overhead is one atomic add.
-// Use a grain that amortizes submission cost over cheap jobs (see
-// core's measured-cost heuristic) while leaving enough chunks to
-// balance load.
-func (p *Pool) FanOutChunked(max, n, grain int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	if p == nil || max <= 1 || n <= grain {
-		body(0, n)
-		return
-	}
-	var next atomic.Int64
-	p.FanOut(max, func() {
-		for {
-			lo := int(next.Add(int64(grain))) - grain
-			if lo >= n {
-				return
-			}
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			body(lo, hi)
-		}
-	})
-}

@@ -127,37 +127,6 @@ func TestFanOutCompletesClaimedJobs(t *testing.T) {
 	}
 }
 
-func TestFanOutChunked(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	for _, tc := range []struct{ n, grain int }{
-		{0, 5}, {1, 1}, {7, 3}, {100, 7}, {64, 64}, {64, 1000}, {50, 0},
-	} {
-		seen := make([]atomic.Int64, tc.n)
-		p.FanOutChunked(8, tc.n, tc.grain, func(lo, hi int) {
-			if lo < 0 || hi > tc.n || lo >= hi {
-				t.Errorf("n=%d grain=%d: bad chunk [%d,%d)", tc.n, tc.grain, lo, hi)
-				return
-			}
-			for i := lo; i < hi; i++ {
-				seen[i].Add(1)
-			}
-		})
-		for i := range seen {
-			if got := seen[i].Load(); got != 1 {
-				t.Fatalf("n=%d grain=%d: index %d covered %d times", tc.n, tc.grain, i, got)
-			}
-		}
-	}
-	// Nil pool still covers the range inline.
-	var np *Pool
-	var sum atomic.Int64
-	np.FanOutChunked(8, 10, 3, func(lo, hi int) { sum.Add(int64(hi - lo)) })
-	if sum.Load() != 10 {
-		t.Fatalf("nil-pool FanOutChunked covered %d of 10", sum.Load())
-	}
-}
-
 // TestFanOutLateHelperNoOp asserts that a helper starting after the
 // fan-out returned observes no work (the documented contract) rather
 // than re-running jobs.

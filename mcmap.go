@@ -216,10 +216,12 @@ type (
 	// Estimator is a WCRT estimation method (Proposed/Naive/Adhoc/WC-Sim).
 	Estimator = core.Estimator
 	// ExecBounds is a per-job execution-time interval (the [bcet', wcet']
-	// of Algorithm 1), the unit of AnalyzeBatch's candidate vectors.
+	// of Algorithm 1), the element type of the Exec vector of each
+	// Report.Scenarios entry.
 	ExecBounds = sched.ExecBounds
 	// SchedResult is one raw schedulability-analysis result (per-job
-	// bounds and verdict), as returned by AnalyzeBatch.
+	// bounds and verdict), the type of Report.Normal and of the Result
+	// of each Report.Scenarios entry.
 	SchedResult = sched.Result
 )
 
@@ -251,16 +253,6 @@ func NewAnalysisConfig() AnalysisConfig { return core.NewConfig() }
 // AnalyzeWCRTWith is AnalyzeWCRT with an explicit configuration.
 func AnalyzeWCRTWith(sys *System, dropped DropSet, cfg AnalysisConfig) (*Report, error) {
 	return core.Analyze(sys, dropped, cfg)
-}
-
-// AnalyzeBatch evaluates many candidate execution-interval vectors
-// against one compiled system in a single call: the vectors' analyses
-// fan out over cfg.Workers, and results[i] matches an independent
-// analysis of execs[i] exactly. Use it to sweep execution-bound
-// hypotheses — sensitivity scans, portfolio re-validation — over a
-// fixed mapping.
-func AnalyzeBatch(sys *System, execs [][]ExecBounds, cfg AnalysisConfig) ([]*SchedResult, error) {
-	return core.AnalyzeBatch(sys, execs, cfg)
 }
 
 // TaskSlack is the per-task WCET headroom record of Sensitivity.
