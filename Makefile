@@ -2,7 +2,7 @@
 # extra dependencies are required.
 
 GO         ?= go
-BENCH      ?= BenchmarkAnalyzeParallel|BenchmarkScenarioDedup|BenchmarkAlgorithm1|BenchmarkHolistic|BenchmarkWorstFinishKernel|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport
+BENCH      ?= BenchmarkScenarioDedup|BenchmarkAlgorithm1|BenchmarkHolistic|BenchmarkWorstFinishKernel|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport
 # BENCHPKGS lists every package contributing guarded benchmarks: the
 # root integration benchmarks plus the dse package's evaluation-primitive
 # benchmarks.
@@ -53,14 +53,16 @@ wire-schema:
 	@git diff --stat -- internal/lint/testdata/wire_schema.golden
 
 # fuzz smoke-tests the spec input path, the static validator, the
-# distributed frame layer and the analysis (production Reports against
-# the reference backend's) for $(FUZZTIME) each (the same budget the CI
-# job uses). Native Go fuzzing: one target per invocation.
+# distributed frame layer, the analysis (production Reports against
+# the reference backend's) and whole-generation evaluation (evaluateAll
+# against per-candidate Evaluate) for $(FUZZTIME) each (the same budget
+# the CI job uses). Native Go fuzzing: one target per invocation.
 fuzz:
 	$(GO) test ./internal/model -run '^$$' -fuzz FuzzReadSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/validate -run '^$$' -fuzz FuzzCheckSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dse -run '^$$' -fuzz FuzzTransportFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReferenceReportParity -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dse -run '^$$' -fuzz FuzzEvaluateAllMatchesEvaluate -fuzztime $(FUZZTIME)
 
 # bench runs the performance-critical micro-benchmarks and writes the
 # machine-readable results (a test2json stream, one JSON object per
@@ -79,34 +81,29 @@ bench:
 # kernels regressed >15% against the committed $(BENCHOUT) baseline, or
 # when the parallel variants stop scaling: the -ratio assertions are
 # evaluated WITHIN the fresh run (machine speed cancels out). The
-# workers gate reads the w8_over_w1 metric, which the benchmark
-# computes by interleaving both widths in one timing window (immune to
-# the minute-scale machine-speed drift that separately-timed pairs
-# absorb): workers=8 must stay within 10% of workers=1 even on a
-# single-core host (the fan-out clamps to the schedulable
-# parallelism). The island gate compares islands=4 against running the
-# same four trajectories sequentially — within 30%. The batching gate
+# island gate compares islands=4 against running the same four
+# trajectories sequentially — within 30%. The batching gate
 # reads batched_over_percand from the dse package's evaluation-primitive
 # benchmark: generation-batched evaluation must stay at least 1.2x
 # faster than per-candidate on a same-system cohort generation. The
 # transport gate bounds persistent-TCP distributed runs against the
 # fork/exec pipe mode. Same gates CI runs; see .github/workflows/ci.yml.
 benchguard:
-	$(GO) test -run '^$$' -bench 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkAnalyzeParallel|BenchmarkScenarioDedup|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport' -count 3 -json $(BENCHPKGS) > bench_current.json
+	$(GO) test -run '^$$' -bench 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkScenarioDedup|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport' -count 3 -json $(BENCHPKGS) > bench_current.json
 	$(GO) run ./cmd/benchguard -baseline $(BENCHOUT) -current bench_current.json \
 		-threshold 15 -require 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkIslandDSE/islands=1|BenchmarkSPEA2Select' \
-		-ratio 'BenchmarkAnalyzeParallel/tasks=162/scenarios=15/workers=8vs1:w8_over_w1<=1.10,BenchmarkIslandDSE/islands=4<=1.30*BenchmarkIslandDSE/islands=1,BenchmarkDaemonWarmVsCold:warm_over_cold<=0.20,BenchmarkGenerationBatching:batched_over_percand<=0.83,BenchmarkDistributedTransport/transport=tcp<=1.10*BenchmarkDistributedTransport/transport=pipe'
+		-ratio 'BenchmarkIslandDSE/islands=4<=1.30*BenchmarkIslandDSE/islands=1,BenchmarkDaemonWarmVsCold:warm_over_cold<=0.20,BenchmarkGenerationBatching:batched_over_percand<=0.83,BenchmarkDistributedTransport/transport=tcp<=1.10*BenchmarkDistributedTransport/transport=pipe'
 	@rm -f bench_current.json
 
-# profile captures cpu, mutex and block profiles of the two
-# parallel-scaling benchmarks (the scenario fan-out and the island-model
-# GA) for contention hunting: the mutex and block profiles show where
-# fan-out workers serialize (freelists, cache shards, pool semaphore),
-# the cpu profile where the cycles go. Inspect with
-#   go tool pprof $(PROFDIR)/bench.test $(PROFDIR)/analyze_mutex.out
+# profile captures cpu, mutex and block profiles of Algorithm 1 on
+# growing systems and of the island-model GA, for hot-spot and
+# contention hunting: the mutex and block profiles show where island
+# workers serialize (scratch freelist, pool semaphore), the cpu profile
+# where the cycles go. Inspect with
+#   go tool pprof $(PROFDIR)/bench.test $(PROFDIR)/analyze_cpu.out
 profile:
 	@mkdir -p $(PROFDIR)
-	$(GO) test -run '^$$' -bench 'BenchmarkAnalyzeParallel' -o $(PROFDIR)/bench.test \
+	$(GO) test -run '^$$' -bench 'BenchmarkAlgorithm1Scaling' -o $(PROFDIR)/bench.test \
 		-cpuprofile $(PROFDIR)/analyze_cpu.out -mutexprofile $(PROFDIR)/analyze_mutex.out \
 		-blockprofile $(PROFDIR)/analyze_block.out .
 	$(GO) test -run '^$$' -bench 'BenchmarkIslandDSE' -o $(PROFDIR)/bench.test \

@@ -290,121 +290,6 @@ func BenchmarkAlgorithm1Scaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeParallel measures the parallel scenario fan-out of
-// Algorithm 1 at growing worker counts, across systems with growing
-// scenario sets: DT-large (a few dozen deduplicated scenarios), a wide
-// synthetic whose scenario count is several times larger, and a
-// 64-task fixture whose per-scenario cost gives the fan-out maximal
-// grain (the measured-cost heuristic in internal/core sizes chunks off
-// job 0's observed runtime, so both the many-cheap-jobs and the
-// few-expensive-jobs regimes need coverage). Workers=1 is the
-// sequential engine; the output Report is identical at every setting
-// (see TestParallelAnalyzeEquivalence), so this is a pure wall-clock
-// comparison. Every workers>1 variant reports a `speedup` metric
-// against the workers=1 run of the same system (informational — the
-// two windows are minutes apart, so machine drift contaminates it);
-// the workers=8vs1 variant interleaves both widths in one window and
-// reports the drift-immune `w8_over_w1` ratio the benchguard scaling
-// gate asserts on: ratios below 1 require GOMAXPROCS >= workers, but
-// the ratio must never rise meaningfully above 1 — the fan-out clamps
-// its width to the schedulable parallelism, so oversubscribed widths
-// collapse to the sequential path instead of paying for idle helpers.
-func BenchmarkAnalyzeParallel(b *testing.B) {
-	type system struct {
-		sys     *platform.System
-		dropped core.DropSet
-	}
-	var systems []system
-	dt := benchmarks.DTLarge()
-	sys, dropped, err := dt.CompiledSample(benchmarks.MapLoadBalance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	systems = append(systems, system{sys, dropped})
-	wide := benchmarks.Synth(benchmarks.SynthConfig{
-		Name: "scenario-wide", Procs: 8,
-		CriticalApps: 6, DroppableApps: 2,
-		MinTasks: 10, MaxTasks: 10,
-		Seed: 11,
-	})
-	wsys, wdropped, err := wide.CompiledSample(benchmarks.MapLoadBalance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	systems = append(systems, system{wsys, wdropped})
-	deep := benchmarks.Synth(benchmarks.SynthConfig{
-		Name: "parallel-64", Procs: 4,
-		CriticalApps: 2, DroppableApps: 2,
-		MinTasks: 16, MaxTasks: 16,
-		Seed: 7,
-	})
-	dsys, ddropped, err := deep.CompiledSample(benchmarks.MapLoadBalance)
-	if err != nil {
-		b.Fatal(err)
-	}
-	systems = append(systems, system{dsys, ddropped})
-	for _, s := range systems {
-		// The scenario count is a property of the system + config, not the
-		// worker count: read it off one probe report so the sub-benchmark
-		// names carry the fan-out grain.
-		probe, err := core.Analyze(s.sys, s.dropped, core.NewConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		tasks := len(s.sys.Nodes)
-		seqPerOp := 0.0
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("tasks=%d/scenarios=%d/workers=%d", tasks, probe.ScenariosAnalyzed, w), func(b *testing.B) {
-				cfg := core.NewConfig()
-				cfg.Workers = w
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Analyze(s.sys, s.dropped, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-				perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				if w == 1 {
-					seqPerOp = perOp
-				}
-				if seqPerOp > 0 {
-					b.ReportMetric(seqPerOp/perOp, "speedup")
-				}
-			})
-		}
-		// The per-width variants above are measured minutes apart, so
-		// their pair ratio absorbs any machine-speed drift between the
-		// windows (shared runners oscillate tens of percent on that
-		// timescale). The scaling GATE therefore runs both widths
-		// interleaved inside one timing window — each iteration times a
-		// sequential run and a width-8 run back to back — and reports
-		// their ratio as the w8_over_w1 metric, which is what benchguard
-		// asserts on: drift hits both halves of every iteration equally
-		// and cancels out of the quotient.
-		b.Run(fmt.Sprintf("tasks=%d/scenarios=%d/workers=8vs1", tasks, probe.ScenariosAnalyzed), func(b *testing.B) {
-			cfgSeq := core.NewConfig()
-			cfgSeq.Workers = 1
-			cfgPar := core.NewConfig()
-			cfgPar.Workers = 8
-			var seqNs, parNs int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				if _, err := core.Analyze(s.sys, s.dropped, cfgSeq); err != nil {
-					b.Fatal(err)
-				}
-				t1 := time.Now()
-				if _, err := core.Analyze(s.sys, s.dropped, cfgPar); err != nil {
-					b.Fatal(err)
-				}
-				seqNs += t1.Sub(t0).Nanoseconds()
-				parNs += time.Since(t1).Nanoseconds()
-			}
-			b.ReportMetric(float64(parNs)/float64(seqNs), "w8_over_w1")
-		})
-	}
-}
-
 // BenchmarkIslandDSE measures the island-model machinery at IDENTICAL
 // work: islands=1 runs the four island trajectories of seed 1 (their
 // derived seeds via dse.IslandSeeds) back to back through the plain
@@ -747,7 +632,7 @@ func BenchmarkDistributedTransport(b *testing.B) {
 // same window. The warm_over_cold metric is their ratio — benchguard
 // asserts it stays under 0.20, i.e. the warm path is at least 5x faster
 // than recomputing. Interleaving the halves makes the quotient immune to
-// machine-speed drift, exactly like the w8_over_w1 gate above.
+// machine-speed drift between separately timed windows.
 func BenchmarkDaemonWarmVsCold(b *testing.B) {
 	bench := benchmarks.Synth(benchmarks.SynthConfig{
 		Name: "daemon", Procs: 8,

@@ -34,7 +34,7 @@
 //
 // The second -ratio form bounds a custom metric a benchmark reports:
 //
-//	-ratio 'BenchmarkAnalyzeParallel/.../workers=8vs1:w8_over_w1<=1.10'
+//	-ratio 'BenchmarkDaemonWarmVsCold:warm_over_cold<=0.20'
 //
 // fails when the named metric's minimum over the run's repetitions
 // exceeds the bound. This is for benchmarks that compute a scaling
@@ -248,7 +248,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) 
 
 // metricPair extracts every "<value> <unit>" measurement on a benchmark
 // line — the standard ns/op, B/op, allocs/op triple plus any custom
-// b.ReportMetric units (speedup, w8_over_w1, ...).
+// b.ReportMetric units (warm_over_cold, batched_over_percand, ...).
 var metricPair = regexp.MustCompile(`([0-9.]+(?:e[+-]?[0-9]+)?) ([A-Za-z_][A-Za-z0-9_/]*)`)
 
 // parseFile reads a `go test -json` stream and returns the per-benchmark

@@ -41,7 +41,7 @@ func main() {
 	}
 	quick := flag.Bool("quick", false, "small budgets for a fast smoke run")
 	seed := flag.Int64("seed", 1, "seed for all stochastic components")
-	workers := flag.Int("workers", 0, "worker budget shared by GA fitness evaluation and scenario analysis (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker budget shared by GA fitness evaluation and selection; each analysis runs on one worker (0 = GOMAXPROCS)")
 	islands := flag.Int("islands", 1, "concurrent GA islands per optimization run (per-island seeds derive from -seed)")
 	migrationInterval := flag.Int("migration-interval", 10, "generations between Pareto-elite ring migrations (multi-island runs)")
 	islandProcs := flag.Bool("island-procs", false, "run each island in its own child process (GA subcommands; archives identical to in-process islands)")

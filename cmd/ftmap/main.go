@@ -31,7 +31,7 @@ func main() {
 	pop := flag.Int("pop", 100, "GA population size")
 	gens := flag.Int("gens", 300, "GA generations")
 	seed := flag.Int64("seed", 1, "GA seed")
-	workers := flag.Int("workers", 0, "worker budget shared by GA fitness evaluation and scenario analysis (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker budget shared by GA fitness evaluation and selection; each analysis runs on one worker (0 = GOMAXPROCS)")
 	islands := flag.Int("islands", 1, "concurrent GA islands sharing the worker budget (1 = the classic single trajectory; per-island seeds derive from -seed)")
 	migrationInterval := flag.Int("migration-interval", 10, "generations between Pareto-elite ring migrations (multi-island runs)")
 	islandProcs := flag.Bool("island-procs", false, "run each island in its own child process (multicore scaling past the shared Go heap); archives are byte-identical to the in-process mode")

@@ -52,7 +52,7 @@ func main() {
 	islandHosts := flag.String("island-hosts", "", "comma-separated fleet worker addresses (host:port of `mcmapd -worker` processes); multi-island /dse jobs distribute their islands over them")
 	dataDir := flag.String("data", "", "persist job records and checkpoints under this directory and reload them on boot (empty = memory only)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (empty = disabled); keep it loopback-only")
-	workers := flag.Int("workers", 0, "shared compute budget for analyses and DSE evaluations (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "compute budget shared by DSE evaluations; analyses run on the queue runners and borrow no slot (0 = GOMAXPROCS)")
 	runners := flag.Int("runners", 0, "queue-runner goroutines; one is reserved for analyses (0 = default 2)")
 	queueDepth := flag.Int("queue", 0, "queued-task bound; past it requests get 429 + Retry-After (0 = default 64)")
 	resultCache := flag.Int("result-cache", 0, "analyze result-cache entries (0 = default 256)")

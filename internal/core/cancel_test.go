@@ -3,13 +3,14 @@ package core_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"mcmap/internal/benchmarks"
 	"mcmap/internal/core"
 	"mcmap/internal/platform"
-	"mcmap/internal/workpool"
+	"mcmap/internal/sched"
 )
 
 func cancelFixture(t *testing.T) (*platform.System, core.DropSet) {
@@ -32,18 +33,32 @@ func cancelFixture(t *testing.T) (*platform.System, core.DropSet) {
 	return sys, b.DefaultDropSet()
 }
 
-// TestAnalyzeCancelled pins the cancellation contract of core.Analyze: a
-// done context surfaces ctx.Err() instead of a report, and — crucially
-// for the analysis service, which multiplexes jobs over one shared pool
-// — every pool slot the cancelled call may have held is released by the
-// time it returns, pinned by draining the pool with TryAcquire.
+// countingBackend counts backend invocations and runs onCall, when set,
+// at the start of each one.
+type countingBackend struct {
+	inner  sched.Analyzer
+	calls  int
+	onCall func(call int)
+}
+
+func (c *countingBackend) Name() string { return "counting" }
+
+func (c *countingBackend) Analyze(sys *platform.System, exec []sched.ExecBounds) (*sched.Result, error) {
+	c.calls++
+	if c.onCall != nil {
+		c.onCall(c.calls)
+	}
+	return c.inner.Analyze(sys, exec)
+}
+
+// TestAnalyzeCancelled pins the cancellation contract of core.Analyze,
+// which checks Config.Ctx before the fault-free pass and before each
+// scenario: a done context surfaces ctx.Err() instead of a report, no
+// backend call starts after the cancel, and a run that completes is the
+// usual deterministic report.
 func TestAnalyzeCancelled(t *testing.T) {
 	sys, dropped := cancelFixture(t)
-	pool := workpool.New(4)
-	defer pool.Close()
 	cfg := core.NewConfig()
-	cfg.Workers = 4
-	cfg.Pool = pool
 	cfg.Ctx = context.Background()
 
 	// Sanity: a live context changes nothing.
@@ -51,69 +66,65 @@ func TestAnalyzeCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain, err := core.Analyze(sys, dropped, core.NewConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, plain) {
+		t.Fatal("a live context changed the report")
+	}
+	if want.ScenariosAnalyzed < 3 {
+		t.Fatalf("fixture too small: %d backend runs", want.ScenariosAnalyzed)
+	}
 
-	// A context cancelled before the call: no work happens.
+	// A context cancelled before the call: no backend call happens.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg.Ctx = ctx
+	cb := &countingBackend{inner: &sched.Holistic{}}
+	cfg.Analyzer, cfg.Ctx = cb, ctx
 	if _, err := core.Analyze(sys, dropped, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled Analyze: got %v, want context.Canceled", err)
 	}
-	assertPoolFree(t, pool)
+	if cb.calls != 0 {
+		t.Fatalf("pre-cancelled Analyze made %d backend calls", cb.calls)
+	}
 
-	// Cancellation racing a running analysis: the call must return
-	// promptly with ctx.Err() (or complete, if the cancel lost the race)
-	// and leave the pool fully released either way.
-	sawCancel := false
-	for i := 0; i < 20 && !sawCancel; i++ {
+	// A cancel landing during backend call k: that call finishes, the
+	// next scenario check sees the cancel, and no call k+1 starts.
+	for k := 1; k < want.ScenariosAnalyzed; k++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cb := &countingBackend{inner: &sched.Holistic{}, onCall: func(call int) {
+			if call == k {
+				cancel()
+			}
+		}}
+		cfg.Analyzer, cfg.Ctx = cb, ctx
+		if _, err := core.Analyze(sys, dropped, cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel in call %d: got %v, want context.Canceled", k, err)
+		}
+		if cb.calls != k {
+			t.Fatalf("cancel in call %d: %d backend calls made", k, cb.calls)
+		}
+		cancel()
+	}
+
+	// A cancel racing the run from another goroutine: ctx.Err(), or the
+	// usual deterministic report if the run finished first.
+	cfg.Analyzer = core.NewConfig().Analyzer
+	for i := 0; i < 20; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg.Ctx = ctx
-		go func() {
-			time.Sleep(time.Duration(i) * 200 * time.Microsecond)
-			cancel()
-		}()
+		timer := time.AfterFunc(time.Duration(i)*200*time.Microsecond, cancel)
 		rep, err := core.Analyze(sys, dropped, cfg)
 		switch {
 		case err == nil:
-			// Completed before the cancel landed: the report must be the
-			// usual deterministic one.
-			if rep.ScenariosAnalyzed != want.ScenariosAnalyzed {
-				t.Fatalf("completed-despite-cancel report differs: %d scenarios vs %d",
-					rep.ScenariosAnalyzed, want.ScenariosAnalyzed)
+			if !reflect.DeepEqual(rep, want) {
+				t.Fatal("completed-despite-cancel report differs")
 			}
-		case errors.Is(err, context.Canceled):
-			sawCancel = true
-		default:
+		case !errors.Is(err, context.Canceled):
 			t.Fatalf("cancelled Analyze returned unexpected error: %v", err)
 		}
-		assertPoolFree(t, pool)
+		timer.Stop()
 		cancel()
-	}
-	if !sawCancel {
-		t.Log("cancel never won the race on this machine; pre-cancelled path still pinned")
-	}
-}
-
-// assertPoolFree drains and refills the pool, proving no slot leaked.
-// Queued-but-unstarted FanOut helpers may hold a slot briefly past the
-// join (they run as no-ops as soon as a worker frees — the documented
-// FanOut contract), so the drain polls instead of asserting an
-// instantaneous full claim.
-func assertPoolFree(t *testing.T, pool *workpool.Pool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	held := 0
-	for held < pool.Cap() {
-		if pool.TryAcquire() {
-			held++
-			continue
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d pool slots released after Analyze returned", held, pool.Cap())
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	for ; held > 0; held-- {
-		pool.Release()
 	}
 }

@@ -24,12 +24,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"mcmap/internal/model"
 	"mcmap/internal/platform"
 	"mcmap/internal/sched"
-	"mcmap/internal/workpool"
 )
 
 // DropSet is the dropped application set T_d: the names of droppable
@@ -80,38 +78,13 @@ type Config struct {
 	// different trigger), and are counted in Report.ScenariosPruned.
 	// Off by default — the paper analyzes every trigger.
 	PruneDominated bool
-	// Workers bounds how many per-trigger scenario analyses run
-	// concurrently. Zero selects runtime.GOMAXPROCS(0); one forces the
-	// sequential engine. Parallelism requires a backend implementing
-	// sched.ConcurrentAnalyzer (Holistic and Coarse do); other backends
-	// silently fall back to sequential. The Report is byte-identical to
-	// the sequential engine for any worker count: scenarios are
-	// generated and deduplicated up front in trigger order and results
-	// are merged back in that same order.
-	Workers int
-	// Pool optionally shares one worker budget with an enclosing
-	// parallel caller, such as the GA's fitness evaluation. When set,
-	// extra scenario workers are spawned only while Pool.TryAcquire
-	// succeeds (the calling goroutine always analyzes inline), so
-	// nesting W-way fitness evaluation over W-way scenario fan-out
-	// cannot oversubscribe to W² goroutines.
-	Pool *workpool.Pool
 	// Ctx, when non-nil, cancels an in-flight analysis: Analyze checks it
-	// between its passes and the scenario fan-out checks it between
-	// chunk claims, so a cancelled call returns ctx.Err() within one
-	// backend invocation's latency and releases any shared-pool slots it
-	// held (workers stop claiming work and the fan-out join returns).
+	// before the fault-free pass and before each scenario, so a cancelled
+	// call returns ctx.Err() within one backend invocation's latency.
 	// Cancellation affects only WHETHER a result is produced, never what
 	// it is: an analysis that completes before the deadline is
 	// byte-identical to one run without a context.
 	Ctx context.Context
-	// ProfCtx, when non-nil, carries pprof labels of the enclosing
-	// computation (e.g. the DSE's island index); scenario-analysis helper
-	// goroutines adopt them stacked with a phase=analyze label, so
-	// -cpuprofile output attributes analysis time across the outer
-	// concurrency layers. Purely observational — it never affects
-	// results.
-	ProfCtx context.Context
 }
 
 func (c Config) analyzer() sched.Analyzer {
@@ -121,21 +94,8 @@ func (c Config) analyzer() sched.Analyzer {
 	return &sched.Holistic{}
 }
 
-// workers resolves the effective scenario-analysis worker bound.
-func (c Config) workers(analyzer sched.Analyzer) int {
-	ca, ok := analyzer.(sched.ConcurrentAnalyzer)
-	if !ok || !ca.ConcurrencySafe() {
-		return 1
-	}
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // NewConfig returns the recommended configuration: the holistic backend
-// with scenario deduplication and parallel scenario fan-out over
-// GOMAXPROCS workers. Dominance pruning stays opt-in: it thins
+// with scenario deduplication. Dominance pruning stays opt-in: it thins
 // Report.Scenarios, which Explain consumers may not want.
 func NewConfig() Config {
 	return Config{Analyzer: &sched.Holistic{}, DedupScenarios: true}
@@ -210,7 +170,9 @@ func (r *Report) WCRTOf(name string) model.Time {
 }
 
 // Analyze runs Algorithm 1 on a compiled system with the given dropped
-// application set.
+// application set. The fault-free pass and every scenario run one after
+// the other on the calling goroutine, through one backend session when
+// the backend offers one (sched.SessionAnalyzer).
 func Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error) {
 	if err := dropped.Validate(sys.Apps); err != nil {
 		return nil, err
@@ -219,6 +181,12 @@ func Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error)
 		return nil, err
 	}
 	analyzer := cfg.analyzer()
+	analyze := func(exec []sched.ExecBounds) (*sched.Result, error) { return analyzer.Analyze(sys, exec) }
+	if sa, ok := analyzer.(sched.SessionAnalyzer); ok {
+		ses := sa.OpenSession(sys)
+		defer ses.Close()
+		analyze = ses.Analyze
+	}
 
 	rep := &Report{
 		Sys:       sys,
@@ -228,7 +196,7 @@ func Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error)
 	}
 
 	// ---- Lines 2-9: fault-free pass -------------------------------------
-	normal, err := analyzer.Analyze(sys, NormalExec(sys))
+	normal, err := analyze(NormalExec(sys))
 	if err != nil {
 		return nil, err
 	}
@@ -249,25 +217,30 @@ func Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error)
 	}
 
 	// ---- Lines 10-34: per-trigger scenarios ------------------------------
-	// Scenario generation and deduplication happen up front, sequentially
-	// and in trigger order, so the dedup semantics and counters match the
-	// sequential engine exactly; only the backend invocations fan out.
-	jobs := scenarioJobs(sys, dropped, normal, cfg, rep)
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
-	}
-	results, err := analyzeScenarios(analyzer, sys, jobs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i := range jobs {
+	// Scenario generation and deduplication happen up front in trigger
+	// order; the backend then analyzes the kept scenarios in that order.
+	for _, job := range scenarioJobs(sys, dropped, normal, cfg, rep) {
+		if err := ctxErr(cfg.Ctx); err != nil {
+			return nil, err
+		}
+		res, err := analyze(job.exec)
+		if err != nil {
+			return nil, err
+		}
 		rep.ScenariosAnalyzed++
-		rep.Scenarios = append(rep.Scenarios, ScenarioResult{Scenario: jobs[i].sc, Exec: jobs[i].exec, Result: results[i]})
-		accumulate(rep, results[i])
+		rep.Scenarios = append(rep.Scenarios, ScenarioResult{Scenario: job.sc, Exec: job.exec, Result: res})
+		accumulate(rep, res)
 	}
 
 	rep.NormalOK, rep.CriticalOK = verdicts(sys, rep)
 	return rep, nil
+}
+
+// scenarioJob is one generated, deduplicated scenario awaiting its
+// backend invocation.
+type scenarioJob struct {
+	sc   Scenario
+	exec []sched.ExecBounds
 }
 
 // scenarioJobs builds the deduplicated, optionally dominance-pruned

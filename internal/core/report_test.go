@@ -157,7 +157,6 @@ func TestPrunedReportEquivalence(t *testing.T) {
 			sys, dropped := synthSample(t, seed, strat)
 
 			ref := core.NewConfig()
-			ref.Workers = 1
 			want, err := core.Analyze(sys, dropped, ref)
 			if err != nil {
 				t.Fatal(err)

@@ -91,10 +91,10 @@ type Options struct {
 	// MutationRate is the per-locus mutation probability (default 0.08).
 	MutationRate float64
 	// Workers is the total worker budget of the run (default GOMAXPROCS).
-	// It bounds parallel fitness evaluations AND the scenario fan-out
-	// nested inside each one: all layers draw from one shared workpool,
-	// so a 100-candidate generation can never oversubscribe to Workers²
-	// goroutines.
+	// It bounds parallel fitness evaluations, the islands running them
+	// and the SPEA-II row fan-out: all layers draw from one shared
+	// workpool, so nesting never oversubscribes to Workers² goroutines.
+	// Each evaluation's Algorithm 1 runs sequentially on its worker.
 	Workers int
 	// Islands runs that many SPEA-II populations concurrently on the
 	// shared worker budget (default 1). Each island evolves its own
@@ -440,18 +440,16 @@ func Optimize(p *Problem, opts Options) (*Result, error) {
 
 // newRunEvaluator builds a run's evaluation machinery from its options:
 // one worker budget for the whole run (opts.Pool, which must be set) —
-// candidate evaluations acquire from the pool, the scenario fan-out
-// nested inside core.Analyze and the SPEA-II selection kernels borrow
-// spare tokens from the same pool (see workpool), and every island
-// draws from it too — plus the pool-wired selector. Shared by Optimize
-// and the island worker (buildWorkerIsland), which performs exactly
-// this wiring against its own worker budget.
+// candidate evaluations acquire from the pool, the SPEA-II selection
+// kernels borrow spare tokens from the same pool (see workpool), and
+// every island draws from it too — plus the pool-wired selector. Shared
+// by Optimize and the island worker (buildWorkerIsland), which performs
+// exactly this wiring against its own worker budget.
 func newRunEvaluator(p *Problem, opts Options) (evaluator, Options) {
 	ev := evaluator{
 		cfg:  p.Analysis,
 		pool: opts.Pool,
 	}
-	ev.cfg.Pool = ev.pool
 	if opts.PruneDominated {
 		ev.cfg.PruneDominated = true
 	}
@@ -517,7 +515,7 @@ func paretoFront(archive []*Individual) []*Individual {
 }
 
 // evaluator bundles the per-run evaluation machinery: the analysis
-// config wired to the shared worker pool.
+// config and the run's shared worker pool.
 type evaluator struct {
 	cfg  core.Config
 	pool *workpool.Pool

@@ -2,7 +2,12 @@ package dse
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
+
+	"mcmap/internal/benchmarks"
+	"mcmap/internal/sched"
+	"mcmap/internal/workpool"
 )
 
 // FuzzTransportFrame pins the two safety properties of the frame layer:
@@ -56,6 +61,80 @@ func FuzzTransportFrame(f *testing.F) {
 		}
 		if buf.Len() != 0 {
 			t.Fatalf("%d trailing bytes after one frame: framing desynced", buf.Len())
+		}
+	})
+}
+
+// FuzzEvaluateAllMatchesEvaluate is the whole-generation differential
+// check of the one parallel layer inside a run: every member of a
+// generation scored by isl.evaluateAll, at one and at two workers, must
+// evaluate exactly as Problem.Evaluate scores it alone. The fuzz input
+// picks the problem (tinyProblem or Cruise), the seed, the generation
+// size (2-16), how many members come from same-system cohorts
+// (makeBatchGeneration) rather than random repaired genomes, and the
+// track and prune flags. The analysis runs on the sched.Reference
+// oracle, so the check shares no code with the production backend.
+func FuzzEvaluateAllMatchesEvaluate(f *testing.F) {
+	f.Add(false, int64(1), byte(14), byte(8), false, false)
+	f.Add(false, int64(7), byte(6), byte(0), true, false)
+	f.Add(true, int64(3), byte(10), byte(6), false, true)
+	f.Add(true, int64(11), byte(3), byte(2), true, true)
+	f.Fuzz(func(t *testing.T, cruise bool, seed int64, size, cohort byte, track, prune bool) {
+		var p *Problem
+		if cruise {
+			b := benchmarks.Cruise()
+			var err error
+			if p, err = NewProblem(b.Arch, b.Apps); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			p = tinyProblem(t)
+		}
+		p.Analysis.Analyzer = sched.Reference{}
+		p.Analysis.PruneDominated = prune
+
+		n := 2 + int(size)%15
+		nCohort := int(cohort) % (n + 1)
+		rng := rand.New(rand.NewSource(seed))
+		genomes := make([]*Genome, 0, n)
+		if nCohort > 0 {
+			variants := 2 + int(cohort)%3
+			bases := (nCohort + variants - 1) / variants
+			genomes = append(genomes, makeBatchGeneration(p, rng, bases, variants)[:nCohort]...)
+		}
+		for len(genomes) < n {
+			g := p.RandomGenome(rng)
+			p.Repair(g, rng)
+			genomes = append(genomes, g)
+		}
+		rng.Shuffle(len(genomes), func(i, j int) { genomes[i], genomes[j] = genomes[j], genomes[i] })
+
+		want := make([]string, n)
+		for i, g := range genomes {
+			ind, err := p.Evaluate(g, track)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = indSignature(ind)
+		}
+		for _, workers := range []int{1, 2} {
+			pool := workpool.New(workers)
+			ev, opts := newRunEvaluator(p, Options{Workers: workers, Pool: pool,
+				TrackDroppingGain: track, PruneDominated: prune}.withDefaults())
+			got, _, err := newIsland(0, p, opts, seed, ev).evaluateAll(genomes)
+			pool.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range genomes {
+				if got[i].Genome != g {
+					t.Fatalf("workers=%d member %d: result carries another genome", workers, i)
+				}
+				if gs := indSignature(got[i]); gs != want[i] {
+					t.Fatalf("workers=%d member %d: evaluateAll diverged from Evaluate:\n got %s\nwant %s",
+						workers, i, gs, want[i])
+				}
+			}
 		}
 	})
 }

@@ -86,7 +86,7 @@ type island struct {
 	rng *rand.Rand
 	ev  evaluator
 	// ctx carries the island's pprof label ("island": idx); evaluateAll
-	// and the nested scenario fan-out stack their phase labels on top.
+	// and selection stack their phase labels on top.
 	ctx context.Context
 
 	archive []*Individual
@@ -97,8 +97,8 @@ type island struct {
 }
 
 // newIsland builds island idx with its derived seed. ev is the run's
-// shared evaluator; the island gets a labeled pprof context threaded
-// into the analysis config so scenario workers are attributed to the
+// shared evaluator; the island gets a labeled pprof context, so the
+// goroutines that evaluate and select for it are attributed to the
 // island.
 func newIsland(idx int, p *Problem, opts Options, seed int64, ev evaluator) *island {
 	opts.Seed = seed
@@ -116,10 +116,9 @@ func newIsland(idx int, p *Problem, opts Options, seed int64, ev evaluator) *isl
 		ev:   ev,
 		ctx:  pprof.WithLabels(base, pprof.Labels("island", strconv.Itoa(idx))),
 	}
-	isl.ev.cfg.ProfCtx = isl.ctx
 	if opts.Context != nil {
-		// Thread cancellation into the scenario fan-out; left nil
-		// otherwise so uncancellable runs skip the per-chunk Err checks.
+		// Thread cancellation into core.Analyze; left nil otherwise so
+		// uncancellable runs skip the per-scenario Err checks.
 		isl.ev.cfg.Ctx = isl.ctx
 	}
 	isl.stats.TechniqueCounts = map[hardening.Technique]int{}

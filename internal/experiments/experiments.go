@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"mcmap/internal/benchmarks"
 	"mcmap/internal/core"
@@ -15,7 +14,6 @@ import (
 	"mcmap/internal/model"
 	"mcmap/internal/sim"
 	"mcmap/internal/texttable"
-	"mcmap/internal/workpool"
 )
 
 // ---------------------------------------------------------------------------
@@ -66,9 +64,8 @@ type Table2Result struct {
 
 // Table2 reproduces Table 2 on the Cruise benchmark. The three mapping
 // strategies are estimated concurrently — each cell owns its compiled
-// system, and the Proposed analyses of all cells share one worker pool —
-// with results reduced in strategy order, so the grid is identical to
-// the sequential version's.
+// system — with results reduced in strategy order, so the grid is
+// identical to the sequential version's.
 func Table2(cfg Table2Config) (*Table2Result, error) {
 	cfg = cfg.withDefaults()
 	b := benchmarks.Cruise()
@@ -77,7 +74,6 @@ func Table2(cfg Table2Config) (*Table2Result, error) {
 		benchmarks.MapLoadBalance, benchmarks.MapClustered, benchmarks.MapSeededRandom,
 	}
 	propCfg := core.NewConfig()
-	propCfg.Pool = workpool.New(runtime.GOMAXPROCS(0))
 	type stratResult struct {
 		rows   []Table2Cell
 		perEst map[string][]model.Time

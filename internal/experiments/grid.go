@@ -11,8 +11,8 @@ import (
 // The experiments grid is trivially parallel at the cell level: every
 // (benchmark, seed, mode) GA run and every (strategy, estimator) WCRT
 // estimate is independent of the others. The helpers here run those
-// cells concurrently while all their inner work — GA fitness
-// evaluations, scenario fan-outs, SPEA-II kernels — draws from ONE
+// cells concurrently while all their GA work — fitness evaluations and
+// SPEA-II kernels — draws from ONE
 // shared workpool, so cmd/experiments saturates the machine end to end
 // without oversubscribing it. Cell results land in indexed slots and
 // every reduction runs over them in slot order, so outputs are identical

@@ -33,10 +33,6 @@ const coarseSweepCap = 64
 // Name implements Analyzer.
 func (c *Coarse) Name() string { return "coarse-sum" }
 
-// ConcurrencySafe implements ConcurrentAnalyzer: Analyze keeps all
-// mutable state on the stack and in its Result.
-func (c *Coarse) ConcurrencySafe() bool { return true }
-
 // Analyze implements Analyzer.
 func (c *Coarse) Analyze(sys *platform.System, exec []ExecBounds) (*Result, error) {
 	if err := ValidateExec(sys, exec); err != nil {
@@ -116,5 +112,3 @@ func (c *Coarse) Analyze(sys *platform.System, exec []ExecBounds) (*Result, erro
 	}
 	return res, nil
 }
-
-var _ ConcurrentAnalyzer = (*Coarse)(nil)

@@ -36,7 +36,7 @@ import (
 //
 // A Holistic instance is safe for concurrent use: Analyze keeps all
 // per-call state in a Result or in pooled scratch buffers, so one
-// instance may be shared by every worker of a parallel scenario fan-out.
+// instance may be shared by every concurrent candidate evaluation.
 // Do not copy a Holistic after first use (it embeds a sync.Mutex).
 type Holistic struct {
 	// scratch recycles the fixed-point working sets across Analyze calls.
@@ -45,8 +45,8 @@ type Holistic struct {
 	// allocation churn from the hot path. An explicit freelist rather
 	// than a sync.Pool: pool entries die on every GC cycle, and with
 	// them the per-system kernel builds cached inside each scratch —
-	// under allocation-heavy scenario fan-outs that turned kernel
-	// rebuilding into a measurable fraction of the analysis itself.
+	// under allocation-heavy DSE runs that turned kernel rebuilding
+	// into a measurable fraction of the analysis itself.
 	scratch scratchFreelist
 }
 
@@ -57,7 +57,7 @@ const outerSweepCap = 256
 
 // scratchFreelist is a mutex-guarded stack of scratches. Get/Put critical
 // sections are a pointer pop/push, so contention stays negligible even
-// with every scenario worker cycling a scratch per analysis.
+// with every evaluation worker cycling a scratch per analysis.
 type scratchFreelist struct {
 	mu   sync.Mutex
 	free []*holisticScratch
@@ -203,11 +203,6 @@ func resizeInts(s []int, n, fill int) []int {
 
 // Name implements Analyzer.
 func (h *Holistic) Name() string { return "holistic-job-rta" }
-
-// ConcurrencySafe implements ConcurrentAnalyzer: all per-call state lives
-// in the Result or in pooled scratch, so one instance serves any number
-// of concurrent Analyze calls.
-func (h *Holistic) ConcurrencySafe() bool { return true }
 
 // Analyze implements Analyzer.
 func (h *Holistic) Analyze(sys *platform.System, exec []ExecBounds) (*Result, error) {
@@ -745,5 +740,3 @@ func (h *Holistic) updateBusDelays(sys *platform.System, exec []ExecBounds, res 
 	}
 	return changed
 }
-
-var _ ConcurrentAnalyzer = (*Holistic)(nil)

@@ -28,10 +28,6 @@ type Reference struct{}
 // Name implements Analyzer.
 func (Reference) Name() string { return "holistic-reference" }
 
-// ConcurrencySafe implements ConcurrentAnalyzer: Reference holds no
-// state at all.
-func (Reference) ConcurrencySafe() bool { return true }
-
 // Analyze implements Analyzer.
 func (Reference) Analyze(sys *platform.System, exec []ExecBounds) (*Result, error) {
 	if err := ValidateExec(sys, exec); err != nil {
@@ -393,5 +389,3 @@ func refBusDelays(sys *platform.System, exec []ExecBounds, res *Result, maxFinis
 	}
 	return delays
 }
-
-var _ ConcurrentAnalyzer = Reference{}

@@ -53,7 +53,9 @@ type Result struct {
 func (r *Result) MaxFinishOf(id platform.NodeID) model.Time { return r.Bounds[id].MaxFinish }
 
 // Analyzer abstracts the sched backend so alternative analyses can be
-// plugged under Algorithm 1.
+// plugged under Algorithm 1. One instance must be safe for concurrent
+// use: the DSE shares its Problem's analyzer across concurrent
+// candidate evaluations.
 type Analyzer interface {
 	// Analyze computes bounds for all nodes of sys under the given
 	// execution intervals. exec must have one entry per node; use
@@ -61,19 +63,6 @@ type Analyzer interface {
 	Analyze(sys *platform.System, exec []ExecBounds) (*Result, error)
 	// Name identifies the analyzer in reports.
 	Name() string
-}
-
-// ConcurrentAnalyzer is an optional extension implemented by backends
-// whose Analyze method is safe for concurrent use on one shared instance.
-// core.Analyze fans scenario analyses out over workers only when the
-// configured backend implements this interface and reports true;
-// otherwise it falls back to the sequential engine, so third-party
-// backends are never called concurrently without opting in.
-type ConcurrentAnalyzer interface {
-	Analyzer
-	// ConcurrencySafe reports whether this instance may be shared by
-	// multiple goroutines calling Analyze simultaneously.
-	ConcurrencySafe() bool
 }
 
 // NominalExec builds the fault-free execution intervals: each task's

@@ -3,12 +3,11 @@ package sched
 import "mcmap/internal/platform"
 
 // SessionAnalyzer is an optional extension for backends that can pin
-// per-worker scratch state across a run of analyses on one system.
-// Algorithm 1's scenario fan-out opens one session per worker: every
-// analysis then reuses the worker-owned scratch directly instead of
-// cycling it through the backend's shared freelist, so the freelist
-// mutex vanishes from the per-scenario hot path and each worker's
-// buffers stay hot in its cache.
+// scratch state across a run of analyses on one system. Algorithm 1
+// opens one session per call: its fault-free pass and every scenario
+// then reuse the pinned scratch directly instead of cycling it through
+// the backend's shared freelist, so the freelist mutex vanishes from
+// the per-scenario hot path and the buffers stay hot in the cache.
 type SessionAnalyzer interface {
 	Analyzer
 	// OpenSession pins scratch state for analyses of sys. The caller

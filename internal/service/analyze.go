@@ -181,30 +181,17 @@ func waitFlight(w http.ResponseWriter, r *http.Request, f *flight) {
 }
 
 // rawAnalyzeKey is the pre-decode identity of an /analyze request: the
-// hash of the exact body bytes plus the sorted query string. Two
-// requests with the same key are byte-identical, so a cached response
-// can be replayed without even parsing the spec — the JSON decode,
-// validation and fingerprinting that dominate a warm repeat's cost.
-// Requests that spell the same spec differently miss this key and fall
-// through to the canonical fingerprint below.
+// hash of the exact body bytes plus the encoded query (sorted by name,
+// values escaped, repeated values kept apart, so ?drop=a&drop=b and
+// ?drop=a,b stay distinct). Two requests with the same key are
+// byte-identical, so a cached response can be replayed without even
+// parsing the spec — the JSON decode, validation and fingerprinting
+// that dominate a warm repeat's cost. Requests that spell the same spec
+// differently miss this key and fall through to the canonical
+// fingerprint below.
 func rawAnalyzeKey(r *http.Request, body []byte) string {
 	sum := sha256.Sum256(body)
-	q := r.URL.Query()
-	names := make([]string, 0, len(q))
-	for name := range q {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	sb.WriteString("raw:")
-	sb.Write(sum[:])
-	for _, name := range names {
-		sb.WriteByte(';')
-		sb.WriteString(name)
-		sb.WriteByte('=')
-		sb.WriteString(strings.Join(q[name], ","))
-	}
-	return sb.String()
+	return "raw:" + string(sum[:]) + ";" + r.URL.Query().Encode()
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -308,8 +295,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 // runAnalyze executes one coalesced analysis: compile, run Algorithm 1
-// and marshal the response. Runs on a queue runner; compute is bounded
-// by the shared pool.
+// and marshal the response. Runs on a queue runner and borrows no pool
+// slot: analysis concurrency is bounded by the runner count.
 func (s *Server) runAnalyze(b *specBundle, params analyzeParams) (int, []byte) {
 	s.stats.analyzeRuns.Add(1)
 	sys, err := platform.Compile(b.spec.Architecture, b.spec.Apps, b.spec.Mapping, nil)
@@ -317,7 +304,6 @@ func (s *Server) runAnalyze(b *specBundle, params analyzeParams) (int, []byte) {
 		return http.StatusUnprocessableEntity, mustJSON(map[string]string{"error": err.Error()})
 	}
 	cfg := core.NewConfig()
-	cfg.Pool = s.pool
 	cfg.PruneDominated = params.prune
 	rep, err := core.Analyze(sys, params.dropped, cfg)
 	if err != nil {

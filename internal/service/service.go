@@ -10,8 +10,8 @@
 //     repeats are served from a bounded result cache without recomputing
 //     or even re-encoding anything;
 //   - a bounded job queue with backpressure (429 + Retry-After when
-//     full) and priorities (analyses preempt DSE legs at the queue), all
-//     compute drawing from one shared workpool budget;
+//     full) and priorities (analyses preempt DSE legs at the queue),
+//     DSE compute drawing from one shared workpool budget;
 //   - streaming progress: per-generation GenStats over NDJSON or SSE
 //     while a DSE job runs;
 //   - checkpointed jobs: DSE state is captured at every migration
@@ -39,13 +39,14 @@ import (
 // Config sizes the daemon's shared state. The zero value selects
 // sensible defaults for every field.
 type Config struct {
-	// Workers is the shared compute budget (workpool slots) every
-	// analysis and DSE evaluation draws from. Default GOMAXPROCS.
+	// Workers is the shared compute budget (workpool slots) every DSE
+	// job's candidate evaluations draw from. Analyses run on the queue
+	// runners and borrow no pool slot. Default GOMAXPROCS.
 	Workers int
 	// Runners is the number of queue-runner goroutines; one is reserved
-	// for analyze tasks. Compute parallelism is bounded by Workers
-	// regardless — runners only bound how many tasks are in flight.
-	// Default 2.
+	// for analyze tasks. Each analysis runs sequentially on its runner,
+	// so Runners bounds how many analyses compute at once; DSE compute
+	// is bounded by Workers. Default 2.
 	Runners int
 	// QueueDepth bounds QUEUED tasks; past it the daemon answers 429.
 	// Default 64.

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -186,6 +188,77 @@ func TestAnalyzeWarmRepeat(t *testing.T) {
 	}
 	if runs := s.stats.analyzeRuns.Load(); runs != 2 {
 		t.Fatalf("analyzeRuns = %d after drop= variant, want 2", runs)
+	}
+}
+
+// TestAnalyzeRawKeySeparatesRepeatedValues pins that the raw-bytes
+// result cache tells repeated query values from one comma-joined value.
+// /analyze reads only the first value of a repeated parameter, so
+// ?drop=a&drop=b drops a while ?drop=a,b drops both; the second must
+// not replay the first's cached answer. The same holds for prune.
+func TestAnalyzeRawKeySeparatesRepeatedValues(t *testing.T) {
+	spec := mappedSpec(t)
+	var soft []string
+	for _, g := range spec.Apps.Graphs {
+		if g.Droppable() {
+			soft = append(soft, g.Name)
+		}
+	}
+	if len(soft) < 2 {
+		t.Fatalf("fixture has %d droppable graphs, want 2", len(soft))
+	}
+	body := specJSON(t, spec)
+	post := func(s *Server, target string) []byte {
+		t.Helper()
+		rr := do(s, http.MethodPost, target, body)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", target, rr.Code, rr.Body.String())
+		}
+		return rr.Body.Bytes()
+	}
+
+	for _, tc := range []struct{ first, second string }{
+		{"/analyze?drop=" + soft[0] + "&drop=" + soft[1], "/analyze?drop=" + soft[0] + "," + soft[1]},
+		{"/analyze?prune=1&prune=0", "/analyze?prune=1,0"},
+	} {
+		s := New(Config{Workers: 1}, nil)
+		post(s, tc.first)
+		got := post(s, tc.second)
+		fresh := New(Config{Workers: 1}, nil)
+		want := post(fresh, tc.second)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s after %s replayed\n%s\na fresh server answers\n%s", tc.second, tc.first, got, want)
+		}
+		if runs := s.stats.analyzeRuns.Load(); runs != 2 {
+			t.Fatalf("%s after %s: %d analyses run, want 2", tc.second, tc.first, runs)
+		}
+		s.Close()
+		fresh.Close()
+	}
+}
+
+// TestAnalyzeRejectsOversizedHyperperiod pins admission of a small spec
+// whose periods unroll to ~100k jobs: validation answers 422 with the
+// MC0126 diagnostic before anything is compiled or queued.
+func TestAnalyzeRejectsOversizedHyperperiod(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("..", "validate", "testdata", "oversized_hyperperiod.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1}, nil)
+	defer s.Close()
+	rr := do(s, http.MethodPost, "/analyze", body)
+	if rr.Code != http.StatusUnprocessableEntity || !strings.Contains(rr.Body.String(), "MC0126") {
+		t.Fatalf("status %d, body %s; want 422 naming MC0126", rr.Code, rr.Body.String())
+	}
+	var stats struct {
+		Analyze map[string]int64 `json:"analyze"`
+	}
+	if err := json.Unmarshal(do(s, http.MethodGet, "/stats", nil).Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Analyze["runs"] != 0 {
+		t.Fatalf("analyze.runs = %d after a rejected spec, want 0", stats.Analyze["runs"])
 	}
 }
 

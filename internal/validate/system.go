@@ -3,6 +3,7 @@ package validate
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"mcmap/internal/model"
@@ -11,6 +12,16 @@ import (
 // utilizationEps absorbs the float rounding of the utilization sums so
 // a platform loaded to exactly 100% is not flagged.
 const utilizationEps = 1e-9
+
+// maxUnrolledJobs bounds the job count n a spec may unroll to over one
+// hyperperiod (MC0126). Compilation and analysis grow with n²: the
+// compiled system's ancestor bitsets take n²/8 bytes (2 MiB at the
+// cap), and the holistic kernel's peer segments of one analysis hold up
+// to n(n-1) 8-byte node IDs when every job shares one processor (128
+// MiB at the cap; twice that for non-preemptive jobs, whose blocking
+// segments add as many again). The bundled benchmarks unroll to at most
+// 234 jobs under worst-case hardening.
+const maxUnrolledJobs = 4096
 
 // CheckSpec validates a full problem instance with the default
 // hardening limits. It accepts arbitrarily malformed specs (including
@@ -30,7 +41,7 @@ func CheckSpec(s *model.Spec) *Result {
 func CheckSystem(arch *model.Architecture, apps *model.AppSet, mapping model.Mapping, lim Limits) *Result {
 	r := &Result{}
 	archOK := checkArchitecture(r, arch)
-	appsOK := checkAppSet(r, apps, lim)
+	appsOK := checkAppSet(r, apps, mapping != nil, lim)
 	if archOK && appsOK {
 		checkCrossCutting(r, arch, apps, lim)
 		if mapping != nil {
@@ -102,10 +113,11 @@ func checkArchitecture(r *Result, a *model.Architecture) bool {
 	return ok
 }
 
-// checkAppSet reports the per-graph diagnostics MC0105..MC0114 and
-// MC0118/MC0119, and returns whether the set is sound enough for
-// cross-cutting checks.
-func checkAppSet(r *Result, s *model.AppSet, lim Limits) bool {
+// checkAppSet reports the per-graph diagnostics MC0105..MC0114,
+// MC0118/MC0119 and MC0126, and returns whether the set is sound enough
+// for cross-cutting checks. mapped says whether a mapping comes with
+// the set, i.e. whether it is already hardened.
+func checkAppSet(r *Result, s *model.AppSet, mapped bool, lim Limits) bool {
 	if s == nil || len(s.Graphs) == 0 {
 		r.report("MC0105", Error, "apps", "empty application set", "add at least one task graph")
 		return false
@@ -150,13 +162,45 @@ func checkAppSet(r *Result, s *model.AppSet, lim Limits) bool {
 		}
 	}
 	if ok {
-		if _, err := s.Hyperperiod(); err != nil {
+		h, err := s.Hyperperiod()
+		if err != nil {
 			r.report("MC0112", Error, "apps", fmt.Sprintf("hyperperiod not representable: %v", err),
 				"pick harmonic (or at least smaller) periods so their LCM stays finite")
-			ok = false
+			return false
+		}
+		// Without a mapping the DSE may still harden every task into
+		// MaxReplicas replicas plus a voter and a dispatch step.
+		expand := int64(1)
+		if !mapped && lim.MaxReplicas > 0 {
+			expand = int64(lim.MaxReplicas) + 2
+		}
+		if jobs := unrolledJobs(s, h, expand); jobs > maxUnrolledJobs {
+			what := "unrolls to"
+			if expand > 1 {
+				what = fmt.Sprintf("may unroll (with up to %d replicas, voter and dispatch per task) to", lim.MaxReplicas)
+			}
+			r.report("MC0126", Error, "apps",
+				fmt.Sprintf("hyperperiod %v %s %d jobs, above the %d-job budget", h, what, jobs, maxUnrolledJobs),
+				"pick harmonic periods closer together so each graph repeats fewer times per hyperperiod")
 		}
 	}
 	return ok
+}
+
+// unrolledJobs counts the jobs of one hyperperiod h, Σ_g (h/T_g)·|V_g|,
+// times expand, saturating at math.MaxInt64 instead of overflowing.
+func unrolledJobs(s *model.AppSet, h model.Time, expand int64) int64 {
+	var n uint64
+	for _, g := range s.Graphs {
+		hi, perInst := bits.Mul64(uint64(len(g.Tasks)), uint64(expand))
+		hi2, jobs := bits.Mul64(uint64(h/g.Period), perInst)
+		sum, carry := bits.Add64(n, jobs, 0)
+		if hi|hi2|carry != 0 || sum > math.MaxInt64 {
+			return math.MaxInt64
+		}
+		n = sum
+	}
+	return int64(n)
 }
 
 // checkGraph reports the diagnostics local to one task graph and

@@ -1,6 +1,9 @@
 package validate
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -162,6 +165,59 @@ func TestMC0112HyperperiodOverflow(t *testing.T) {
 	apps.Graphs[0].Period = 2147483647
 	apps.Graphs = append(apps.Graphs, other)
 	wantCode(t, CheckSystem(validArch(), apps, nil, DefaultLimits()), "MC0112", Error)
+}
+
+// TestMC0126UnrolledJobBudget pins the job-count cap: a small spec
+// whose periods unroll to ~100k jobs (the committed fixture) is an
+// Error before anything compiles, unmapped sets are charged the DSE's
+// worst-case hardening, and the count saturates instead of overflowing.
+func TestMC0126UnrolledJobBudget(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "oversized_hyperperiod.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spec, err := model.ReadSpec(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := CheckSpec(spec)
+	wantCode(t, r, "MC0126", Error)
+	if !strings.Contains(r.String(), "99992 jobs") {
+		t.Errorf("diagnostic does not state the job count:\n%s", r)
+	}
+
+	// 700 one-task instances plus one: within budget once mapped, over
+	// it at up to 4 replicas + voter + dispatch per task.
+	apps := validApps()
+	apps.Graphs[0].Tasks = apps.Graphs[0].Tasks[:1]
+	apps.Graphs[0].Channels = nil
+	slow := model.NewTaskGraph("slow", 700*apps.Graphs[0].Period).SetService(1)
+	slow.AddTask("s", 1000, 2000, 0, 0)
+	apps.Graphs = append(apps.Graphs, slow)
+	wantCode(t, CheckSystem(validArch(), apps, nil, DefaultLimits()), "MC0126", Error)
+	if d := CheckSystem(validArch(), apps, fullMapping(apps, 0), DefaultLimits()).ByCode("MC0126"); len(d) != 0 {
+		t.Errorf("mapped set of 701 jobs flagged: %v", d)
+	}
+
+	// Counts past int64 saturate: 2^62 instances times 6 overflow the
+	// product, two graphs of 2^62 jobs each overflow the sum.
+	one := func(name string) *model.TaskGraph {
+		g := model.NewTaskGraph(name, 1).SetService(1)
+		g.AddTask("t", 0, 1, 0, 0)
+		return g
+	}
+	for _, tc := range []struct {
+		apps   *model.AppSet
+		expand int64
+	}{
+		{model.NewAppSet(one("a")), 6},
+		{model.NewAppSet(one("a"), one("b")), 1},
+	} {
+		if got := unrolledJobs(tc.apps, 1<<62, tc.expand); got != math.MaxInt64 {
+			t.Errorf("unrolledJobs = %d, want saturation at MaxInt64", got)
+		}
+	}
 }
 
 func TestMC0113Eq1Overflow(t *testing.T) {
@@ -389,6 +445,31 @@ func TestBenchmarksValidateClean(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestModelTestdataValidatesClean checks the specs committed as model
+// test data against every check, the job-count cap (MC0126) included.
+// (The spec inside the daemon's restart fixture is validated when
+// TestResumeFromEarlierReleaseDataDir reloads it.)
+func TestModelTestdataValidatesClean(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "model", "testdata", "spec_*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no model specs found: %v", err)
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := model.ReadSpec(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if r := CheckSpec(spec); r.HasErrors() {
+			t.Errorf("%s fails validation:\n%s", path, r)
+		}
 	}
 }
 

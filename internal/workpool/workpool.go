@@ -1,11 +1,13 @@
 // Package workpool provides a shared, bounded worker budget for nested
 // parallelism, served by persistent worker goroutines.
 //
-// The GA evaluates candidates in parallel, and each evaluation runs
-// Algorithm 1, which fans per-trigger scenario analyses out over workers
-// of its own. Giving each layer an independent limit of W workers allows
-// W*W runnable goroutines; sharing one Pool between the layers caps the
-// whole computation at W.
+// The DSE runs several islands at once, and each island evaluates its
+// generation's candidate groups in parallel (evaluateAll) and computes
+// the SPEA-II strength and density rows in parallel. Giving each layer
+// an independent limit of W workers allows W*W runnable goroutines;
+// sharing one Pool between the layers caps the whole computation at W.
+// Algorithm 1 itself runs sequentially inside each evaluation and draws
+// no slot of its own.
 //
 // The protocol that makes nesting deadlock-free is asymmetric:
 //
@@ -21,8 +23,8 @@
 //
 // Tasks run on long-lived workers spawned lazily up to the budget, so a
 // fan-out over N microsecond-scale jobs costs N channel sends, not N
-// goroutine start/stop cycles, and per-worker state (scratch arenas in
-// sched) stays warm in cache across batches.
+// goroutine start/stop cycles, and per-worker state stays warm in cache
+// across batches.
 package workpool
 
 import (

@@ -245,9 +245,10 @@ func AnalyzeWCRT(sys *System, dropped DropSet) (*Report, error) {
 }
 
 // NewAnalysisConfig returns the recommended Algorithm 1 configuration
-// (holistic backend, scenario deduplication, parallel scenario
-// fan-out). Adjust fields — e.g. PruneDominated or Workers —
-// and pass the result to AnalyzeWCRTWith.
+// (holistic backend, scenario deduplication). Adjust fields — e.g.
+// PruneDominated or Ctx — and pass the result to AnalyzeWCRTWith. An
+// analysis runs on the calling goroutine; analyze independent systems
+// from separate goroutines to use more cores.
 func NewAnalysisConfig() AnalysisConfig { return core.NewConfig() }
 
 // AnalyzeWCRTWith is AnalyzeWCRT with an explicit configuration.
