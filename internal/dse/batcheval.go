@@ -9,7 +9,7 @@ package dse
 //
 //   - the Keep section selects the drop set but never changes the
 //     compiled job set or mapping, so same-system candidates differing
-//     only in Keep share the compile and the reliability assessment, and
+//     only in Keep share the compile and the reliability check, and
 //     differ only in which core.Analyze drop sets they need — one
 //     analysis per DISTINCT drop set, reused by every sibling carrying
 //     it;
@@ -22,8 +22,8 @@ package dse
 //     duplicates and replay a sibling's Individual outright.
 //
 // Every shared artifact is identical to what a member's private
-// evaluation would have produced — compilation, assessment and analysis
-// are pure functions of (system, drop set) — so batched and
+// evaluation would have produced — compilation, the reliability check
+// and analysis are pure functions of (system, drop set) — so batched and
 // per-candidate evaluation yield byte-identical Individuals (pinned
 // member by member by TestBatchedMatchesPerCandidate); only the
 // scenario counters differ, because shared analyses run the backend
@@ -48,7 +48,6 @@ import (
 	"mcmap/internal/model"
 	"mcmap/internal/platform"
 	"mcmap/internal/power"
-	"mcmap/internal/reliability"
 )
 
 // sysKey fingerprints everything that determines the system a genome
@@ -135,14 +134,14 @@ type groupReports struct {
 
 // groupShared is the state one batch group accumulates while its members
 // evaluate: the compiled system (one compile for the whole group), the
-// reliability assessment (a function of manifest + mapping, both shared)
-// and the per-drop-set reports. Built lazily by the first member that
-// passes the structural-validity gate; members run sequentially within
-// their group, so no locking.
+// number of violated reliability constraints (a function of the genes
+// the group key covers) and the per-drop-set reports. Built lazily by
+// the first member that passes the structural-validity gate; members
+// run sequentially within their group, so no locking.
 type groupShared struct {
-	sys  *platform.System
-	rel  *reliability.Assessment
-	reps map[string]*groupReports
+	sys        *platform.System
+	violations int
+	reps       map[string]*groupReports
 }
 
 func newGroupShared() *groupShared {
@@ -151,8 +150,9 @@ func newGroupShared() *groupShared {
 
 // evalGroup evaluates one batch group: members run sequentially in
 // member order, replaying full phenotype duplicates and sharing the
-// compile/assessment/analyses through st. Results and errors land in
-// out/errs by genome index, exactly like the per-candidate drain.
+// compile, reliability check and analyses through st. Results and
+// errors land in out/errs by genome index, exactly like the
+// per-candidate drain.
 func (isl *island) evalGroup(grp *batchGroup, genomes []*Genome, out []*Individual, errs []error) {
 	st := newGroupShared()
 	byPheno := make(map[string]int, len(grp.members))
@@ -182,11 +182,11 @@ func (isl *island) evalGroup(grp *batchGroup, genomes []*Genome, out []*Individu
 }
 
 // evaluateGrouped scores one group member: decode, the structural-validity
-// gate, then the compile, the reliability assessment and the
-// per-drop-set analyses, which come from (or seed) the group's shared
-// state, and finally power or the overrun penalty. The returned shared
-// flag reports whether this member reused a sibling's analysis instead
-// of running the backend.
+// gate, then the compile, the reliability check and the per-drop-set
+// analyses, which come from (or seed) the group's shared state, and
+// finally power or the overrun penalty. The returned shared flag
+// reports whether this member reused a sibling's analysis instead of
+// running the backend.
 func (p *Problem) evaluateGrouped(g *Genome, dropKey string, trackNoDrop bool, cfg core.Config, st *groupShared) (*Individual, bool, error) {
 	ph, err := p.Decode(g)
 	if err != nil {
@@ -234,20 +234,21 @@ func (p *Problem) evaluateGrouped(g *Genome, dropKey string, trackNoDrop bool, c
 	}
 
 	if st.sys == nil {
-		// First structurally valid member compiles and assesses for the
-		// whole group. Both are functions of the manifest and mapping,
-		// which every member shares by construction of the group key.
+		// First structurally valid member compiles and checks
+		// reliability for the whole group. Both are functions of the
+		// hardening and mapping genes, which every member shares by
+		// construction of the group key.
 		sys, err := p.Compile(ph)
 		if err != nil {
 			return nil, false, err
 		}
-		rel, err := reliability.Assess(p.Arch, ph.Manifest, ph.Mapping)
+		viol, err := p.violations(g, nil)
 		if err != nil {
 			return nil, false, err
 		}
-		st.sys, st.rel = sys, rel
+		st.sys, st.violations = sys, len(viol)
 	}
-	sys, rel := st.sys, st.rel
+	sys, relOK := st.sys, st.violations == 0
 
 	gr, shared := st.reps[dropKey], true
 	if gr == nil {
@@ -270,9 +271,9 @@ func (p *Problem) evaluateGrouped(g *Genome, dropKey string, trackNoDrop bool, c
 	}
 	rep := gr.rep
 	ind.GraphWCRT = rep.GraphWCRT
-	ind.Feasible = rep.Feasible() && rel.OK()
+	ind.Feasible = rep.Feasible() && relOK
 	if trackNoDrop {
-		ind.FeasibleNoDrop = gr.repND.Feasible() && rel.OK()
+		ind.FeasibleNoDrop = gr.repND.Feasible() && relOK
 	}
 
 	if ind.Feasible {
@@ -295,9 +296,7 @@ func (p *Problem) evaluateGrouped(g *Genome, dropKey string, trackNoDrop bool, c
 			overrun += float64(w-d) / float64(d)
 		}
 	}
-	if !rel.OK() {
-		overrun += float64(len(rel.Violations))
-	}
+	overrun += float64(st.violations)
 	ind.Power = infeasiblePenalty * (1 + overrun)
 	ind.Objectives = Objectives{ind.Power, infeasiblePenalty}
 	return ind, shared, nil

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"mcmap/internal/benchmarks"
+	"mcmap/internal/hardening"
+	"mcmap/internal/model"
 	"mcmap/internal/sched"
 	"mcmap/internal/workpool"
 )
@@ -136,5 +138,49 @@ func FuzzEvaluateAllMatchesEvaluate(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzGeneReliabilityMatchesAssess checks the reliability check repair
+// and evaluation run on genes against Decode plus reliability.Assess
+// (checkGeneReliability). The fuzz input picks a bundled benchmark and a
+// seed, a raw or a repaired genome, chromosome caps raised after
+// NewProblem the way buildWorkerIsland raises them (MaxK up to 6,
+// MaxReplicas up to the processor count; 0 keeps the default), and
+// optionally one locus (task, replica or voter) mapped to an unknown
+// processor.
+func FuzzGeneReliabilityMatchesAssess(f *testing.F) {
+	f.Add(byte(1), int64(1), false, byte(0), byte(0), uint16(0))
+	f.Add(byte(1), int64(2), true, byte(0), byte(0), uint16(0))
+	f.Add(byte(0), int64(3), true, byte(6), byte(4), uint16(0))
+	f.Add(byte(4), int64(4), false, byte(2), byte(6), uint16(7))
+	f.Add(byte(2), int64(5), true, byte(5), byte(5), uint16(11))
+	f.Fuzz(func(t *testing.T, bench byte, seed int64, repaired bool, maxK, maxReplicas byte, locus uint16) {
+		names := benchmarks.Names()
+		p := benchProblem(t, names[int(bench)%len(names)])
+		if maxK > 0 {
+			p.MaxK = 1 + int(maxK)%6
+		}
+		if n := len(p.Arch.Procs); maxReplicas > 0 && n >= hardening.ActiveBase+1 {
+			p.MaxReplicas = hardening.ActiveBase + 1 + int(maxReplicas)%(n-hardening.ActiveBase)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		g := p.RandomGenome(rng)
+		if repaired {
+			p.Repair(g, rng)
+		}
+		if locus > 0 {
+			ge := &g.Genes[int(locus/3)%len(g.Genes)]
+			unknown := model.ProcID(len(p.Arch.Procs) + int(locus)%5)
+			switch locus % 3 {
+			case 0:
+				ge.Map = unknown
+			case 1:
+				ge.ReplicaMap[int(locus)%len(ge.ReplicaMap)] = unknown
+			default:
+				ge.VoterMap = unknown
+			}
+		}
+		checkGeneReliability(t, p, g)
 	})
 }

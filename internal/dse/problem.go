@@ -3,6 +3,7 @@ package dse
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"mcmap/internal/core"
 	"mcmap/internal/hardening"
@@ -37,6 +38,11 @@ type Problem struct {
 	taskIDs   []model.TaskID
 	geneIdx   map[model.TaskID]int
 	droppable []string
+
+	// rel is the dense reliability table repair and evaluation read;
+	// relTable builds it on first use.
+	relOnce sync.Once
+	rel     *relTable
 }
 
 // NewProblem validates the instance and precomputes the chromosome

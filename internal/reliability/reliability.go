@@ -65,7 +65,7 @@ func Assess(arch *model.Architecture, man *hardening.Manifest, mapping model.Map
 		GraphFailureRate:     make(map[string]float64),
 	}
 	for _, g := range man.Apps.Graphs {
-		safe := 1.0
+		fold := NewFold()
 		groups := originalsOf(g, man)
 		// Sorted iteration keeps the float product order-deterministic
 		// (map order would make borderline verdicts flip between runs).
@@ -80,12 +80,12 @@ func Assess(arch *model.Architecture, man *hardening.Manifest, mapping model.Map
 				return nil, err
 			}
 			a.TaskUnsafe[orig] = p
-			safe *= 1 - p
+			fold.Add(p)
 		}
-		unsafe := 1 - safe
+		unsafe, rate, violated := fold.Verdict(g)
 		a.GraphUnsafePerPeriod[g.Name] = unsafe
-		a.GraphFailureRate[g.Name] = unsafe / float64(g.Period)
-		if !g.Droppable() && a.GraphFailureRate[g.Name] > g.ReliabilityBound {
+		a.GraphFailureRate[g.Name] = rate
+		if violated {
 			a.Violations = append(a.Violations, g.Name)
 		}
 	}
@@ -107,40 +107,72 @@ func originalsOf(g *model.TaskGraph, man *hardening.Manifest) map[model.TaskID][
 	return out
 }
 
+// Fold accumulates a graph's per-task unsafe probabilities, added in
+// TaskID order, into the graph's verdict. Assess and the DSE's
+// gene-level check both fold through it (and TaskUnsafeProb), so their
+// floating-point operations run in the same order and their verdicts
+// are bit-identical.
+type Fold struct{ safe float64 }
+
+// NewFold starts the fold of one graph.
+func NewFold() Fold { return Fold{safe: 1} }
+
+// Add folds in one task's unsafe probability.
+func (f *Fold) Add(p float64) { f.safe *= 1 - p }
+
+// Verdict returns the probability that at least one folded task executes
+// unsafely during one period of g, that probability per microsecond
+// (comparable against f_t), and whether it violates g's f_t; droppable
+// graphs never do.
+func (f Fold) Verdict(g *model.TaskGraph) (unsafe, rate float64, violated bool) {
+	unsafe = 1 - f.safe
+	rate = unsafe / float64(g.Period)
+	return unsafe, rate, !g.Droppable() && rate > g.ReliabilityBound
+}
+
+// TaskUnsafeProb is the per-invocation unsafe probability of one original
+// task hardened with technique t (re-execution degree k) whose instances
+// fail with the single-execution probabilities probs: the task's own, or
+// one per replica in replica-ID order. Re-execution fails only when all
+// k+1 attempts fail, replication when the majority vote does.
+func TaskUnsafeProb(t hardening.Technique, k int, probs []float64) float64 {
+	switch t {
+	case hardening.ReExecution:
+		return math.Pow(probs[0], float64(k+1))
+	case hardening.ActiveReplication, hardening.PassiveReplication:
+		// Passive tie-breakers take part in the vote.
+		return majorityFailureProb(probs)
+	default:
+		return probs[0]
+	}
+}
+
 // taskUnsafeProb computes the unsafe probability of one original task from
 // its implementing instances.
 func taskUnsafeProb(arch *model.Architecture, man *hardening.Manifest, mapping model.Mapping, orig model.TaskID, instances []*model.Task) (float64, error) {
 	d := man.Plan[orig]
-	switch d.Technique {
-	case hardening.ReExecution:
+	if d.Technique != hardening.ActiveReplication && d.Technique != hardening.PassiveReplication {
 		if len(instances) != 1 {
-			return 0, fmt.Errorf("reliability: re-executed task %q has %d instances", orig, len(instances))
+			return 0, fmt.Errorf("reliability: task %q (%s) has %d instances", orig, d.Technique, len(instances))
 		}
 		p, err := instanceFailureProb(arch, mapping, instances[0])
 		if err != nil {
 			return 0, err
 		}
-		return math.Pow(p, float64(d.K+1)), nil
-	case hardening.ActiveReplication, hardening.PassiveReplication:
-		// Majority vote over all replicas (passive tie-breakers included).
-		probs := make([]float64, 0, len(instances))
-		// Sort for determinism of the enumeration (cosmetic).
-		sorted := append([]*model.Task(nil), instances...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-		for _, inst := range sorted {
-			p, err := instanceFailureProb(arch, mapping, inst)
-			if err != nil {
-				return 0, err
-			}
-			probs = append(probs, p)
-		}
-		return majorityFailureProb(probs), nil
-	default:
-		if len(instances) != 1 {
-			return 0, fmt.Errorf("reliability: unhardened task %q has %d instances", orig, len(instances))
-		}
-		return instanceFailureProb(arch, mapping, instances[0])
+		return TaskUnsafeProb(d.Technique, d.K, []float64{p}), nil
 	}
+	// Replicas in ID order: the order the vote multiplies in.
+	sorted := append([]*model.Task(nil), instances...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	probs := make([]float64, 0, len(sorted))
+	for _, inst := range sorted {
+		p, err := instanceFailureProb(arch, mapping, inst)
+		if err != nil {
+			return 0, err
+		}
+		probs = append(probs, p)
+	}
+	return TaskUnsafeProb(d.Technique, d.K, probs), nil
 }
 
 // instanceFailureProb is the single-execution failure probability of one
@@ -174,11 +206,25 @@ func majorityFailureProb(probs []float64) float64 {
 		return 1 - (1-probs[0])*(1-probs[1])
 	}
 	tolerable := (n - 1) / 2
-	// Enumerate failure patterns; n is small (replica counts are 2..5).
 	if n > 20 {
-		n = 20 // defensive cap; replica counts never get close
-		probs = probs[:n]
+		// Exact distribution of the failure count, replica by replica:
+		// the enumeration below is exponential in n.
+		dist := make([]float64, n+1)
+		dist[0] = 1
+		for i, p := range probs {
+			for j := i + 1; j > 0; j-- {
+				dist[j] = dist[j]*(1-p) + dist[j-1]*p
+			}
+			dist[0] *= 1 - p
+		}
+		var unsafe float64
+		for _, q := range dist[tolerable+1:] {
+			unsafe += q
+		}
+		return unsafe
 	}
+	// Enumerate failure patterns; replica counts are small (2..5 at the
+	// DSE's default cap).
 	var unsafe float64
 	for mask := 0; mask < 1<<n; mask++ {
 		fails := 0

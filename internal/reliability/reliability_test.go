@@ -66,6 +66,31 @@ func TestMajorityFailureProb(t *testing.T) {
 	}
 }
 
+// TestMajorityFailureProbManyReplicas checks vote failure above 20
+// replicas against the exact binomial tail: more than floor((n-1)/2) of
+// n identical replicas fail. Truncating the enumeration to 20 replicas
+// under-estimates n = 25 at p = 0.3 about 14-fold (0.00128 against
+// 0.0175), a non-conservative verdict.
+func TestMajorityFailureProbManyReplicas(t *testing.T) {
+	const p = 0.3
+	for _, n := range []int{21, 25, 40} {
+		probs := make([]float64, n)
+		for i := range probs {
+			probs[i] = p
+		}
+		want, c := 0.0, 1.0 // c = C(n, j), exact in float64 for n <= 40
+		for j := 0; j <= n; j++ {
+			if j > (n-1)/2 {
+				want += c * math.Pow(p, float64(j)) * math.Pow(1-p, float64(n-j))
+			}
+			c = c * float64(n-j) / float64(j+1)
+		}
+		if got := majorityFailureProb(probs); math.Abs(got-want) > 1e-12*want {
+			t.Errorf("n=%d: got %v, binomial tail %v", n, got, want)
+		}
+	}
+}
+
 func TestMajorityFailureProbBounds(t *testing.T) {
 	f := func(a, b, c uint8) bool {
 		probs := []float64{float64(a) / 256, float64(b) / 256, float64(c) / 256}
