@@ -31,15 +31,14 @@ test-race:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# lint is the static-analysis gate: gofmt, go vet, and the repo's own
-# invariant linter (cmd/mcmaplint) in module mode — the per-package
-# rules (determinism, map-range ordering, pool-bounded goroutine
-# spawning, sync-type copies) plus the whole-repo call-graph rules
-# (transitive
-# determinism, pinned wire schema, lock-order cycles,
-# deadline/cancellation guards; DESIGN.md §8). CI additionally runs
-# golangci-lint (.golangci.yml); locally this target needs nothing
-# beyond the Go toolchain.
+# lint is the static-analysis gate: gofmt, go vet (its copylocks check
+# rejects copied sync types), and the repo's own invariant linter
+# (cmd/mcmaplint) — map-range ordering, pool-bounded goroutine
+# spawning and deadline/cancellation guards per package, plus the
+# call-graph rules over the whole module: determinism (direct and
+# transitive), pinned wire schema, no mutex taken while another is held
+# (DESIGN.md §8). CI additionally runs golangci-lint (.golangci.yml);
+# locally this target needs nothing beyond the Go toolchain.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...

@@ -1,8 +1,8 @@
 // Command mcmaplint runs the repository's invariant linter suite (see
-// internal/lint): the per-package rules (determinism, maprange,
-// gospawn, synccopy) plus the whole-repo call-graph rules (transdet,
-// wireschema, lockorder, ctxdeadline). It is wired into `make lint` and
-// CI; run it over the whole module with
+// internal/lint): the per-package rules (maprange, gospawn,
+// ctxdeadline) plus the whole-module call-graph rules (transdet,
+// wireschema, lockorder). It is wired into `make lint` and CI; run it
+// over the whole module with
 //
 //	go run ./cmd/mcmaplint ./...
 //
@@ -17,7 +17,8 @@
 //
 //	//lint:allow <rule> <reason>
 //
-// on the offending line or the line above it; the reason is mandatory.
+// at the end of the offending line, or alone on the line above it; the
+// reason is mandatory.
 package main
 
 import (

@@ -24,8 +24,13 @@ func fileImports(f *ast.File) map[string]string {
 			}
 		} else {
 			// Default local name: the last path element (module-local
-			// packages and the stdlib both follow it).
-			name = path[strings.LastIndex(path, "/")+1:]
+			// packages and the stdlib both follow it), or the one before
+			// a major-version suffix (math/rand/v2 is rand).
+			elems := strings.Split(path, "/")
+			name = elems[len(elems)-1]
+			if len(elems) > 1 && len(name) > 1 && name[0] == 'v' && strings.Trim(name[1:], "0123456789") == "" {
+				name = elems[len(elems)-2]
+			}
 		}
 		out[name] = path
 	}
@@ -79,60 +84,22 @@ func rootIdent(e ast.Expr) *ast.Ident {
 }
 
 // isMapTypeExpr reports whether the type expression is syntactically a
-// map, a named local map type, or a known cross-package map type
-// (known lists qualified "pkg.Type" and bare spellings).
-func isMapTypeExpr(t ast.Expr, localMapTypes, known map[string]bool) bool {
+// map or a named map type of the module (known lists qualified
+// "pkg.Type" spellings and the current package's bare ones).
+func isMapTypeExpr(t ast.Expr, known map[string]bool) bool {
 	switch v := t.(type) {
 	case *ast.MapType:
 		return true
 	case *ast.Ident:
-		return localMapTypes[v.Name] || known[v.Name]
+		return known[v.Name]
 	case *ast.SelectorExpr:
 		if id, ok := v.X.(*ast.Ident); ok {
 			return known[id.Name+"."+v.Sel.Name]
 		}
 	case *ast.ParenExpr:
-		return isMapTypeExpr(v.X, localMapTypes, known)
+		return isMapTypeExpr(v.X, known)
 	}
 	return false
-}
-
-// knownMapTypeNames lists named map types defined elsewhere in this
-// module that the deterministic packages iterate over. It is the
-// single-package fallback: under the module driver the same set is
-// derived from the whole-repo type index (Module.NamedMaps), so new
-// named map types are picked up without touching this table.
-var knownMapTypeNames = map[string]bool{
-	"model.Mapping":  true,
-	"Mapping":        true,
-	"core.DropSet":   true,
-	"DropSet":        true,
-	"hardening.Plan": true,
-	"Plan":           true,
-}
-
-// localMapTypes collects the names of package-local named map types
-// (type DropSet map[string]bool).
-func localMapTypes(files []*ast.File) map[string]bool {
-	out := map[string]bool{}
-	for _, f := range files {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				if _, isMap := ts.Type.(*ast.MapType); isMap {
-					out[ts.Name.Name] = true
-				}
-			}
-		}
-	}
-	return out
 }
 
 // mapFieldNames collects the names of struct fields declared with map
@@ -141,7 +108,7 @@ func localMapTypes(files []*ast.File) map[string]bool {
 // declares with a non-map type are ambiguous without type information
 // and are excluded (e.g. Phenotype.Alloc is a map while Genome.Alloc is
 // a []bool).
-func mapFieldNames(files []*ast.File, local, known map[string]bool) map[string]bool {
+func mapFieldNames(files []*ast.File, known map[string]bool) map[string]bool {
 	mapNames := map[string]bool{}
 	otherNames := map[string]bool{}
 	for _, f := range files {
@@ -152,7 +119,7 @@ func mapFieldNames(files []*ast.File, local, known map[string]bool) map[string]b
 			}
 			for _, fld := range st.Fields.List {
 				into := otherNames
-				if isMapTypeExpr(fld.Type, local, known) {
+				if isMapTypeExpr(fld.Type, known) {
 					into = mapNames
 				}
 				for _, name := range fld.Names {

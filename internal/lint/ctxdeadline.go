@@ -45,13 +45,13 @@ func ctxDeadlineInScope(pkgPath, filename string) bool {
 }
 
 func runCtxDeadline(pass *Pass) {
-	connFields := connFieldNames(pass.Files)
+	connFields := connFieldNames(pass.Module, pass.Files)
 	for _, f := range pass.Files {
-		filename := pass.Fset.Position(f.Pos()).Filename
+		filename := pass.Module.Fset.Position(f.Pos()).Filename
 		if !ctxDeadlineInScope(pass.PkgPath, filename) {
 			continue
 		}
-		imports := fileImports(f)
+		imports := pass.Module.Imports(f)
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -65,11 +65,11 @@ func runCtxDeadline(pass *Pass) {
 // connFieldNames collects struct field names declared with type
 // net.Conn anywhere in the package, minus names that other structs
 // declare with different types (same ambiguity rule as mapFieldNames).
-func connFieldNames(files []*ast.File) map[string]bool {
+func connFieldNames(mod *Module, files []*ast.File) map[string]bool {
 	conn := map[string]bool{}
 	other := map[string]bool{}
 	for _, f := range files {
-		imports := fileImports(f)
+		imports := mod.Imports(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			st, ok := n.(*ast.StructType)
 			if !ok || st.Fields == nil {

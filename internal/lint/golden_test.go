@@ -37,25 +37,10 @@ func parseGoldenDir(t *testing.T, fset *token.FileSet, full string) []*ast.File 
 	return files
 }
 
-// runGolden loads testdata/<dir> as one package with the given import
-// path, runs the analyzer through the full pipeline (suppression
-// included) and compares the diagnostics against // want "regex"
-// comments, analysistest-style: every want must match a diagnostic on
-// its line, and every diagnostic must be covered by a want.
-func runGolden(t *testing.T, a *Analyzer, dir, pkgPath string) {
-	t.Helper()
-	full := filepath.Join("testdata", dir)
-	fset := token.NewFileSet()
-	files := parseGoldenDir(t, fset, full)
-	pkg := &Package{Name: files[0].Name.Name, Path: pkgPath, Dir: full, Fset: fset, Files: files}
-	checkWants(t, fset, files, Run(pkg, []*Analyzer{a}))
-}
-
-// runModuleGolden loads each listed subdirectory of testdata/<dir> as
-// one package (subdir name -> import path), indexes them into a Module
-// and runs the analyzer through the module driver, matching diagnostics
-// against // want comments across every file of every package.
-func runModuleGolden(t *testing.T, a *Analyzer, dir string, pkgPaths map[string]string) {
+// loadGolden parses each listed subdirectory of testdata/<dir> ("."
+// for the directory itself) as one package under the given import path
+// and indexes them into a Module, returning it with every parsed file.
+func loadGolden(t *testing.T, dir string, pkgPaths map[string]string) (*Module, []*ast.File) {
 	t.Helper()
 	base := filepath.Join("testdata", dir)
 	subs := make([]string, 0, len(pkgPaths))
@@ -72,29 +57,25 @@ func runModuleGolden(t *testing.T, a *Analyzer, dir string, pkgPaths map[string]
 		pkgs = append(pkgs, &Package{Name: files[0].Name.Name, Path: pkgPaths[sub], Dir: full, Fset: fset, Files: files})
 		all = append(all, files...)
 	}
-	mod := NewModule(base, pkgs)
-	checkWants(t, fset, all, RunModule(mod, []*Analyzer{a}))
+	return NewModule(base, pkgs), all
 }
 
-// runModuleGoldenExpectNone asserts the analyzer stays silent over the
-// module assembled from testdata/<dir> under the given import paths
-// (want comments are ignored).
-func runModuleGoldenExpectNone(t *testing.T, a *Analyzer, dir string, pkgPaths map[string]string) {
+// runGolden runs the analyzer over the golden module through the full
+// pipeline (suppression included) and compares the diagnostics against
+// // want "regex" comments, analysistest-style: every want must match a
+// diagnostic on its line, and every diagnostic must be covered by a
+// want.
+func runGolden(t *testing.T, a *Analyzer, dir string, pkgPaths map[string]string) {
 	t.Helper()
-	base := filepath.Join("testdata", dir)
-	subs := make([]string, 0, len(pkgPaths))
-	for sub := range pkgPaths {
-		subs = append(subs, sub)
-	}
-	sort.Strings(subs)
-	fset := token.NewFileSet()
-	var pkgs []*Package
-	for _, sub := range subs {
-		full := filepath.Join(base, sub)
-		files := parseGoldenDir(t, fset, full)
-		pkgs = append(pkgs, &Package{Name: files[0].Name.Name, Path: pkgPaths[sub], Dir: full, Fset: fset, Files: files})
-	}
-	mod := NewModule(base, pkgs)
+	mod, files := loadGolden(t, dir, pkgPaths)
+	checkWants(t, mod.Fset, files, RunModule(mod, []*Analyzer{a}))
+}
+
+// runGoldenExpectNone asserts the analyzer stays silent over the golden
+// module (want comments are ignored).
+func runGoldenExpectNone(t *testing.T, a *Analyzer, dir string, pkgPaths map[string]string) {
+	t.Helper()
+	mod, _ := loadGolden(t, dir, pkgPaths)
 	for _, d := range RunModule(mod, []*Analyzer{a}) {
 		if d.Rule == a.Name {
 			t.Errorf("unexpected diagnostic: %s", d)
@@ -156,72 +137,47 @@ func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []Di
 
 var wantRe = regexp.MustCompile("want `([^`]+)`")
 
+// TestDeterminismGolden runs transdet over direct roots in a
+// deterministic package: each is a witness chain of length 0.
 func TestDeterminismGolden(t *testing.T) {
-	runGolden(t, DeterminismAnalyzer, "determinism", "mcmap/internal/core")
+	runGolden(t, TransDetAnalyzer, "determinism", map[string]string{".": "mcmap/internal/core"})
 }
 
 func TestDeterminismSkipsOtherPackages(t *testing.T) {
 	// The same sources are clean when the package is outside the
 	// deterministic set.
-	runGoldenExpectNone(t, DeterminismAnalyzer, "determinism", "mcmap/internal/texttable")
+	runGoldenExpectNone(t, TransDetAnalyzer, "determinism", map[string]string{".": "mcmap/internal/texttable"})
 }
 
 func TestMapRangeGolden(t *testing.T) {
-	runGolden(t, MapRangeAnalyzer, "maprange", "mcmap/internal/dse")
+	runGolden(t, MapRangeAnalyzer, "maprange", map[string]string{".": "mcmap/internal/dse"})
 }
 
 func TestGoSpawnGolden(t *testing.T) {
-	runGolden(t, GoSpawnAnalyzer, "gospawn", "mcmap/internal/sim")
+	runGolden(t, GoSpawnAnalyzer, "gospawn", map[string]string{".": "mcmap/internal/sim"})
 }
 
 func TestGoSpawnSkipsWorkpool(t *testing.T) {
-	runGoldenExpectNone(t, GoSpawnAnalyzer, "gospawn", "mcmap/internal/workpool")
-}
-
-func TestSyncCopyGolden(t *testing.T) {
-	runGolden(t, SyncCopyAnalyzer, "synccopy", "mcmap/internal/sched")
+	runGoldenExpectNone(t, GoSpawnAnalyzer, "gospawn", map[string]string{".": "mcmap/internal/workpool"})
 }
 
 func TestTransDetGolden(t *testing.T) {
-	runModuleGolden(t, TransDetAnalyzer, "transdet", map[string]string{
+	runGolden(t, TransDetAnalyzer, "transdet", map[string]string{
 		"clock": "tmod/internal/clock",
 		"dse":   "tmod/internal/dse",
 	})
 }
 
 func TestLockOrderGolden(t *testing.T) {
-	runModuleGolden(t, LockOrderAnalyzer, "lockorder", map[string]string{
+	runGolden(t, LockOrderAnalyzer, "lockorder", map[string]string{
 		"svc": "tmod/internal/service",
 	})
 }
 
-func TestLockOrderSkipsOutOfScopePackages(t *testing.T) {
-	// The same sources are clean when the package is outside the lock
-	// scope: the analysis core is lock-free by design, not by rule.
-	runModuleGoldenExpectNone(t, LockOrderAnalyzer, "lockorder", map[string]string{
-		"svc": "tmod/internal/texttable",
-	})
-}
-
 func TestCtxDeadlineGolden(t *testing.T) {
-	runGolden(t, CtxDeadlineAnalyzer, "ctxdeadline", "mcmap/internal/service")
+	runGolden(t, CtxDeadlineAnalyzer, "ctxdeadline", map[string]string{".": "mcmap/internal/service"})
 }
 
 func TestCtxDeadlineSkipsOtherPackages(t *testing.T) {
-	runGoldenExpectNone(t, CtxDeadlineAnalyzer, "ctxdeadline", "mcmap/internal/core")
-}
-
-// runGoldenExpectNone asserts the analyzer stays silent on the package
-// path (want comments are ignored).
-func runGoldenExpectNone(t *testing.T, a *Analyzer, dir, pkgPath string) {
-	t.Helper()
-	full := filepath.Join("testdata", dir)
-	fset := token.NewFileSet()
-	files := parseGoldenDir(t, fset, full)
-	pkg := &Package{Name: files[0].Name.Name, Path: pkgPath, Dir: full, Fset: fset, Files: files}
-	for _, d := range Run(pkg, []*Analyzer{a}) {
-		if d.Rule == a.Name {
-			t.Errorf("unexpected diagnostic for %s: %s", pkgPath, d)
-		}
-	}
+	runGoldenExpectNone(t, CtxDeadlineAnalyzer, "ctxdeadline", map[string]string{".": "mcmap/internal/core"})
 }

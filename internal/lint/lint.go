@@ -2,23 +2,24 @@
 // static-analysis passes over this repository's own source that enforce
 // the contracts the performance work introduced and a careless edit
 // silently breaks — deterministic Reports (no wall-clock, no unseeded
-// randomness, no map-ordered output), pool-only goroutine spawning, and
-// immutability of cached analysis baselines.
+// randomness, no map-ordered output), pool-only goroutine spawning, no
+// mutex taken while another is held, deadline-guarded transport IO and
+// a pinned wire schema.
 //
 // The framework is deliberately self-contained: it builds only on the
 // standard library's go/ast, go/parser and go/token (the module vendors
 // no dependencies, and golang.org/x/tools is not available in the build
-// environment), so the passes are syntactic. Each analyzer resolves
-// imports per file (aliases included) and keeps a lightweight local
-// type table for the few type facts it needs; where syntax cannot
-// decide, the rules err on the side of reporting and offer a documented
-// escape hatch:
+// environment), so the passes are syntactic. Every rule runs through
+// one driver, RunModule, over a Module: the loaded packages with their
+// import tables, named types and a syntactic call graph. Where syntax
+// cannot decide, the rules err on the side of reporting and offer a
+// documented escape hatch:
 //
 //	//lint:allow <rule> <reason>
 //
-// placed at the end of the offending line or on the line directly above
-// it. The reason is mandatory — an allow comment without one does not
-// suppress anything and is itself reported.
+// placed at the end of the offending line, or alone on the line
+// directly above it. The reason is mandatory — an allow comment without
+// one does not suppress anything and is itself reported.
 package lint
 
 import (
@@ -46,39 +47,18 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one named invariant checker. Per-package analyzers set
-// Run; whole-repo analyzers set RunModule instead (and are skipped by
-// the single-package driver). An analyzer may set both, in which case
-// the module driver prefers RunModule.
+// Run and see one package at a time; whole-module analyzers set
+// RunModule and see the module once.
 type Analyzer struct {
 	// Name is the rule name used in output and //lint:allow comments.
 	Name string
 	// Doc is a one-paragraph description of the invariant.
 	Doc string
-	// Run reports violations on the pass via Pass.Reportf.
+	// Run reports violations in one package via Pass.Reportf.
 	Run func(*Pass)
 	// RunModule reports violations over the whole module via
 	// ModulePass.Reportf (call-graph and cross-package rules).
 	RunModule func(*ModulePass)
-}
-
-// Pass is one analyzer's view of one package.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Files are the package's non-test source files.
-	Files []*ast.File
-	// PkgName is the package identifier.
-	PkgName string
-	// PkgPath is the import path (e.g. "mcmap/internal/core"); the
-	// path-scoped rules decide applicability from it.
-	PkgPath string
-	// Module is the whole-repo index when the pass runs under the
-	// module driver, nil in single-package mode. Per-package analyzers
-	// use it to upgrade their cross-package approximations (named map
-	// types, locky structs) when it is available.
-	Module *Module
-
-	diags []Diagnostic
 }
 
 // ModulePass is one analyzer's view of the whole module.
@@ -98,22 +78,21 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:     p.Fset.Position(pos),
-		Rule:    p.Analyzer.Name,
-		Message: fmt.Sprintf(format, args...),
-	})
+// Pass is one per-package analyzer's view of one package of the module.
+type Pass struct {
+	*ModulePass
+	// Files are the package's non-test source files.
+	Files []*ast.File
+	// PkgPath is the import path (e.g. "mcmap/internal/core"); the
+	// path-scoped rules decide applicability from it.
+	PkgPath string
 }
 
 // Analyzers returns the full mcmaplint suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DeterminismAnalyzer,
 		MapRangeAnalyzer,
 		GoSpawnAnalyzer,
-		SyncCopyAnalyzer,
 		TransDetAnalyzer,
 		WireSchemaAnalyzer,
 		LockOrderAnalyzer,
@@ -131,82 +110,28 @@ func AnalyzerByName(name string) *Analyzer {
 	return nil
 }
 
-// Run executes the given analyzers over the package and returns the
-// surviving diagnostics: suppressed findings are dropped, malformed
-// suppression comments are reported, and the result is sorted by
-// position. Module-only analyzers (nil Run) are skipped; use RunModule
-// to execute them.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	allows := allowSet{}
-	var out []Diagnostic
-	collectAllows(allows, pkg.Fset, pkg.Files, &out)
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			PkgName:  pkg.Name,
-			PkgPath:  pkg.Path,
-		}
-		a.Run(pass)
-		for _, d := range pass.diags {
-			if allows.suppresses(d) {
-				continue
-			}
-			out = append(out, d)
-		}
-	}
-	sortDiagnostics(out)
-	return out
-}
-
-// RunModule executes the given analyzers over the whole module:
-// module-level analyzers run once against the shared index, per-package
-// analyzers run package by package with Pass.Module populated.
-// Suppression and malformed-allow reporting work exactly as in Run,
-// with allow comments collected across every loaded package.
+// RunModule executes the given analyzers over the module — whole-module
+// analyzers once, per-package analyzers package by package — and
+// returns the surviving diagnostics: findings on a line an allow
+// comment covers are dropped, malformed allow comments are reported,
+// and the result is sorted by position.
 func RunModule(mod *Module, analyzers []*Analyzer) []Diagnostic {
-	allows := allowSet{}
-	var out []Diagnostic
-	for _, pkg := range mod.Pkgs {
-		collectAllows(allows, pkg.Fset, pkg.Files, &out)
-	}
+	out := append([]Diagnostic(nil), mod.malformed...)
 	for _, a := range analyzers {
-		var diags []Diagnostic
-		switch {
-		case a.RunModule != nil:
-			mp := &ModulePass{Analyzer: a, Module: mod}
+		mp := &ModulePass{Analyzer: a, Module: mod}
+		if a.RunModule != nil {
 			a.RunModule(mp)
-			diags = mp.diags
-		case a.Run != nil:
+		} else {
 			for _, pkg := range mod.Pkgs {
-				pass := &Pass{
-					Analyzer: a,
-					Fset:     pkg.Fset,
-					Files:    pkg.Files,
-					PkgName:  pkg.Name,
-					PkgPath:  pkg.Path,
-					Module:   mod,
-				}
-				a.Run(pass)
-				diags = append(diags, pass.diags...)
+				a.Run(&Pass{ModulePass: mp, Files: pkg.Files, PkgPath: pkg.Path})
 			}
 		}
-		for _, d := range diags {
-			if allows.suppresses(d) {
-				continue
+		for _, d := range mp.diags {
+			if !mod.allows.allows(d.Pos, d.Rule) {
+				out = append(out, d)
 			}
-			out = append(out, d)
 		}
 	}
-	sortDiagnostics(out)
-	return out
-}
-
-func sortDiagnostics(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
@@ -220,71 +145,101 @@ func sortDiagnostics(out []Diagnostic) {
 		}
 		return out[i].Rule < out[j].Rule
 	})
+	return out
 }
 
-// allowSet indexes //lint:allow comments by file, line and rule. An
-// allow on line N suppresses findings of its rule on line N and line
-// N+1, so both end-of-line and line-above placement work.
+// allowSet indexes //lint:allow comments by file, covered line and
+// rule. A trailing allow covers its own line; an allow alone on its
+// line covers the line below it.
 type allowSet map[string]map[int]map[string]bool
 
 // allows reports whether a finding of rule at pos is suppressed.
 func (s allowSet) allows(pos token.Position, rule string) bool {
-	lines := s[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, ln := range [2]int{pos.Line, pos.Line - 1} {
-		if rules := lines[ln]; rules != nil && (rules[rule] || rules["*"]) {
-			return true
-		}
-	}
-	return false
+	rules := s[pos.Filename][pos.Line]
+	return rules[rule] || rules["*"]
 }
 
-func (s allowSet) suppresses(d Diagnostic) bool {
-	return s.allows(d.Pos, d.Rule)
-}
+// ruleAliases maps retired rule names that waivers may still carry to
+// the rule that reports their findings now.
+var ruleAliases = map[string]string{"determinism": "transdet"}
 
 var allowRe = regexp.MustCompile(`^//\s*lint:allow\s+(\S+)\s*(.*)$`)
 
-// collectAllows scans the files' comments for suppression directives,
-// indexing well-formed ones into allows and appending a diagnostic per
-// malformed one (missing rule or missing reason) to malformed.
-func collectAllows(allows allowSet, fset *token.FileSet, files []*ast.File, malformed *[]Diagnostic) {
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				// Like //go: directives, the suppression form admits no
-				// space after the slashes; prose that merely mentions
-				// lint:allow is not a directive.
-				text := c.Text
-				if !strings.HasPrefix(text, "//lint:allow") {
-					continue
+// collectAllows scans the packages' comments for suppression
+// directives, indexing well-formed ones and returning a diagnostic per
+// malformed one (missing rule or missing reason).
+func collectAllows(fset *token.FileSet, pkgs []*Package) (allowSet, []Diagnostic) {
+	allows := allowSet{}
+	var malformed []Diagnostic
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			var code map[int]int
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					// Like //go: directives, the suppression form admits no
+					// space after the slashes; prose that merely mentions
+					// lint:allow is not a directive.
+					if !strings.HasPrefix(c.Text, "//lint:allow") {
+						continue
+					}
+					pos := fset.Position(c.Pos())
+					m := allowRe.FindStringSubmatch(c.Text)
+					if m == nil || strings.TrimSpace(m[2]) == "" {
+						malformed = append(malformed, Diagnostic{
+							Pos:  pos,
+							Rule: "allow",
+							Message: "malformed suppression: want //lint:allow <rule> <reason> " +
+								"(the reason is mandatory)",
+						})
+						continue
+					}
+					if code == nil {
+						code = codeStarts(fset, f)
+					}
+					line := pos.Line + 1
+					if start, ok := code[pos.Line]; ok && start < pos.Offset {
+						line = pos.Line
+					}
+					rule := m[1]
+					if to, ok := ruleAliases[rule]; ok {
+						rule = to
+					}
+					lines := allows[pos.Filename]
+					if lines == nil {
+						lines = map[int]map[string]bool{}
+						allows[pos.Filename] = lines
+					}
+					if lines[line] == nil {
+						lines[line] = map[string]bool{}
+					}
+					lines[line][rule] = true
 				}
-				pos := fset.Position(c.Pos())
-				m := allowRe.FindStringSubmatch(text)
-				if m == nil || strings.TrimSpace(m[2]) == "" {
-					*malformed = append(*malformed, Diagnostic{
-						Pos:  pos,
-						Rule: "allow",
-						Message: "malformed suppression: want //lint:allow <rule> <reason> " +
-							"(the reason is mandatory)",
-					})
-					continue
-				}
-				rule := m[1]
-				lines := allows[pos.Filename]
-				if lines == nil {
-					lines = map[int]map[string]bool{}
-					allows[pos.Filename] = lines
-				}
-				if lines[pos.Line] == nil {
-					lines[pos.Line] = map[string]bool{}
-				}
-				lines[pos.Line][rule] = true
 			}
 		}
 	}
+	return allows, malformed
+}
+
+// codeStarts maps each line of f that holds code to the byte offset of
+// its first token, found among the start and end positions of the
+// file's syntax nodes (comments excluded).
+func codeStarts(fset *token.FileSet, f *ast.File) map[int]int {
+	tf := fset.File(f.Pos())
+	starts := map[int]int{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup, *ast.Comment:
+			return false
+		}
+		for _, p := range [2]token.Pos{n.Pos(), n.End() - 1} {
+			line, off := tf.Line(p), tf.Offset(p)
+			if s, ok := starts[line]; !ok || off < s {
+				starts[line] = off
+			}
+		}
+		return true
+	})
+	return starts
 }
 
 // pathHasSuffix reports whether the import path equals or ends with

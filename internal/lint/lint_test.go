@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -9,19 +10,21 @@ import (
 	"testing"
 )
 
-// parseSrc builds a single-file Package from source text.
-func parseSrc(t *testing.T, pkgPath, src string) *Package {
+// runSrc runs the analyzers over a one-file module built from source
+// text.
+func runSrc(t *testing.T, pkgPath, src string, analyzers ...*Analyzer) []Diagnostic {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "src.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Package{Name: f.Name.Name, Path: pkgPath, Fset: fset, Files: []*ast.File{f}}
+	pkg := &Package{Name: f.Name.Name, Path: pkgPath, Fset: fset, Files: []*ast.File{f}}
+	return RunModule(NewModule("", []*Package{pkg}), analyzers)
 }
 
 func TestMalformedAllowIsReported(t *testing.T) {
-	pkg := parseSrc(t, "mcmap/internal/sim", `package sim
+	diags := runSrc(t, "mcmap/internal/sim", `package sim
 
 func work() {}
 
@@ -29,8 +32,7 @@ func spawn() {
 	//lint:allow gospawn
 	go work()
 }
-`)
-	diags := Run(pkg, []*Analyzer{GoSpawnAnalyzer})
+`, GoSpawnAnalyzer)
 	var rules []string
 	for _, d := range diags {
 		rules = append(rules, d.Rule)
@@ -44,7 +46,7 @@ func spawn() {
 }
 
 func TestAllowWithReasonSuppresses(t *testing.T) {
-	pkg := parseSrc(t, "mcmap/internal/sim", `package sim
+	if diags := runSrc(t, "mcmap/internal/sim", `package sim
 
 func work() {}
 
@@ -52,23 +54,45 @@ func spawn() {
 	//lint:allow gospawn the goroutine blocks on a pool slot immediately
 	go work()
 }
-`)
-	if diags := Run(pkg, []*Analyzer{GoSpawnAnalyzer}); len(diags) != 0 {
+`, GoSpawnAnalyzer); len(diags) != 0 {
 		t.Fatalf("want no diagnostics, got %v", diags)
 	}
 }
 
 func TestWildcardAllow(t *testing.T) {
-	pkg := parseSrc(t, "mcmap/internal/sim", `package sim
+	if diags := runSrc(t, "mcmap/internal/sim", `package sim
 
 func work() {}
 
 func spawn() {
 	go work() //lint:allow * generated code, exempt from every rule
 }
-`)
-	if diags := Run(pkg, []*Analyzer{GoSpawnAnalyzer}); len(diags) != 0 {
+`, GoSpawnAnalyzer); len(diags) != 0 {
 		t.Fatalf("want no diagnostics, got %v", diags)
+	}
+}
+
+// TestAllowCoversOneLine pins the placement contract: a trailing allow
+// covers only its own line, an allow alone on its line only the next.
+func TestAllowCoversOneLine(t *testing.T) {
+	diags := runSrc(t, "mcmap/internal/sim", `package sim
+
+func work() {}
+
+func spawn() {
+	go work() //lint:allow gospawn the goroutine blocks on a pool slot immediately
+	go work()
+	//lint:allow gospawn the goroutine blocks on a pool slot immediately
+	go work()
+	go work()
+}
+`, GoSpawnAnalyzer)
+	var lines []int
+	for _, d := range diags {
+		lines = append(lines, d.Pos.Line)
+	}
+	if fmt.Sprint(lines) != "[7 10]" {
+		t.Fatalf("findings on lines %v, want [7 10]: %v", lines, diags)
 	}
 }
 

@@ -1,547 +1,229 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"path/filepath"
+	"maps"
 	"sort"
 	"strings"
 )
 
-// LockOrderAnalyzer builds a mutex acquisition-order graph across
-// internal/service, internal/dse and internal/workpool and reports
-// cycles. A node is one lock identity — a (struct type, field) pair
-// like service.jobTable.mu, or a function-local/package-level mutex
-// variable — and an edge A -> B is recorded whenever B is acquired
-// while A is held, either directly or through any precisely resolved
-// call chain (locks acquired by callees are propagated over the call
-// graph; method-set-approximated edges are excluded so a name
-// collision cannot fabricate a deadlock). A cycle means two code paths
-// can interleave into a deadlock that no single-package review sees —
-// the exact registry-vs-queue shape the daemon's layering invites.
+// LockOrderAnalyzer forbids taking a mutex while another is held,
+// anywhere in the module. With no nested acquisition, no two code paths
+// can take a pair of locks in opposite orders and deadlock, and no path
+// can re-enter a held, non-reentrant mutex through a callee.
+//
+// A function acquires a mutex when it calls sync.Mutex.Lock,
+// sync.RWMutex.Lock or sync.RWMutex.RLock, or — over precisely resolved
+// call edges only, so a method-name coincidence cannot fabricate a
+// finding — a function that does. One walk per locking function tracks
+// the held set and reports each acquisition made while it is not empty.
+// Branches run on copies of the held set; after an if, switch or select
+// the walk goes on with what any arm that falls through may still hold
+// (the if or switch skipped entirely counts as an arm). Loop bodies run
+// on copies, a deferred unlock keeps its lock held to the end of the
+// function, and a go statement starts with nothing held.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
-	Doc: "forbid mutex acquisition-order cycles across internal/service, " +
-		"internal/dse and internal/workpool (lock-held call edges propagated " +
-		"over the call graph)",
+	Doc: "forbid acquiring a mutex, directly or through a precisely resolved call " +
+		"chain, while another is held; copy out under one lock, release it, then take the next",
 	RunModule: runLockOrder,
 }
 
-// lockScopePackages are the concurrent layers the rule watches; the
-// deterministic analysis core is lock-free by design.
-var lockScopePackages = []string{
-	"internal/service",
-	"internal/dse",
-	"internal/workpool",
-}
-
-func inLockScope(path string) bool {
-	for _, suffix := range lockScopePackages {
-		if pathHasSuffix(path, suffix) {
-			return true
-		}
-	}
-	return false
-}
-
-// lockID is a stable display identity for one mutex: pkg.Type.field,
-// pkg.func.var for locals, or pkg.var for package-level mutexes.
-type lockID string
-
-type lockEdge struct {
-	pos  token.Pos
-	desc string
-}
-
-type lockOrderState struct {
-	mod *Module
-	// pkgLocks indexes package-level `var mu sync.Mutex` declarations.
-	pkgLocks map[string]map[string]lockID
-	// trans[f] is every lock f may acquire, directly or transitively
-	// through precisely resolved callees.
-	trans map[FuncID]map[lockID]bool
-	edges map[[2]lockID]lockEdge
+// lockOps are the external callees the call graph resolves mutex
+// methods to: true acquires, false releases.
+var lockOps = map[string]bool{
+	"sync.Mutex.Lock":      true,
+	"sync.RWMutex.Lock":    true,
+	"sync.RWMutex.RLock":   true,
+	"sync.Mutex.Unlock":    false,
+	"sync.RWMutex.Unlock":  false,
+	"sync.RWMutex.RUnlock": false,
 }
 
 func runLockOrder(mp *ModulePass) {
-	st := &lockOrderState{
-		mod:      mp.Module,
-		pkgLocks: map[string]map[string]lockID{},
-		trans:    map[FuncID]map[lockID]bool{},
-		edges:    map[[2]lockID]lockEdge{},
-	}
-	st.indexPackageLocks()
-
-	// Pass 1: direct acquisitions of every module function (function
-	// literal bodies included — closures run on behalf of their owner).
-	for _, id := range st.mod.FuncIDs() {
-		fi := st.mod.Funcs[id]
-		if fi.Decl.Body == nil {
-			continue
-		}
-		lw := st.newWalker(fi)
-		acq := map[lockID]bool{}
-		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-			if c, ok := n.(*ast.CallExpr); ok {
-				if lid, op, ok := lw.lockOp(c); ok && (op == "Lock" || op == "RLock") {
-					acq[lid] = true
-				}
-			}
-			return true
-		})
-		if len(acq) > 0 {
-			st.trans[id] = acq
-		}
-	}
-
-	// Pass 2: propagate acquisitions over precisely resolved call edges
-	// to a fixpoint.
-	for changed := true; changed; {
-		changed = false
-		for _, id := range st.mod.FuncIDs() {
-			fi := st.mod.Funcs[id]
-			cur := st.trans[id]
-			for _, cs := range fi.Calls {
-				for _, c := range cs.Callees {
-					if c.Fn == nil || c.Approx {
-						continue
-					}
-					for l := range st.trans[c.Fn.ID] {
-						if cur == nil {
-							cur = map[lockID]bool{}
-							st.trans[id] = cur
-						}
-						if !cur[l] {
-							cur[l] = true
-							changed = true
-						}
-					}
-				}
+	mod := mp.Module
+	acquirers := map[FuncID][]string{}
+	var lockers []FuncID
+	for _, id := range mod.ids {
+		for _, cs := range mod.Funcs[id].Calls {
+			if c := cs.Callees[0]; lockOps[c.External] && acquirers[id] == nil {
+				acquirers[id] = []string{c.External}
+				lockers = append(lockers, id)
 			}
 		}
 	}
+	taint(mod, acquirers, true)
 
-	// Pass 3: flow-walk each in-scope function tracking the held set,
-	// recording an edge held -> acquired for direct locks and for every
-	// lock a precisely resolved callee may take.
-	for _, id := range st.mod.FuncIDs() {
-		if !inLockScope(id.Pkg) {
-			continue
+	// Only a function that locks directly can hold a mutex.
+	for _, id := range lockers {
+		fi := mod.Funcs[id]
+		w := &heldWalk{mp: mp, acquirers: acquirers, sites: map[*ast.CallExpr][]Callee{}}
+		for _, cs := range fi.Calls {
+			w.sites[cs.Call] = cs.Callees
 		}
-		fi := st.mod.Funcs[id]
-		if fi.Decl.Body == nil {
-			continue
-		}
-		lw := st.newWalker(fi)
-		lw.walkStmts(fi.Decl.Body.List, map[lockID]token.Pos{})
-	}
-
-	st.reportCycles(mp)
-}
-
-func (st *lockOrderState) indexPackageLocks() {
-	for _, pkg := range st.mod.Pkgs {
-		for _, f := range pkg.Files {
-			imports := st.mod.Imports(f)
-			for _, d := range f.Decls {
-				gd, ok := d.(*ast.GenDecl)
-				if !ok || gd.Tok != token.VAR {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok || vs.Type == nil || !isSyncLockExpr(vs.Type, imports) {
-						continue
-					}
-					for _, n := range vs.Names {
-						if st.pkgLocks[pkg.Path] == nil {
-							st.pkgLocks[pkg.Path] = map[string]lockID{}
-						}
-						st.pkgLocks[pkg.Path][n.Name] = lockID(shortPkg(pkg.Path) + "." + n.Name)
-					}
-				}
-			}
-		}
+		w.walk(fi.Decl.Body, map[string]bool{})
 	}
 }
 
-// isSyncLockExpr matches sync.Mutex / sync.RWMutex type expressions.
-func isSyncLockExpr(e ast.Expr, imports map[string]string) bool {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	return imports[id.Name] == "sync" && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex")
+// heldWalk tracks the mutexes held through one function body, keyed by
+// the source text of the locked expression (r.mu).
+type heldWalk struct {
+	mp        *ModulePass
+	acquirers map[FuncID][]string
+	sites     map[*ast.CallExpr][]Callee
 }
 
-// lockWalker carries one function's resolution context.
-type lockWalker struct {
-	st      *lockOrderState
-	fi      *FuncInfo
-	env     typeEnv
-	imports map[string]string
-	sites   map[token.Pos][]Callee
-}
-
-func (st *lockOrderState) newWalker(fi *FuncInfo) *lockWalker {
-	lw := &lockWalker{
-		st:      st,
-		fi:      fi,
-		env:     st.mod.funcTypeEnv(fi),
-		imports: st.mod.Imports(fi.File),
-		sites:   map[token.Pos][]Callee{},
-	}
-	for _, cs := range fi.Calls {
-		lw.sites[cs.Pos] = cs.Callees
-	}
-	return lw
-}
-
-// lockOp classifies a call as a mutex operation and resolves the lock
-// identity. op is Lock/RLock/Unlock/RUnlock.
-func (lw *lockWalker) lockOp(c *ast.CallExpr) (lockID, string, bool) {
-	sel, ok := c.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	op := sel.Sel.Name
-	if op != "Lock" && op != "RLock" && op != "Unlock" && op != "RUnlock" {
-		return "", "", false
-	}
-	mod := lw.st.mod
-	switch x := sel.X.(type) {
-	case *ast.Ident:
-		// mu.Lock(): a local or package-level mutex variable, or a
-		// receiver with an embedded lock.
-		if t, ok := lw.env[x.Name]; ok {
-			if t.Pkg == "sync" && (t.Name == "Mutex" || t.Name == "RWMutex") {
-				return lockID(displayFunc(lw.fi.ID) + "." + x.Name), op, true
-			}
-			if td := mod.Types[t]; td != nil && td.Struct != nil {
-				for _, fld := range td.Fields {
-					if fld.Embedded && isSyncLockExpr(fld.Type, mod.Imports(td.File)) {
-						return lockID(shortPkg(t.Pkg) + "." + t.Name + "." + fld.Name), op, true
-					}
-				}
-			}
-			return "", "", false
-		}
-		if lid, ok := lw.st.pkgLocks[lw.fi.Pkg.Path][x.Name]; ok {
-			return lid, op, true
-		}
-	case *ast.SelectorExpr:
-		// owner.mu.Lock(): resolve the owner's named type, then require
-		// the field to be declared as a sync lock.
-		owner, ok := mod.exprType(x.X, lw.env, lw.imports, lw.fi.Pkg.Path)
-		if !ok {
-			return "", "", false
-		}
-		td := mod.Types[owner]
-		if td == nil || td.Struct == nil {
-			return "", "", false
-		}
-		for _, fld := range td.Fields {
-			if fld.Name == x.Sel.Name && isSyncLockExpr(fld.Type, mod.Imports(td.File)) {
-				return lockID(shortPkg(owner.Pkg) + "." + owner.Name + "." + fld.Name), op, true
-			}
-		}
-	}
-	return "", "", false
-}
-
-// walkStmts tracks the held set through a statement list. Branch
-// bodies run on copies: a branch that unlocks almost always returns,
-// so the fall-through state keeps the pre-branch held set.
-func (lw *lockWalker) walkStmts(stmts []ast.Stmt, held map[lockID]token.Pos) {
-	for _, s := range stmts {
-		lw.walkStmt(s, held)
-	}
-}
-
-func copyHeld(held map[lockID]token.Pos) map[lockID]token.Pos {
-	out := make(map[lockID]token.Pos, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
-}
-
-func (lw *lockWalker) walkStmt(s ast.Stmt, held map[lockID]token.Pos) {
-	switch v := s.(type) {
-	case *ast.ExprStmt:
-		lw.walkExpr(v.X, held)
-	case *ast.DeferStmt:
-		if _, op, ok := lw.lockOp(v.Call); ok && (op == "Unlock" || op == "RUnlock") {
-			return // deferred release: the lock stays held to function end
-		}
-		if fl, ok := v.Call.Fun.(*ast.FuncLit); ok {
-			lw.walkFuncLit(fl, copyHeld(held))
-			return
-		}
-		lw.walkExpr(v.Call, held)
-	case *ast.GoStmt:
-		// A spawned goroutine does not inherit the spawner's held set.
-		if fl, ok := v.Call.Fun.(*ast.FuncLit); ok {
-			lw.walkFuncLit(fl, map[lockID]token.Pos{})
-			return
-		}
-		lw.walkExpr(v.Call, map[lockID]token.Pos{})
-	case *ast.AssignStmt:
-		for _, e := range v.Rhs {
-			lw.walkExpr(e, held)
-		}
-		for _, e := range v.Lhs {
-			lw.walkExpr(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := v.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						lw.walkExpr(e, held)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range v.Results {
-			lw.walkExpr(e, held)
-		}
-	case *ast.SendStmt:
-		lw.walkExpr(v.Chan, held)
-		lw.walkExpr(v.Value, held)
-	case *ast.IfStmt:
-		if v.Init != nil {
-			lw.walkStmt(v.Init, held)
-		}
-		lw.walkExpr(v.Cond, held)
-		lw.walkStmts(v.Body.List, copyHeld(held))
-		if v.Else != nil {
-			lw.walkStmt(v.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if v.Init != nil {
-			lw.walkStmt(v.Init, held)
-		}
-		if v.Cond != nil {
-			lw.walkExpr(v.Cond, held)
-		}
-		body := copyHeld(held)
-		lw.walkStmts(v.Body.List, body)
-		if v.Post != nil {
-			lw.walkStmt(v.Post, body)
-		}
-	case *ast.RangeStmt:
-		lw.walkExpr(v.X, held)
-		lw.walkStmts(v.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if v.Init != nil {
-			lw.walkStmt(v.Init, held)
-		}
-		if v.Tag != nil {
-			lw.walkExpr(v.Tag, held)
-		}
-		for _, cl := range v.Body.List {
-			if cc, ok := cl.(*ast.CaseClause); ok {
-				lw.walkStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cl := range v.Body.List {
-			if cc, ok := cl.(*ast.CaseClause); ok {
-				lw.walkStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		for _, cl := range v.Body.List {
-			if cc, ok := cl.(*ast.CommClause); ok {
-				lw.walkStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.BlockStmt:
-		lw.walkStmts(v.List, held)
-	case *ast.LabeledStmt:
-		lw.walkStmt(v.Stmt, held)
-	}
-}
-
-// walkExpr processes every call inside an expression in syntactic
-// order: lock operations mutate the held set, other calls contribute
-// edges for each lock their precisely resolved callees may acquire.
-func (lw *lockWalker) walkExpr(e ast.Expr, held map[lockID]token.Pos) {
-	ast.Inspect(e, func(n ast.Node) bool {
+func (w *heldWalk) walk(root ast.Node, held map[string]bool) {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch v := n.(type) {
-		case *ast.FuncLit:
-			// A literal not spawned via `go` runs (or may run) on the
-			// current goroutine; walk it under the current held set.
-			lw.walkFuncLit(v, copyHeld(held))
+		case *ast.IfStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			w.branches(v.(ast.Stmt), held)
 			return false
-		case *ast.CallExpr:
-			if lid, op, ok := lw.lockOp(v); ok {
-				switch op {
-				case "Lock", "RLock":
-					lw.acquire(lid, v.Pos(), held, "")
-					held[lid] = v.Pos()
-				case "Unlock", "RUnlock":
-					delete(held, lid)
-				}
+		case *ast.BlockStmt:
+			if n != root {
+				w.walk(n, maps.Clone(held))
 				return false
 			}
-			for _, c := range lw.sites[v.Pos()] {
-				if c.Fn == nil || c.Approx {
-					continue
-				}
-				locks := make([]lockID, 0, len(lw.st.trans[c.Fn.ID]))
-				for l := range lw.st.trans[c.Fn.ID] {
-					locks = append(locks, l)
-				}
-				sort.Slice(locks, func(i, j int) bool { return locks[i] < locks[j] })
-				for _, l := range locks {
-					lw.acquire(l, v.Pos(), held, displayFunc(c.Fn.ID))
-				}
+		case *ast.FuncLit:
+			w.walk(v.Body, maps.Clone(held))
+			return false
+		case *ast.GoStmt:
+			w.walk(v.Call, map[string]bool{})
+			return false
+		case *ast.DeferStmt:
+			if acquire, ok := w.lockOp(v.Call); ok && !acquire {
+				return false
 			}
+			w.walk(v.Call, maps.Clone(held))
+			return false
+		case *ast.CallExpr:
+			w.call(v, held)
 		}
 		return true
 	})
 }
 
-func (lw *lockWalker) walkFuncLit(fl *ast.FuncLit, held map[lockID]token.Pos) {
-	if fl.Body != nil {
-		lw.walkStmts(fl.Body.List, held)
+// branches walks a conditional statement: its header on held, each arm
+// on a copy. Afterwards held is the union of the arms that fall through.
+func (w *heldWalk) branches(s ast.Stmt, held map[string]bool) {
+	var header []ast.Node
+	var arms [][]ast.Stmt
+	skippable := true
+	var clauses []ast.Stmt
+	switch s := s.(type) {
+	case *ast.IfStmt:
+		header = []ast.Node{s.Init, s.Cond}
+		arms = append(arms, s.Body.List)
+		if s.Else != nil {
+			arms, skippable = append(arms, []ast.Stmt{s.Else}), false
+		}
+	case *ast.SwitchStmt:
+		header, clauses = []ast.Node{s.Init, s.Tag}, s.Body.List
+	case *ast.TypeSwitchStmt:
+		header, clauses = []ast.Node{s.Init, s.Assign}, s.Body.List
+	case *ast.SelectStmt:
+		clauses, skippable = s.Body.List, false
+	}
+	for _, cl := range clauses {
+		switch cl := cl.(type) {
+		case *ast.CaseClause:
+			arms = append(arms, cl.Body)
+			skippable = skippable && cl.List != nil
+		case *ast.CommClause:
+			arms = append(arms, append([]ast.Stmt{cl.Comm}, cl.Body...))
+		}
+	}
+	for _, h := range header {
+		if h != nil {
+			w.walk(h, held)
+		}
+	}
+	out := map[string]bool{}
+	if skippable {
+		maps.Copy(out, held)
+	}
+	for _, arm := range arms {
+		a := maps.Clone(held)
+		for _, st := range arm {
+			if st != nil {
+				w.walk(st, a)
+			}
+		}
+		if len(arm) == 0 || !terminates(arm[len(arm)-1]) {
+			maps.Copy(out, a)
+		}
+	}
+	clear(held)
+	maps.Copy(held, out)
+}
+
+// terminates reports whether control cannot fall off the end of s.
+func terminates(s ast.Stmt) bool {
+	switch s := s.(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.BranchStmt:
+		return s.Tok == token.CONTINUE || s.Tok == token.GOTO
+	case *ast.BlockStmt:
+		return len(s.List) > 0 && terminates(s.List[len(s.List)-1])
+	case *ast.ExprStmt:
+		call, ok := s.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := call.Fun.(*ast.Ident)
+		return ok && id.Name == "panic"
+	}
+	return false
+}
+
+// lockOp classifies a call as a mutex acquisition or release.
+func (w *heldWalk) lockOp(call *ast.CallExpr) (acquire, ok bool) {
+	if cs := w.sites[call]; len(cs) > 0 {
+		acquire, ok = lockOps[cs[0].External]
+	}
+	return acquire, ok
+}
+
+func (w *heldWalk) call(call *ast.CallExpr, held map[string]bool) {
+	if acquire, ok := w.lockOp(call); ok {
+		sel := call.Fun.(*ast.SelectorExpr)
+		mu := exprChain(sel.X)
+		if !acquire {
+			delete(held, mu)
+			return
+		}
+		if len(held) > 0 {
+			w.mp.Reportf(call.Pos(), "%s.%s() while holding %s; take no mutex while another is held: copy out under one lock, release it, then take the next",
+				mu, sel.Sel.Name, heldNames(held))
+		}
+		held[mu] = true
+		return
+	}
+	if len(held) == 0 {
+		return
+	}
+	for _, c := range w.sites[call] {
+		if c.Fn == nil || c.Approx || w.acquirers[c.Fn.ID] == nil {
+			continue
+		}
+		chain := append([]string{displayFunc(c.Fn.ID)}, w.acquirers[c.Fn.ID]...)
+		w.mp.Reportf(call.Pos(), "call to %s, which acquires a mutex (%s), while holding %s; take no mutex while another is held: copy out under one lock, release it, then call",
+			displayFunc(c.Fn.ID), strings.Join(chain, " -> "), heldNames(held))
+		return
 	}
 }
 
-// acquire records an ordering edge from every held lock to l. via
-// names the callee responsible for an indirect acquisition.
-func (lw *lockWalker) acquire(l lockID, pos token.Pos, held map[lockID]token.Pos, via string) {
-	for h := range held {
-		// h == l records a self-edge: re-acquiring a held, non-reentrant
-		// mutex (directly or through a callee) is a one-node cycle.
-		key := [2]lockID{h, l}
-		if _, seen := lw.st.edges[key]; seen {
-			continue
+// heldNames renders the held set for messages, sorted.
+func heldNames(held map[string]bool) string {
+	names := make([]string, 0, len(held))
+	for mu := range held {
+		if mu == "" {
+			mu = "a mutex"
 		}
-		desc := fmt.Sprintf("%s acquired while %s held in %s", l, h, displayFunc(lw.fi.ID))
-		if via != "" {
-			desc += " (via " + via + ")"
-		}
-		lw.st.edges[key] = lockEdge{pos: pos, desc: desc}
+		names = append(names, mu)
 	}
-}
-
-// reportCycles finds strongly connected components of the acquisition
-// graph and reports each cycle (including self-edges) once, anchored at
-// its earliest edge.
-func (st *lockOrderState) reportCycles(mp *ModulePass) {
-	adj := map[lockID][]lockID{}
-	var nodes []lockID
-	seen := map[lockID]bool{}
-	addNode := func(n lockID) {
-		if !seen[n] {
-			seen[n] = true
-			nodes = append(nodes, n)
-		}
-	}
-	keys := make([][2]lockID, 0, len(st.edges))
-	for k := range st.edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		addNode(k[0])
-		addNode(k[1])
-		adj[k[0]] = append(adj[k[0]], k[1])
-	}
-
-	// Tarjan SCC, iterative enough for a handful of locks.
-	index := map[lockID]int{}
-	low := map[lockID]int{}
-	onStack := map[lockID]bool{}
-	var stack []lockID
-	next := 0
-	var sccs [][]lockID
-	var strongConnect func(v lockID)
-	strongConnect = func(v lockID) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, ok := index[w]; !ok {
-				strongConnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []lockID
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, comp)
-		}
-	}
-	for _, n := range nodes {
-		if _, ok := index[n]; !ok {
-			strongConnect(n)
-		}
-	}
-
-	for _, comp := range sccs {
-		var cyclic bool
-		if len(comp) > 1 {
-			cyclic = true
-		} else if _, self := st.edges[[2]lockID{comp[0], comp[0]}]; self {
-			cyclic = true
-		}
-		if !cyclic {
-			continue
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		inComp := map[lockID]bool{}
-		for _, n := range comp {
-			inComp[n] = true
-		}
-		var parts []string
-		anchor := token.NoPos
-		for _, k := range keys {
-			if !inComp[k[0]] || !inComp[k[1]] {
-				continue
-			}
-			e := st.edges[k]
-			pos := st.mod.Fset.Position(e.pos)
-			parts = append(parts, fmt.Sprintf("%s -> %s at %s:%d", k[0], k[1], filepath.Base(pos.Filename), pos.Line))
-			if anchor == token.NoPos || e.pos < anchor {
-				anchor = e.pos
-			}
-		}
-		names := make([]string, len(comp))
-		for i, n := range comp {
-			names[i] = string(n)
-		}
-		mp.Reportf(anchor,
-			"lock-order cycle among {%s}: %s; two goroutines interleaving these paths deadlock — "+
-				"impose a single acquisition order or drop to a copy outside the lock",
-			strings.Join(names, ", "), strings.Join(parts, "; "))
-	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
 }

@@ -24,17 +24,10 @@ func runMapRange(pass *Pass) {
 	if !inDeterministicPackage(pass.PkgPath) {
 		return
 	}
-	local := localMapTypes(pass.Files)
-	// Under the module driver, the cross-package named-map-type table is
-	// derived from the whole-repo type index instead of the hardcoded
-	// fallback list.
-	known := knownMapTypeNames
-	if pass.Module != nil {
-		known = pass.Module.knownMapNames(pass.PkgPath)
-	}
-	fields := mapFieldNames(pass.Files, local, known)
+	known := pass.Module.knownMapNames(pass.PkgPath)
+	fields := mapFieldNames(pass.Files, known)
 	for _, f := range pass.Files {
-		imports := fileImports(f)
+		imports := pass.Module.Imports(f)
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -43,7 +36,6 @@ func runMapRange(pass *Pass) {
 			mr := &mapRangeChecker{
 				pass:    pass,
 				imports: imports,
-				local:   local,
 				known:   known,
 				fields:  fields,
 				mapVars: map[string]bool{},
@@ -64,7 +56,6 @@ func runMapRange(pass *Pass) {
 type mapRangeChecker struct {
 	pass    *Pass
 	imports map[string]string
-	local   map[string]bool
 	known   map[string]bool
 	fields  map[string]bool
 	// mapVars are identifiers known (syntactically) to hold maps.
@@ -79,7 +70,7 @@ func (mr *mapRangeChecker) collectMapVars(fd *ast.FuncDecl) {
 			return
 		}
 		for _, fld := range fl.List {
-			if !isMapTypeExpr(fld.Type, mr.local, mr.known) {
+			if !isMapTypeExpr(fld.Type, mr.known) {
 				continue
 			}
 			for _, name := range fld.Names {
@@ -100,7 +91,7 @@ func (mr *mapRangeChecker) collectMapVars(fd *ast.FuncDecl) {
 			}
 			for _, spec := range gd.Specs {
 				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || vs.Type == nil || !isMapTypeExpr(vs.Type, mr.local, mr.known) {
+				if !ok || vs.Type == nil || !isMapTypeExpr(vs.Type, mr.known) {
 					continue
 				}
 				for _, name := range vs.Names {
@@ -131,10 +122,10 @@ func (mr *mapRangeChecker) collectMapVars(fd *ast.FuncDecl) {
 func (mr *mapRangeChecker) isMapExpr(e ast.Expr) bool {
 	switch v := e.(type) {
 	case *ast.CompositeLit:
-		return v.Type != nil && isMapTypeExpr(v.Type, mr.local, mr.known)
+		return v.Type != nil && isMapTypeExpr(v.Type, mr.known)
 	case *ast.CallExpr:
 		if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "make" && len(v.Args) >= 1 {
-			return isMapTypeExpr(v.Args[0], mr.local, mr.known)
+			return isMapTypeExpr(v.Args[0], mr.known)
 		}
 	}
 	return false

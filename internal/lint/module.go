@@ -1,24 +1,24 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// This file is the whole-repo half of the framework: a module index
-// over every loaded package — named types, struct fields, a function
-// table and a syntactic interprocedural call graph — that the
-// cross-package analyzers (transdet, wireschema, lockorder) consume via
-// ModulePass. Resolution stays purely syntactic (no go/types): calls
-// are resolved through per-file import tables for pkg.Func selectors,
-// through a lightweight local type environment (receivers, parameters,
-// typed declarations, composite literals, constructor results) for
-// method calls, and — where the receiver type cannot be decided — by
-// method-set approximation: every module method of that name becomes a
-// candidate callee, marked Approx so precision-sensitive analyzers can
-// discount those edges.
+// This file indexes the module every analyzer runs over: the loaded
+// packages with named types, struct fields, a function table and a
+// syntactic interprocedural call graph. Resolution stays purely
+// syntactic (no go/types): calls are resolved through per-file import
+// tables for pkg.Func selectors, through a lightweight local type
+// environment (receivers, parameters, typed declarations, composite
+// literals, results of resolved calls) for method calls, and — where the
+// receiver type cannot be decided — by method-set approximation: every
+// module method of that name becomes a candidate callee, marked Approx
+// so precision-sensitive analyzers can discount those edges.
 
 // TypeID names a module-level named type by import path and identifier.
 type TypeID struct {
@@ -86,6 +86,8 @@ type CallSite struct {
 
 // FuncInfo is one module function with its outgoing calls (calls made
 // inside function literals are attributed to the enclosing function).
+// Each file's package-level var declarations form one synthetic
+// function, so calls in initializers enter the call graph too.
 type FuncInfo struct {
 	ID    FuncID
 	Pkg   *Package
@@ -94,7 +96,7 @@ type FuncInfo struct {
 	Calls []CallSite
 }
 
-// Module is the whole-repo index the cross-package analyzers run over.
+// Module is the whole-repo index every analyzer runs over.
 type Module struct {
 	Root string
 	Fset *token.FileSet
@@ -106,44 +108,13 @@ type Module struct {
 	Funcs map[FuncID]*FuncInfo
 	// NamedMaps marks named types whose underlying type is a map.
 	NamedMaps map[TypeID]bool
-	// LockyStructs marks structs that directly or transitively embed a
-	// sync lock type by value — across package boundaries, unlike the
-	// per-package approximation in synccopy.
-	LockyStructs map[TypeID]bool
 
+	ids           []FuncID // Funcs' keys in sorted order, for deterministic output
 	byPath        map[string]*Package
 	methodsByName map[string][]*FuncInfo
 	importsOf     map[*ast.File]map[string]string
 	allows        allowSet
-}
-
-// Allows returns the module-wide suppression index (lazily built).
-// Module analyzers whose findings derive from OTHER lines than the one
-// reported — transdet seeds taint at root call sites — consult it so an
-// already-waived root does not resurface as a transitive finding.
-func (m *Module) Allows() allowSet {
-	if m.allows == nil {
-		m.allows = allowSet{}
-		var discard []Diagnostic
-		for _, pkg := range m.Pkgs {
-			collectAllows(m.allows, pkg.Fset, pkg.Files, &discard)
-		}
-	}
-	return m.allows
-}
-
-// PackageByPath returns the loaded package with the import path, or nil.
-func (m *Module) PackageByPath(path string) *Package { return m.byPath[path] }
-
-// FuncIDs returns every indexed function identifier in sorted order,
-// so analyzer output is deterministic.
-func (m *Module) FuncIDs() []FuncID {
-	ids := make([]FuncID, 0, len(m.Funcs))
-	for id := range m.Funcs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].String() < ids[j].String() })
-	return ids
+	malformed     []Diagnostic
 }
 
 // Imports returns the file's local-name→import-path table (cached).
@@ -165,7 +136,6 @@ func NewModule(root string, pkgs []*Package) *Module {
 		Types:         map[TypeID]*TypeDef{},
 		Funcs:         map[FuncID]*FuncInfo{},
 		NamedMaps:     map[TypeID]bool{},
-		LockyStructs:  map[TypeID]bool{},
 		byPath:        map[string]*Package{},
 		methodsByName: map[string][]*FuncInfo{},
 		importsOf:     map[*ast.File]map[string]string{},
@@ -176,9 +146,9 @@ func NewModule(root string, pkgs []*Package) *Module {
 	for _, pkg := range pkgs {
 		m.byPath[pkg.Path] = pkg
 	}
+	m.allows, m.malformed = collectAllows(m.Fset, pkgs)
 	m.indexTypes()
 	m.indexFuncs()
-	m.computeLocky()
 	m.resolveCalls()
 	return m
 }
@@ -262,9 +232,21 @@ func baseTypeName(e ast.Expr) string {
 }
 
 func (m *Module) indexFuncs() {
+	add := func(fi *FuncInfo) {
+		m.Funcs[fi.ID] = fi
+		m.ids = append(m.ids, fi.ID)
+		if fi.ID.Recv != "" {
+			m.methodsByName[fi.ID.Name] = append(m.methodsByName[fi.ID.Name], fi)
+		}
+	}
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
+			base := filepath.Base(m.Fset.Position(f.Pos()).Filename)
+			var vars []ast.Stmt
 			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					vars = append(vars, &ast.DeclStmt{Decl: gd})
+				}
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok {
 					continue
@@ -272,62 +254,24 @@ func (m *Module) indexFuncs() {
 				id := FuncID{Pkg: pkg.Path, Name: fd.Name.Name}
 				if fd.Recv != nil && len(fd.Recv.List) == 1 {
 					id.Recv = baseTypeName(fd.Recv.List[0].Type)
+				} else if id.Name == "init" {
+					// A package may declare several init functions, and
+					// none can be called by name.
+					id.Name = fmt.Sprintf("init(%s:%d)", base, m.Fset.Position(fd.Pos()).Line)
 				}
-				fi := &FuncInfo{ID: id, Pkg: pkg, File: f, Decl: fd}
-				m.Funcs[id] = fi
-				if id.Recv != "" {
-					m.methodsByName[id.Name] = append(m.methodsByName[id.Name], fi)
-				}
+				add(&FuncInfo{ID: id, Pkg: pkg, File: f, Decl: fd})
+			}
+			if len(vars) > 0 {
+				// The name is no identifier, so no call resolves to it.
+				decl := &ast.FuncDecl{Name: ast.NewIdent("vars(" + base + ")"), Type: &ast.FuncType{}, Body: &ast.BlockStmt{List: vars}}
+				add(&FuncInfo{ID: FuncID{Pkg: pkg.Path, Name: decl.Name.Name}, Pkg: pkg, File: f, Decl: decl})
 			}
 		}
 	}
+	sort.Slice(m.ids, func(i, j int) bool { return m.ids[i].String() < m.ids[j].String() })
 	for _, fis := range m.methodsByName {
 		sort.Slice(fis, func(i, j int) bool { return fis[i].ID.String() < fis[j].ID.String() })
 	}
-}
-
-// computeLocky runs the cross-package locky-struct fixpoint: a struct
-// is locky when a field embeds (by value) a sync lock type or another
-// locky struct, regardless of which package declares it.
-func (m *Module) computeLocky() {
-	for changed := true; changed; {
-		changed = false
-		for id, td := range m.Types {
-			if td.Struct == nil || m.LockyStructs[id] {
-				continue
-			}
-			for _, fld := range td.Fields {
-				if m.typeExprLocky(fld.Type, td) {
-					m.LockyStructs[id] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-}
-
-func (m *Module) typeExprLocky(e ast.Expr, td *TypeDef) bool {
-	switch v := e.(type) {
-	case *ast.Ident:
-		return m.LockyStructs[TypeID{Pkg: td.ID.Pkg, Name: v.Name}]
-	case *ast.SelectorExpr:
-		id, ok := v.X.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		path := m.Imports(td.File)[id.Name]
-		if path == "sync" {
-			return syncLockTypes[v.Sel.Name]
-		}
-		return m.LockyStructs[TypeID{Pkg: path, Name: v.Sel.Name}]
-	case *ast.ParenExpr:
-		return m.typeExprLocky(v.X, td)
-	case *ast.ArrayType:
-		return m.typeExprLocky(v.Elt, td)
-	}
-	// Pointers, maps, channels and function types share, not copy.
-	return false
 }
 
 // resolveTypeID resolves a type expression to a named type identity,
@@ -412,18 +356,26 @@ func (m *Module) funcTypeEnv(fi *FuncInfo) typeEnv {
 				}
 			}
 		case *ast.AssignStmt:
-			if len(v.Lhs) != len(v.Rhs) {
-				return true
+			var results []TypeID // x, ok := f(): one type per result of f
+			if call, isCall := v.Rhs[0].(*ast.CallExpr); isCall && len(v.Rhs) == 1 && len(v.Lhs) > 1 {
+				results = m.callResults(call, env, imports, fi.Pkg.Path)
 			}
 			for i, lhs := range v.Lhs {
 				id, ok := lhs.(*ast.Ident)
 				if !ok || id.Name == "_" {
 					continue
 				}
-				if t, ok := m.exprResultType(v.Rhs[i], env, imports, fi.Pkg.Path); ok {
-					if _, seen := env[id.Name]; !seen {
-						env[id.Name] = t
-					}
+				var t TypeID
+				switch {
+				case len(v.Lhs) == len(v.Rhs):
+					t, ok = m.exprResultType(v.Rhs[i], env, imports, fi.Pkg.Path)
+				case len(results) == len(v.Lhs):
+					t, ok = results[i], results[i] != TypeID{}
+				default:
+					ok = false
+				}
+				if _, seen := env[id.Name]; ok && !seen {
+					env[id.Name] = t
 				}
 			}
 		}
@@ -451,17 +403,30 @@ func (m *Module) exprResultType(e ast.Expr, env typeEnv, imports map[string]stri
 		if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "new" && len(v.Args) == 1 {
 			return resolveTypeID(v.Args[0], imports, pkgPath)
 		}
-		callee, ok := m.namedCallee(v, env, imports, pkgPath)
-		if !ok || callee.Fn == nil {
-			return TypeID{}, false
+		if rs := m.callResults(v, env, imports, pkgPath); len(rs) == 1 && rs[0] != (TypeID{}) {
+			return rs[0], true
 		}
-		res := callee.Fn.Decl.Type.Results
-		if res == nil || len(res.List) != 1 || len(res.List[0].Names) > 1 {
-			return TypeID{}, false
-		}
-		return resolveTypeID(res.List[0].Type, m.Imports(callee.Fn.File), callee.Fn.Pkg.Path)
 	}
 	return TypeID{}, false
+}
+
+// callResults resolves the result types of a call whose callee is one
+// precisely resolved module function: one entry per result, zero where
+// resolveTypeID cannot name the type.
+func (m *Module) callResults(call *ast.CallExpr, env typeEnv, imports map[string]string, pkgPath string) []TypeID {
+	callees := m.calleesOf(call, env, imports, pkgPath)
+	if len(callees) != 1 || callees[0].Fn == nil || callees[0].Approx || callees[0].Fn.Decl.Type.Results == nil {
+		return nil
+	}
+	fn := callees[0].Fn
+	var out []TypeID
+	for _, r := range fn.Decl.Type.Results.List {
+		t, _ := resolveTypeID(r.Type, m.Imports(fn.File), fn.Pkg.Path)
+		for range max(1, len(r.Names)) {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // namedCallee resolves the direct (non-method, non-approximate) callee
@@ -544,7 +509,7 @@ func (m *Module) exprType(e ast.Expr, env typeEnv, imports map[string]string, pk
 // through the local type environment where possible and fall back to
 // method-set approximation otherwise.
 func (m *Module) resolveCalls() {
-	for _, id := range m.FuncIDs() {
+	for _, id := range m.ids {
 		fi := m.Funcs[id]
 		if fi.Decl.Body == nil {
 			continue
@@ -613,8 +578,7 @@ var goBuiltins = map[string]bool{
 
 // knownMapNames renders the module's named map types in the spellings
 // source inside pkgPath can use: qualified "pkg.Type" everywhere, bare
-// "Type" for the package's own declarations. It replaces the hardcoded
-// knownMapTypeNames fallback under the module driver.
+// "Type" for the package's own declarations.
 func (m *Module) knownMapNames(pkgPath string) map[string]bool {
 	out := map[string]bool{}
 	for id := range m.NamedMaps {

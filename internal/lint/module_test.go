@@ -128,7 +128,8 @@ func TestWireSchemaCoversRepoRoots(t *testing.T) {
 
 // TestModuleCallGraph exercises the loader-to-call-graph pipeline on a
 // synthetic module: cross-package function calls and method calls
-// resolve precisely, and external callees keep their import path.
+// resolve precisely, var initializers enter the graph, and external
+// callees keep their import path.
 func TestModuleCallGraph(t *testing.T) {
 	root := t.TempDir()
 	writeTree(t, root, map[string]string{
@@ -142,14 +143,23 @@ func Stamp() int64 { return time.Now().UnixNano() }
 type Box struct{ N int }
 
 func (b *Box) Get() int { return b.N }
+
+func (b *Box) Peek() (*Box, bool) { return b, true }
+
+func (b *Box) Set(n int) { b.N = n }
 `,
 		"internal/app/app.go": `package app
 
 import "tmod/internal/util"
 
+var start = util.Stamp()
+
 func Use() int {
 	b := &util.Box{}
 	_ = util.Stamp()
+	if p, ok := b.Peek(); ok {
+		p.Set(1)
+	}
 	return b.Get()
 }
 `,
@@ -171,10 +181,18 @@ func Use() int {
 	for _, want := range []FuncID{
 		{Pkg: "tmod/internal/util", Name: "Stamp"},
 		{Pkg: "tmod/internal/util", Recv: "Box", Name: "Get"},
+		// p is typed from the first result of a comma-ok method call.
+		{Pkg: "tmod/internal/util", Recv: "Box", Name: "Set"},
 	} {
 		if !resolved[want.String()] {
 			t.Errorf("app.Use call graph missing precise edge to %s (got %v)", want, resolved)
 		}
+	}
+
+	// Package-level initializers form one function per file.
+	vars := mod.Funcs[FuncID{Pkg: "tmod/internal/app", Name: "vars(app.go)"}]
+	if vars == nil || len(vars.Calls) != 1 || vars.Calls[0].Callees[0].Fn.ID.Name != "Stamp" {
+		t.Errorf("app.go's var initializers should form one function calling util.Stamp, got %+v", vars)
 	}
 
 	stamp := mod.Funcs[FuncID{Pkg: "tmod/internal/util", Name: "Stamp"}]

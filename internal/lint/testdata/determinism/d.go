@@ -1,5 +1,6 @@
-// Package determinism is golden-test input for the determinism
-// analyzer. It only needs to parse; it is never compiled.
+// Package determinism is golden-test input for transdet's direct roots
+// (witness chains of length 0). It only needs to parse; it is never
+// compiled.
 package determinism
 
 import (
@@ -8,6 +9,13 @@ import (
 	"os"
 	"time"
 )
+
+var t0 = time.Now() // want `time\.Now`
+
+// A package may declare several init functions (v2.go has another).
+func init() {
+	_ = time.Now() // want `time\.Now`
+}
 
 func wallClock() int64 {
 	t := time.Now()   // want `time\.Now`
@@ -24,7 +32,9 @@ func globalRand() int {
 
 func seededRandIsFine(seed int64) int {
 	rng := rand.New(rand.NewSource(seed))
-	return rng.Intn(10)
+	pcg := r2.New(r2.NewPCG(uint64(seed), 0))
+	cha := r2.New(r2.NewChaCha8([32]byte{}))
+	return rng.Intn(10) + pcg.IntN(10) + cha.IntN(10)
 }
 
 func envBranch() string {

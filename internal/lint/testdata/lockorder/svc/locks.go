@@ -1,6 +1,7 @@
-// Golden for the lockorder rule: a two-lock cycle through method
-// calls, a self-deadlock through a callee, a consistently ordered pair
-// that must stay silent, and a waived cycle.
+// Golden for the lockorder rule: no mutex is taken while another is
+// held. Each nested acquisition site is a finding: both legs of a
+// two-lock cycle through method calls, a self-deadlock through a
+// callee, and a consistently ordered pair, which the rule rejects too.
 package service
 
 import "sync"
@@ -17,7 +18,7 @@ type queue struct {
 func (r *registry) lockBoth(q *queue) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	q.grab() // want `lock-order cycle among \{service.queue.mu, service.registry.mu\}`
+	q.grab() // want `call to service.queue.grab, which acquires a mutex \(service.queue.grab -> sync.Mutex.Lock\), while holding r.mu`
 }
 
 func (q *queue) grab() {
@@ -29,7 +30,7 @@ func (q *queue) grab() {
 func (q *queue) lockBothReversed(r *registry) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	r.grab()
+	r.grab() // want `call to service.registry.grab, which acquires a mutex .*while holding q.mu`
 }
 
 func (r *registry) grab() {
@@ -44,7 +45,7 @@ type counter struct {
 // bump re-acquires its own lock through a callee: a one-node cycle.
 func (c *counter) bump() {
 	c.mu.Lock()
-	c.inc() // want `lock-order cycle among \{service.counter.mu\}`
+	c.inc() // want `call to service.counter.inc, which acquires a mutex .*while holding c.mu`
 	c.mu.Unlock()
 }
 
@@ -61,17 +62,18 @@ type inner struct {
 	mu sync.Mutex
 }
 
-// Both paths take outer.mu before inner.mu: a consistent order is not
-// a cycle, however many call chains repeat it.
+// Both paths take outer.mu before inner.mu. The order is consistent,
+// but the rule forbids the nesting itself: a later path in the other
+// order would close a cycle no single change shows.
 func (o *outer) consistent(i *inner) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	i.poke()
+	i.poke() // want `call to service.inner.poke, which acquires a mutex .*while holding o.mu`
 }
 
 func (o *outer) alsoConsistent(i *inner) {
 	o.mu.Lock()
-	i.poke()
+	i.poke() // want `call to service.inner.poke, which acquires a mutex .*while holding o.mu`
 	o.mu.Unlock()
 }
 

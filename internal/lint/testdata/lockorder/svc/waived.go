@@ -11,8 +11,8 @@ type beta struct {
 }
 
 // The alpha->beta leg of this cycle runs only during init, before any
-// other goroutine exists; the waiver sits on the cycle's anchor edge
-// (its earliest acquisition site).
+// other goroutine exists, so it carries a waiver; the beta->alpha leg
+// is still a finding.
 func (a *alpha) first(b *beta) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -28,7 +28,7 @@ func (b *beta) take() {
 func (b *beta) second(a *alpha) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	a.take()
+	a.take() // want `call to service.alpha.take, which acquires a mutex .*while holding b.mu`
 }
 
 func (a *alpha) take() {

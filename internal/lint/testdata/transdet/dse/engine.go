@@ -4,6 +4,9 @@ package dse
 
 import "tmod/internal/clock"
 
+// Package-level initializers run in the package too.
+var stamp = clock.Stamp() // want `call to clock.Stamp, which transitively reaches time.Now`
+
 func useDirect() int64 {
 	return clock.Stamp() // want `call to clock.Stamp, which transitively reaches time.Now`
 }
