@@ -394,22 +394,16 @@ func BenchmarkScenarioDedup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, dedup := range []bool{true, false} {
-		name := "dedup"
-		if !dedup {
-			name = "nodedup"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := core.Config{Analyzer: &sched.Coarse{}, DedupScenarios: dedup}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Analyze(sys, dropped, cfg); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("dedup", func(b *testing.B) {
+		cfg := core.Config{Analyzer: &sched.Coarse{}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Analyze(sys, dropped, cfg); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // --- Micro-benchmarks -----------------------------------------------------------
@@ -513,7 +507,7 @@ func BenchmarkBackendAblation(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Analyze(sys, dropped, core.Config{Analyzer: cfg.an, DedupScenarios: true}); err != nil {
+				if _, err := core.Analyze(sys, dropped, core.Config{Analyzer: cfg.an}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -45,7 +45,6 @@ func main() {
 	islands := flag.Int("islands", 1, "concurrent GA islands per optimization run (per-island seeds derive from -seed)")
 	migrationInterval := flag.Int("migration-interval", 10, "generations between Pareto-elite ring migrations (multi-island runs)")
 	islandProcs := flag.Bool("island-procs", false, "run each island in its own child process (GA subcommands; archives identical to in-process islands)")
-	prune := flag.Bool("prune", false, "skip dominated fault scenarios inside every fitness evaluation (same WCRTs and verdicts; fewer backend runs)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Usage = usage
@@ -65,7 +64,6 @@ func main() {
 	opts.Islands = *islands
 	opts.MigrationInterval = *migrationInterval
 	opts.Distributed = *islandProcs
-	opts.PruneDominated = *prune
 	mcRuns := 10000
 	if *quick {
 		mcRuns = 500

@@ -38,7 +38,6 @@ func main() {
 	islandHosts := flag.String("island-hosts", "", "comma-separated fleet worker addresses (host:port of `mcmapd -worker` processes) to run island legs on; archives are byte-identical to the in-process mode, and a lost worker's island is recomputed locally")
 	noDrop := flag.Bool("nodrop", false, "disable task dropping (T_d always empty)")
 	track := flag.Bool("track", false, "track the dropping-rescue ratio (doubles analysis cost)")
-	prune := flag.Bool("prune", false, "skip dominated fault scenarios inside every fitness evaluation (same WCRTs and verdicts; fewer backend runs)")
 	out := flag.String("o", "", "write the best design's spec (arch+apps+mapping) to this JSON file")
 	csvPrefix := flag.String("csv", "", "write <prefix>-front.csv and <prefix>-history.csv for plotting")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -100,15 +99,14 @@ func main() {
 		PopSize: *pop, Generations: *gens, Seed: *seed, Workers: *workers,
 		Islands: *islands, MigrationInterval: *migrationInterval, Distributed: *islandProcs,
 		IslandHosts:     splitHosts(*islandHosts),
-		DisableDropping: *noDrop, TrackDroppingGain: *track, PruneDominated: *prune,
+		DisableDropping: *noDrop, TrackDroppingGain: *track,
 	})
 	if err != nil {
 		fatal(stopProf, err)
 	}
 
 	fmt.Printf("evaluated %d candidates, %d feasible\n", res.Stats.Evaluated, res.Stats.Feasible)
-	fmt.Printf("scenario analyses: %d run (%d deduplicated, %d pruned)\n",
-		res.Stats.ScenariosAnalyzed, res.Stats.ScenariosDeduped, res.Stats.ScenariosPruned)
+	fmt.Printf("scenario analyses: %d run (%d deduplicated)\n", res.Stats.ScenariosAnalyzed, res.Stats.ScenariosDeduped)
 	if len(res.Stats.IslandStats) > 0 {
 		fmt.Printf("islands: %d, %d migrants exchanged\n", len(res.Stats.IslandStats), res.Stats.Migrations)
 		for _, st := range res.Stats.IslandStats {

@@ -44,19 +44,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	dropped := mcmap.DropSet{}
-	switch *drop {
-	case "":
-	case "*":
-		for _, g := range s.Apps.Graphs {
-			if g.Droppable() {
-				dropped[g.Name] = true
-			}
-		}
-	default:
-		for _, name := range strings.Split(*drop, ",") {
-			dropped[strings.TrimSpace(name)] = true
-		}
+	dropped, err := mcmap.ParseDropList(s.Apps, *drop)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	cfg := mcmap.SimConfig{Dropped: dropped, RecordTrace: true, Horizon: *horizon}

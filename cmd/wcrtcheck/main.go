@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"mcmap"
 )
@@ -19,7 +18,6 @@ func main() {
 	drop := flag.String("drop", "*", "comma-separated droppable applications to drop in critical mode; '*' = all, '' = none")
 	simRuns := flag.Int("sim", 0, "additionally run this many Monte-Carlo failure profiles")
 	slack := flag.Bool("slack", false, "report per-task WCET slack (sensitivity analysis)")
-	prune := flag.Bool("prune", false, "skip fault scenarios dominated by an already analyzed one (same WCRTs and verdicts; fewer backend runs)")
 	seed := flag.Int64("seed", 1, "Monte-Carlo seed")
 	flag.Parse()
 	if *spec == "" {
@@ -46,24 +44,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	dropped := mcmap.DropSet{}
-	switch *drop {
-	case "*":
-		for _, g := range s.Apps.Graphs {
-			if g.Droppable() {
-				dropped[g.Name] = true
-			}
-		}
-	case "":
-	default:
-		for _, name := range strings.Split(*drop, ",") {
-			dropped[strings.TrimSpace(name)] = true
-		}
+	dropped, err := mcmap.ParseDropList(s.Apps, *drop)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	cfg := mcmap.NewAnalysisConfig()
-	cfg.PruneDominated = *prune
-	rep, err := mcmap.AnalyzeWCRTWith(sys, dropped, cfg)
+	rep, err := mcmap.AnalyzeWCRT(sys, dropped)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,8 +67,7 @@ func main() {
 		fmt.Printf("%-20s %12v %12v %10s %s\n", g.Name, w, g.EffectiveDeadline(), class, verdict)
 	}
 	fmt.Printf("\nfeasible: %v (normal-state %v, critical-state %v)\n", rep.Feasible(), rep.NormalOK, rep.CriticalOK)
-	fmt.Printf("scenarios analyzed: %d (deduplicated: %d, pruned: %d)\n",
-		rep.ScenariosAnalyzed, rep.ScenariosDeduped, rep.ScenariosPruned)
+	fmt.Printf("scenarios analyzed: %d (deduplicated: %d)\n", rep.ScenariosAnalyzed, rep.ScenariosDeduped)
 
 	if *slack {
 		rows, err := mcmap.Sensitivity(sys, dropped)

@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mcmap/internal/benchmarks"
+	"mcmap/internal/model"
 )
 
 // runMainEnv makes the test binary run the command itself, so a test
@@ -39,5 +42,36 @@ func TestRejectsOversizedHyperperiod(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "MC0126") {
 		t.Fatalf("stderr does not name MC0126:\n%s", stderr.String())
+	}
+}
+
+// TestDropListSkipsEmptyItems checks that an empty item of -drop is
+// skipped: "best0," drops exactly what "best0" drops, on a mapped
+// DT-large design.
+func TestDropListSkipsEmptyItems(t *testing.T) {
+	b := benchmarks.DTLarge()
+	man, err := b.Hardened()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "design.json")
+	spec := &model.Spec{Architecture: b.Arch, Apps: man.Apps, Mapping: b.SampleMapping(man, benchmarks.MapLoadBalance)}
+	if err := model.SaveSpec(path, spec); err != nil {
+		t.Fatal(err)
+	}
+	run := func(drop string) string {
+		t.Helper()
+		cmd := exec.Command(os.Args[0], "-spec", path, "-drop", drop)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("wcrtcheck -drop %q: %v; stderr:\n%s", drop, err, stderr.String())
+		}
+		return stdout.String()
+	}
+	want := run("best0")
+	if got := run("best0,"); got != want {
+		t.Fatalf("-drop 'best0,' printed\n%s\n-drop best0 printed\n%s", got, want)
 	}
 }

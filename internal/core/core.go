@@ -24,6 +24,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"mcmap/internal/model"
 	"mcmap/internal/platform"
@@ -59,25 +61,47 @@ func (d DropSet) Validate(apps *model.AppSet) error {
 	return nil
 }
 
+// ParseDropList resolves a drop list against an application set: "*"
+// drops every droppable graph, "" drops none, and anything else is a
+// comma-separated list of graph names whose empty items are skipped.
+// Every name that is not a graph, or not a droppable one, is reported
+// in one error.
+func ParseDropList(apps *model.AppSet, list string) (DropSet, error) {
+	dropped := DropSet{}
+	switch list {
+	case "*":
+		for _, g := range apps.Graphs {
+			if g.Droppable() {
+				dropped[g.Name] = true
+			}
+		}
+	case "":
+	default:
+		var bad []string
+		for _, name := range strings.Split(list, ",") {
+			if name = strings.TrimSpace(name); name == "" {
+				continue
+			}
+			switch g := apps.Graph(name); {
+			case g == nil:
+				bad = append(bad, strconv.Quote(name)+" (no such graph)")
+			case !g.Droppable():
+				bad = append(bad, strconv.Quote(name)+" (not droppable)")
+			default:
+				dropped[name] = true
+			}
+		}
+		if len(bad) > 0 {
+			return nil, fmt.Errorf("invalid drop parameter: %s", strings.Join(bad, ", "))
+		}
+	}
+	return dropped, nil
+}
+
 // Config tunes the analysis.
 type Config struct {
 	// Analyzer is the sched backend; nil selects sched.Holistic defaults.
 	Analyzer sched.Analyzer
-	// DedupScenarios skips scenarios whose execution-interval vector was
-	// already analyzed (different trigger jobs often induce identical
-	// classifications). It is enabled by default in NewConfig; the zero
-	// Config leaves it off for strict paper fidelity.
-	DedupScenarios bool
-	// PruneDominated skips scenarios whose execution-interval vector is
-	// pointwise dominated by an already kept scenario's (every task
-	// interval contained in the other's): the holistic bounds are
-	// monotone in the interval widths, so a dominated scenario cannot
-	// raise any completion-time maximum and contributes nothing to
-	// GraphWCRT/TaskWCRT or the verdicts. Pruned scenarios are missing
-	// from Report.Scenarios (Explain may attribute a shared maximum to a
-	// different trigger), and are counted in Report.ScenariosPruned.
-	// Off by default — the paper analyzes every trigger.
-	PruneDominated bool
 	// Ctx, when non-nil, cancels an in-flight analysis: Analyze checks it
 	// before the fault-free pass and before each scenario, so a cancelled
 	// call returns ctx.Err() within one backend invocation's latency.
@@ -94,11 +118,9 @@ func (c Config) analyzer() sched.Analyzer {
 	return &sched.Holistic{}
 }
 
-// NewConfig returns the recommended configuration: the holistic backend
-// with scenario deduplication. Dominance pruning stays opt-in: it thins
-// Report.Scenarios, which Explain consumers may not want.
+// NewConfig returns the recommended configuration: the holistic backend.
 func NewConfig() Config {
-	return Config{Analyzer: &sched.Holistic{}, DedupScenarios: true}
+	return Config{Analyzer: &sched.Holistic{}}
 }
 
 // Scenario identifies one state-transition hypothesis: the trigger job
@@ -142,13 +164,11 @@ type Report struct {
 	// CriticalOK reports whether every non-droppable graph meets its
 	// deadline in every scenario.
 	CriticalOK bool
-	// ScenariosAnalyzed and ScenariosDeduped count backend invocations
-	// saved by deduplication.
+	// ScenariosAnalyzed counts backend invocations, the fault-free pass
+	// included; ScenariosDeduped counts trigger scenarios skipped because
+	// an identical execution-interval vector was already analyzed.
 	ScenariosAnalyzed int
 	ScenariosDeduped  int
-	// ScenariosPruned counts scenarios skipped by dominance pruning
-	// (Config.PruneDominated).
-	ScenariosPruned int
 	// ScenariosIncremental is always 0: the engine no longer
 	// warm-starts scenario analyses. The field stays for callers that
 	// still read it.
@@ -219,7 +239,7 @@ func Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error)
 	// ---- Lines 10-34: per-trigger scenarios ------------------------------
 	// Scenario generation and deduplication happen up front in trigger
 	// order; the backend then analyzes the kept scenarios in that order.
-	for _, job := range scenarioJobs(sys, dropped, normal, cfg, rep) {
+	for _, job := range scenarioJobs(sys, dropped, normal, rep) {
 		if err := ctxErr(cfg.Ctx); err != nil {
 			return nil, err
 		}
@@ -243,17 +263,16 @@ type scenarioJob struct {
 	exec []sched.ExecBounds
 }
 
-// scenarioJobs builds the deduplicated, optionally dominance-pruned
-// per-trigger work list in deterministic trigger order, charging skipped
-// duplicates and pruned scenarios to the report. Rejected vectors are
+// scenarioJobs builds the deduplicated per-trigger work list in
+// deterministic trigger order, charging skipped duplicates to the
+// report. Every trigger is analyzed unless an identical vector already
+// is: a duplicate's backend result would be identical, so skipping it
+// changes no maximum, verdict or Explain binding. Rejected vectors are
 // recycled into the next trigger's construction, so the scenario hot
 // path allocates one vector per KEPT scenario, not per trigger.
-func scenarioJobs(sys *platform.System, dropped DropSet, normal *sched.Result, cfg Config, rep *Report) []scenarioJob {
+func scenarioJobs(sys *platform.System, dropped DropSet, normal *sched.Result, rep *Report) []scenarioJob {
 	var jobs []scenarioJob
-	var index *execIndex
-	if cfg.DedupScenarios {
-		index = newExecIndex(16)
-	}
+	index := newExecIndex(16)
 	free := execFreelist{n: len(sys.Nodes)}
 	vecOf := func(i int32) []sched.ExecBounds { return jobs[i].exec }
 	cls := buildNodeClasses(sys, dropped)
@@ -268,40 +287,16 @@ func scenarioJobs(sys *platform.System, dropped DropSet, normal *sched.Result, c
 		}
 		exec := free.get()
 		scenarioExecInto(exec, cls, sys, normal, sc)
-		var h execHash
-		if cfg.DedupScenarios {
-			h = hashExec(exec)
-			if index.lookup(h, exec, vecOf) {
-				rep.ScenariosDeduped++
-				free.put(exec)
-				continue
-			}
-		}
-		if cfg.PruneDominated && prunedByDominance(jobs, exec) {
-			rep.ScenariosPruned++
+		h := hashExec(exec)
+		if index.lookup(h, exec, vecOf) {
+			rep.ScenariosDeduped++
 			free.put(exec)
 			continue
 		}
-		if cfg.DedupScenarios {
-			index.insert(h, int32(len(jobs)))
-		}
+		index.insert(h, int32(len(jobs)))
 		jobs = append(jobs, scenarioJob{sc: sc, exec: exec})
 	}
 	return jobs
-}
-
-// prunedByDominance reports whether an already kept scenario's vector
-// pointwise dominates exec (see Config.PruneDominated for the soundness
-// argument). Kept scenarios are never retroactively pruned by later
-// dominating ones, keeping the work list a deterministic function of the
-// trigger order.
-func prunedByDominance(kept []scenarioJob, exec []sched.ExecBounds) bool {
-	for i := range kept {
-		if execDominates(kept[i].exec, exec) {
-			return true
-		}
-	}
-	return false
 }
 
 // ctxErr resolves the optional cancellation context: nil when no

@@ -1,5 +1,5 @@
-// Scenario deduplication and dominance pruning support: an exact,
-// allocation-free fingerprint index over execution-interval vectors.
+// Scenario deduplication support: an exact, allocation-free fingerprint
+// index over execution-interval vectors.
 //
 // The previous implementation built a 16·|V|-byte string key per
 // scenario — one O(|V|) allocation per trigger job even when no
@@ -63,21 +63,6 @@ func execEqual(a, b []sched.ExecBounds) bool {
 	return true
 }
 
-// execDominates reports whether vector a pointwise dominates vector b:
-// every task's interval in b is contained in a's ([b.B, b.W] ⊆
-// [a.B, a.W]). The schedulability bounds are monotone in the interval
-// widths — shrinking best cases and growing worst cases can only grow
-// worst-case finishes — so a dominated scenario's completion times are
-// bounded by the dominating one's and it cannot bind any WCRT maximum.
-func execDominates(a, b []sched.ExecBounds) bool {
-	for i := range a {
-		if a[i].B > b[i].B || a[i].W < b[i].W {
-			return false
-		}
-	}
-	return true
-}
-
 // execIndex is the fingerprint index over the kept scenarios' vectors.
 // Values are indices into the caller's job list; a bucket holds more
 // than one index only under a 128-bit collision.
@@ -106,10 +91,10 @@ func (x *execIndex) insert(h execHash, idx int32) {
 }
 
 // execFreelist recycles scenario execution-interval vectors within one
-// Analyze call: vectors rejected by dedup or dominance pruning return
-// here and back the next trigger's construction, so a run with d
-// duplicates performs d fewer O(|V|) allocations. Kept vectors are
-// retained by the Report and never recycled.
+// Analyze call: vectors rejected by dedup return here and back the next
+// trigger's construction, so a run with d duplicates performs d fewer
+// O(|V|) allocations. Kept vectors are retained by the Report and never
+// recycled.
 type execFreelist struct {
 	n     int
 	spare [][]sched.ExecBounds

@@ -46,24 +46,6 @@ func TestExecIndexExactUnderForcedCollision(t *testing.T) {
 	}
 }
 
-func TestExecDominates(t *testing.T) {
-	base := execVec(2, 5, 1, 4)
-	wider := execVec(1, 6, 1, 4)
-	shifted := execVec(1, 4, 1, 4)
-	if !execDominates(wider, base) {
-		t.Fatal("containing intervals should dominate")
-	}
-	if execDominates(base, wider) {
-		t.Fatal("contained intervals must not dominate")
-	}
-	if execDominates(shifted, base) || execDominates(base, shifted) {
-		t.Fatal("overlapping-but-uncontained intervals must not dominate")
-	}
-	if !execDominates(base, base) {
-		t.Fatal("dominance must be reflexive (equality)")
-	}
-}
-
 // TestDedupProbeAllocations is the allocation regression test for the
 // tentpole: fingerprinting a scenario vector and probing the index for a
 // duplicate must not allocate. (The string-key implementation this

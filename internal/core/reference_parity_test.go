@@ -16,13 +16,13 @@ import (
 	"mcmap/internal/sched"
 )
 
-// paritySignature extends reportSignature with the pruning counter and
-// every backend result's Iterations, so equal signatures mean
-// byte-identical Reports in every field the analysis contract covers,
-// including the dedup/prune trajectory and the sweep counts.
+// paritySignature extends reportSignature with every backend result's
+// Iterations, so equal signatures mean byte-identical Reports in every
+// field the analysis contract covers, including the dedup trajectory
+// and the sweep counts.
 func paritySignature(rep *core.Report) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|pruned=%d|iters=%d", reportSignature(rep, true), rep.ScenariosPruned, rep.Normal.Iterations)
+	fmt.Fprintf(&b, "%s|iters=%d", reportSignature(rep), rep.Normal.Iterations)
 	for _, sr := range rep.Scenarios {
 		fmt.Fprintf(&b, ",%d", sr.Result.Iterations)
 	}
@@ -30,35 +30,21 @@ func paritySignature(rep *core.Report) string {
 }
 
 // requireReferenceParity analyzes one system with the production
-// configuration and with the reference backend, across the config
-// dimension that changes the backend invocation pattern (dominance
-// pruning on/off), and requires identical Report signatures.
+// configuration and with the reference backend, and requires identical
+// Report signatures.
 func requireReferenceParity(t *testing.T, name string, sys *platform.System, dropped core.DropSet) {
 	t.Helper()
-	for _, variant := range []struct {
-		label string
-		prune bool
-	}{
-		{"cold", false},
-		{"pruned", true},
-	} {
-		prod := core.NewConfig()
-		prod.PruneDominated = variant.prune
-		ref := prod
-		ref.Analyzer = sched.Reference{}
-		want, err := core.Analyze(sys, dropped, ref)
-		if err != nil {
-			t.Fatalf("%s/%s: reference: %v", name, variant.label, err)
-		}
-		got, err := core.Analyze(sys, dropped, prod)
-		if err != nil {
-			t.Fatalf("%s/%s: production: %v", name, variant.label, err)
-		}
-		gotSig, wantSig := paritySignature(got), paritySignature(want)
-		if gotSig != wantSig {
-			t.Errorf("%s/%s: production report diverges from the reference\n got %.400s\nwant %.400s",
-				name, variant.label, gotSig, wantSig)
-		}
+	want, err := core.Analyze(sys, dropped, core.Config{Analyzer: sched.Reference{}})
+	if err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	got, err := core.Analyze(sys, dropped, core.NewConfig())
+	if err != nil {
+		t.Fatalf("%s: production: %v", name, err)
+	}
+	if gotSig, wantSig := paritySignature(got), paritySignature(want); gotSig != wantSig {
+		t.Errorf("%s: production report diverges from the reference\n got %.400s\nwant %.400s",
+			name, gotSig, wantSig)
 	}
 }
 

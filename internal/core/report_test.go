@@ -127,56 +127,19 @@ func synthSample(t *testing.T, seed int64, strat benchmarks.MappingStrategy) (*p
 }
 
 // reportSignature serializes the verdicts, the aggregated WCRTs, the
-// normal pass, and (when includeScenarios) every scenario's identity,
+// normal pass, the scenario counters and every scenario's identity,
 // exec vector, bounds and verdict. Result.Iterations is left to
 // paritySignature, which adds it.
-func reportSignature(rep *core.Report, includeScenarios bool) []byte {
+func reportSignature(rep *core.Report) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "normalOK=%v criticalOK=%v\n", rep.NormalOK, rep.CriticalOK)
 	fmt.Fprintf(&b, "graphWCRT=%v\ntaskWCRT=%v\n", rep.GraphWCRT, rep.TaskWCRT)
 	fmt.Fprintf(&b, "normal sched=%v bounds=%v\n", rep.Normal.Schedulable, rep.Normal.Bounds)
-	if includeScenarios {
-		fmt.Fprintf(&b, "analyzed=%d deduped=%d\n", rep.ScenariosAnalyzed, rep.ScenariosDeduped)
-		for _, sr := range rep.Scenarios {
-			fmt.Fprintf(&b, "sc trigger=%d win=[%v,%v] exec=%v sched=%v bounds=%v\n",
-				sr.Scenario.Trigger, sr.Scenario.WindowLo, sr.Scenario.WindowHi,
-				sr.Exec, sr.Result.Schedulable, sr.Result.Bounds)
-		}
+	fmt.Fprintf(&b, "analyzed=%d deduped=%d\n", rep.ScenariosAnalyzed, rep.ScenariosDeduped)
+	for _, sr := range rep.Scenarios {
+		fmt.Fprintf(&b, "sc trigger=%d win=[%v,%v] exec=%v sched=%v bounds=%v\n",
+			sr.Scenario.Trigger, sr.Scenario.WindowLo, sr.Scenario.WindowHi,
+			sr.Exec, sr.Result.Schedulable, sr.Result.Bounds)
 	}
 	return b.Bytes()
-}
-
-// TestPrunedReportEquivalence checks dominance-pruning soundness at the
-// Report level: pruning may drop dominated scenario entries, but the
-// aggregated WCRTs and both verdicts must be byte-identical to the
-// unpruned sequential engine, and every pruned scenario must be
-// accounted for by the counter.
-func TestPrunedReportEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		for _, strat := range []benchmarks.MappingStrategy{benchmarks.MapLoadBalance, benchmarks.MapSeededRandom} {
-			sys, dropped := synthSample(t, seed, strat)
-
-			ref := core.NewConfig()
-			want, err := core.Analyze(sys, dropped, ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			cfg := core.NewConfig()
-			cfg.PruneDominated = true
-			got, err := core.Analyze(sys, dropped, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(reportSignature(got, false), reportSignature(want, false)) {
-				t.Fatalf("seed %d strat %v: pruned report verdicts/WCRTs differ from unpruned", seed, strat)
-			}
-			if got.ScenariosAnalyzed+got.ScenariosDeduped+got.ScenariosPruned !=
-				want.ScenariosAnalyzed+want.ScenariosDeduped {
-				t.Fatalf("seed %d strat %v: scenario accounting off: analyzed=%d deduped=%d pruned=%d vs analyzed=%d deduped=%d",
-					seed, strat, got.ScenariosAnalyzed, got.ScenariosDeduped, got.ScenariosPruned,
-					want.ScenariosAnalyzed, want.ScenariosDeduped)
-			}
-		}
-	}
 }

@@ -35,26 +35,23 @@ func batchSignature(res *Result) string {
 // guarantee: every member of a batched generation (isl.evaluateAll)
 // must evaluate exactly as it does alone (Problem.Evaluate), on
 // same-system cohorts where batching actually shares work (hits > 0)
-// and on random repaired genomes. Runs plain, with the no-dropping
-// re-analysis that TrackDroppingGain shares per drop set, and with
-// dominance pruning. A full batched run must also report consistent
-// batch counters.
+// and on random repaired genomes. Runs plain and with the no-dropping
+// re-analysis that TrackDroppingGain shares per drop set. A full
+// batched run must also report consistent batch counters.
 func TestBatchedMatchesPerCandidate(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		track, prune bool
+		name  string
+		track bool
 	}{
 		{name: "plain"},
 		{name: "track", track: true},
-		{name: "prune", prune: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := tinyProblem(t)
-			p.Analysis.PruneDominated = tc.prune
 			pool := workpool.New(2)
 			defer pool.Close()
 			ev, opts := newRunEvaluator(p, Options{
-				TrackDroppingGain: tc.track, PruneDominated: tc.prune, Pool: pool,
+				TrackDroppingGain: tc.track, Pool: pool,
 			}.withDefaults())
 			isl := newIsland(0, p, opts, 1, ev)
 
@@ -95,7 +92,7 @@ func TestBatchedMatchesPerCandidate(t *testing.T) {
 			}
 
 			res, err := Optimize(p, Options{PopSize: 16, Generations: 8, Seed: 3,
-				TrackDroppingGain: tc.track, PruneDominated: tc.prune})
+				TrackDroppingGain: tc.track})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -102,11 +103,10 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	}
 }
 
-// TestResumeValidation pins the refusal paths: a checkpoint from another
-// problem, other options, a tampered generation or a wrong schema version
-// must be rejected before any evolution happens.
-func TestResumeValidation(t *testing.T) {
-	p := tinyProblem(t)
+// firstCheckpoint runs ckOpts(1) and returns a decoder of its first
+// barrier checkpoint, which yields a fresh copy per call.
+func firstCheckpoint(t *testing.T, p *Problem) func() *Checkpoint {
+	t.Helper()
 	opts := ckOpts(1)
 	var raw bytes.Buffer
 	captured := false
@@ -120,13 +120,21 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := Optimize(p, opts); err != nil {
 		t.Fatal(err)
 	}
-	decode := func() *Checkpoint {
+	return func() *Checkpoint {
 		ck, err := DecodeCheckpoint(bytes.NewReader(raw.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ck
 	}
+}
+
+// TestResumeValidation pins the refusal paths: a checkpoint from another
+// problem, other options, a tampered generation or a wrong schema version
+// must be rejected before any evolution happens.
+func TestResumeValidation(t *testing.T) {
+	p := tinyProblem(t)
+	decode := firstCheckpoint(t, p)
 
 	cases := map[string]func(o *Options, ck *Checkpoint){
 		"different-seed":        func(o *Options, ck *Checkpoint) { o.Seed++ },
@@ -163,6 +171,34 @@ func TestResumeValidation(t *testing.T) {
 	dopts.CheckpointSink = func(*Checkpoint) error { return nil }
 	if _, err := Optimize(p, dopts); err == nil {
 		t.Error("Distributed+CheckpointSink accepted, want refusal")
+	}
+}
+
+// TestResumeRefusesPrunedCheckpoint: runs of earlier releases that
+// skipped dominated fault scenarios signed their checkpoints with
+// prune=true. No run prunes any more, so such a checkpoint is refused
+// with the options-mismatch error, while the prune=false signature of
+// every other run still resumes.
+func TestResumeRefusesPrunedCheckpoint(t *testing.T) {
+	p := tinyProblem(t)
+	decode := firstCheckpoint(t, p)
+	ck := decode()
+	if !strings.Contains(ck.OptsSig, ";prune=false;") {
+		t.Fatalf("options signature %q lacks prune=false", ck.OptsSig)
+	}
+	ropts := ckOpts(1)
+	ropts.Resume = ck
+	if _, err := Optimize(p, ropts); err != nil {
+		t.Fatalf("prune=false checkpoint: %v", err)
+	}
+
+	ck = decode()
+	ck.OptsSig = strings.Replace(ck.OptsSig, ";prune=false;", ";prune=true;", 1)
+	ropts = ckOpts(1)
+	ropts.Resume = ck
+	_, err := Optimize(p, ropts)
+	if err == nil || !strings.Contains(err.Error(), "differ from run options") {
+		t.Fatalf("prune=true checkpoint: err = %v, want the options-mismatch error", err)
 	}
 }
 

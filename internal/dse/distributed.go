@@ -121,7 +121,6 @@ type wireOptions struct {
 	Workers           int
 	Selector          string
 	TrackDroppingGain bool
-	PruneDominated    bool
 	DisableDropping   bool
 	DisableRepair     bool
 	NoSeeds           bool
@@ -183,7 +182,6 @@ func remoteEndpoints(p *Problem, opts Options) ([]*islandEndpoint, error) {
 		Workers:           childWorkers,
 		Selector:          opts.Selector.Name(),
 		TrackDroppingGain: opts.TrackDroppingGain,
-		PruneDominated:    opts.PruneDominated,
 		DisableDropping:   opts.DisableDropping,
 		DisableRepair:     opts.DisableRepair,
 		NoSeeds:           opts.NoSeeds,
@@ -275,7 +273,6 @@ func buildWorkerIsland(init *wireInit) (*island, error) {
 		Workers:           init.Opts.Workers,
 		Selector:          sel,
 		TrackDroppingGain: init.Opts.TrackDroppingGain,
-		PruneDominated:    init.Opts.PruneDominated,
 		DisableDropping:   init.Opts.DisableDropping,
 		DisableRepair:     init.Opts.DisableRepair,
 		NoSeeds:           init.Opts.NoSeeds,

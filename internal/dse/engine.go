@@ -54,13 +54,12 @@ type Individual struct {
 // evaluation (both the dropping and the no-dropping analysis when
 // TrackDroppingGain doubles them up).
 type scenarioTally struct {
-	analyzed, deduped, pruned int
+	analyzed, deduped int
 }
 
 func (t *scenarioTally) add(rep *core.Report) {
 	t.analyzed += rep.ScenariosAnalyzed
 	t.deduped += rep.ScenariosDeduped
-	t.pruned += rep.ScenariosPruned
 }
 
 // cloneFor copies an evaluation and re-attributes it to genome g.
@@ -148,11 +147,6 @@ type Options struct {
 	// dropping disabled, to measure the Section 5.2 rescue ratio. It
 	// doubles the analysis cost.
 	TrackDroppingGain bool
-	// PruneDominated enables scenario dominance pruning inside every
-	// fitness evaluation (core.Config.PruneDominated): dominated fault
-	// scenarios are skipped without changing WCRTs or verdicts, which is
-	// exactly what the GA consumes. Off by default for paper fidelity.
-	PruneDominated bool
 	// DisableDropping forces every droppable application to be kept
 	// (T_d is always empty) — the "without task dropping" baseline.
 	DisableDropping bool
@@ -164,8 +158,8 @@ type Options struct {
 	NoSeeds bool
 	// Context, when non-nil, cancels the run: islands check it between
 	// generations and between candidate claims, and it flows into
-	// core.Config.Ctx so in-flight analyses stop claiming scenario
-	// chunks. Optimize then returns an error wrapping ctx.Err(), with
+	// core.Config.Ctx so an in-flight analysis stops before its next
+	// scenario. Optimize then returns an error wrapping ctx.Err(), with
 	// every shared-pool slot released by the time it returns. A run that
 	// completes before cancellation is byte-identical to an uncancelled
 	// one. Distributed runs check the context only at leg barriers.
@@ -270,14 +264,12 @@ type Stats struct {
 	CacheBypassed int
 	StructHits    int
 	StructMisses  int
-	// ScenariosAnalyzed, ScenariosDeduped and ScenariosPruned aggregate
-	// the core.Report scenario counters over every analysis the run
-	// performed (batch siblings reusing an analysis are not re-counted):
-	// backend invocations performed, plus invocations saved by
-	// deduplication and skipped by dominance pruning.
+	// ScenariosAnalyzed and ScenariosDeduped aggregate the core.Report
+	// scenario counters over every analysis the run performed (batch
+	// siblings reusing an analysis are not re-counted): backend
+	// invocations performed, plus invocations saved by deduplication.
 	ScenariosAnalyzed int
 	ScenariosDeduped  int
-	ScenariosPruned   int
 	// ScenariosIncremental is always 0, like core.Report's field of the
 	// same name.
 	ScenariosIncremental int
@@ -313,7 +305,6 @@ func (s *Stats) merge(o *Stats) {
 	s.BatchHits += o.BatchHits
 	s.ScenariosAnalyzed += o.ScenariosAnalyzed
 	s.ScenariosDeduped += o.ScenariosDeduped
-	s.ScenariosPruned += o.ScenariosPruned
 }
 
 // RescueRatio is the Section 5.2 headline number: the fraction of
@@ -449,9 +440,6 @@ func newRunEvaluator(p *Problem, opts Options) (evaluator, Options) {
 	ev := evaluator{
 		cfg:  p.Analysis,
 		pool: opts.Pool,
-	}
-	if opts.PruneDominated {
-		ev.cfg.PruneDominated = true
 	}
 	if pw, ok := opts.Selector.(poolWirer); ok {
 		opts.Selector = pw.withPool(ev.pool)
@@ -609,7 +597,6 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, batchCounters,
 	for _, ind := range out {
 		stats.ScenariosAnalyzed += ind.scen.analyzed
 		stats.ScenariosDeduped += ind.scen.deduped
-		stats.ScenariosPruned += ind.scen.pruned
 		stats.Evaluated++
 		if ind.Feasible {
 			stats.Feasible++

@@ -74,14 +74,14 @@ func FuzzTransportFrame(f *testing.F) {
 // picks the problem (tinyProblem or Cruise), the seed, the generation
 // size (2-16), how many members come from same-system cohorts
 // (makeBatchGeneration) rather than random repaired genomes, and the
-// track and prune flags. The analysis runs on the sched.Reference
-// oracle, so the check shares no code with the production backend.
+// track flag. The analysis runs on the sched.Reference oracle, so the
+// check shares no code with the production backend.
 func FuzzEvaluateAllMatchesEvaluate(f *testing.F) {
-	f.Add(false, int64(1), byte(14), byte(8), false, false)
-	f.Add(false, int64(7), byte(6), byte(0), true, false)
-	f.Add(true, int64(3), byte(10), byte(6), false, true)
-	f.Add(true, int64(11), byte(3), byte(2), true, true)
-	f.Fuzz(func(t *testing.T, cruise bool, seed int64, size, cohort byte, track, prune bool) {
+	f.Add(false, int64(1), byte(14), byte(8), false)
+	f.Add(false, int64(7), byte(6), byte(0), true)
+	f.Add(true, int64(3), byte(10), byte(6), false)
+	f.Add(true, int64(11), byte(3), byte(2), true)
+	f.Fuzz(func(t *testing.T, cruise bool, seed int64, size, cohort byte, track bool) {
 		var p *Problem
 		if cruise {
 			b := benchmarks.Cruise()
@@ -93,7 +93,6 @@ func FuzzEvaluateAllMatchesEvaluate(f *testing.F) {
 			p = tinyProblem(t)
 		}
 		p.Analysis.Analyzer = sched.Reference{}
-		p.Analysis.PruneDominated = prune
 
 		n := 2 + int(size)%15
 		nCohort := int(cohort) % (n + 1)
@@ -122,7 +121,7 @@ func FuzzEvaluateAllMatchesEvaluate(f *testing.F) {
 		for _, workers := range []int{1, 2} {
 			pool := workpool.New(workers)
 			ev, opts := newRunEvaluator(p, Options{Workers: workers, Pool: pool,
-				TrackDroppingGain: track, PruneDominated: prune}.withDefaults())
+				TrackDroppingGain: track}.withDefaults())
 			got, _, err := newIsland(0, p, opts, seed, ev).evaluateAll(genomes)
 			pool.Close()
 			if err != nil {

@@ -63,7 +63,7 @@ func TestIslandOneMatchesGolden(t *testing.T) {
 		{
 			name: "track",
 			opts: Options{PopSize: 12, Generations: 6, Seed: 7,
-				TrackDroppingGain: true, PruneDominated: true},
+				TrackDroppingGain: true},
 			golden: "g0:0x1.8f62d8050622bp+00:8:12;" +
 				"g1:0x1.88b94363e2756p+00:12:12;" +
 				"g2:0x1.88b94363e2756p+00:12:12;" +

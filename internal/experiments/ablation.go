@@ -68,7 +68,7 @@ func Ablations(opts dse.Options) (*AblationResult, error) {
 		return nil, err
 	}
 	for _, an := range []sched.Analyzer{&sched.Holistic{}, &sched.Coarse{}} {
-		rep, err := core.Analyze(sys, dropped, core.Config{Analyzer: an, DedupScenarios: true})
+		rep, err := core.Analyze(sys, dropped, core.Config{Analyzer: an})
 		if err != nil {
 			return nil, err
 		}

@@ -303,8 +303,7 @@ func RenderRescue(rows []*RescueResult) string {
 		t.Row(r.Benchmark, r.Stats.Evaluated, r.Stats.Feasible,
 			fmt.Sprintf("%.2f%%", 100*r.Stats.RescueRatio()),
 			fmt.Sprintf("%.2f%%", 100*r.Stats.ReExecutionShare()),
-			fmt.Sprintf("%d (-%d dedup, -%d pruned)",
-				r.Stats.ScenariosAnalyzed, r.Stats.ScenariosDeduped, r.Stats.ScenariosPruned))
+			fmt.Sprintf("%d (-%d dedup)", r.Stats.ScenariosAnalyzed, r.Stats.ScenariosDeduped))
 	}
 	return t.String()
 }

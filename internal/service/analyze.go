@@ -81,53 +81,26 @@ func bundleSpec(spec *model.Spec) *specBundle {
 type analyzeParams struct {
 	dropped core.DropSet
 	dropKey string // sorted resolved names
-	prune   bool
 }
 
 // resolveAnalyzeParams resolves the query against the spec. A drop list
 // naming graphs that do not exist or are not droppable is an input
 // error, reported with every bad name before any work is queued.
 func resolveAnalyzeParams(r *http.Request, spec *model.Spec) (analyzeParams, error) {
-	p := analyzeParams{dropped: core.DropSet{}}
 	drop := "*"
 	if r.URL.Query().Has("drop") {
 		drop = r.URL.Query().Get("drop")
 	}
-	switch drop {
-	case "*":
-		for _, g := range spec.Apps.Graphs {
-			if g.Droppable() {
-				p.dropped[g.Name] = true
-			}
-		}
-	case "":
-	default:
-		var bad []string
-		for _, name := range strings.Split(drop, ",") {
-			if name = strings.TrimSpace(name); name == "" {
-				continue
-			}
-			switch g := spec.Apps.Graph(name); {
-			case g == nil:
-				bad = append(bad, strconv.Quote(name)+" (no such graph)")
-			case !g.Droppable():
-				bad = append(bad, strconv.Quote(name)+" (not droppable)")
-			default:
-				p.dropped[name] = true
-			}
-		}
-		if len(bad) > 0 {
-			return p, fmt.Errorf("invalid drop parameter: %s", strings.Join(bad, ", "))
-		}
+	dropped, err := core.ParseDropList(spec.Apps, drop)
+	if err != nil {
+		return analyzeParams{}, err
 	}
-	names := make([]string, 0, len(p.dropped))
-	for name := range p.dropped {
+	names := make([]string, 0, len(dropped))
+	for name := range dropped {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	p.dropKey = strings.Join(names, ",")
-	p.prune = r.URL.Query().Get("prune") == "true" || r.URL.Query().Get("prune") == "1"
-	return p, nil
+	return analyzeParams{dropped: dropped, dropKey: strings.Join(names, ",")}, nil
 }
 
 // graphReport is one application's row in the /analyze response.
@@ -150,7 +123,6 @@ type analyzeResponse struct {
 
 	ScenariosAnalyzed int `json:"scenarios_analyzed"`
 	ScenariosDeduped  int `json:"scenarios_deduped"`
-	ScenariosPruned   int `json:"scenarios_pruned"`
 }
 
 // flight is one in-flight coalesced analysis: the leader computes,
@@ -221,7 +193,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key := b.full + ";drop=" + params.dropKey + ";prune=" + strconv.FormatBool(params.prune)
+	key := b.full + ";drop=" + params.dropKey
 
 	// Canonical warm path: an identical request already finished under a
 	// different byte spelling — replay its marshaled response without
@@ -303,9 +275,7 @@ func (s *Server) runAnalyze(b *specBundle, params analyzeParams) (int, []byte) {
 	if err != nil {
 		return http.StatusUnprocessableEntity, mustJSON(map[string]string{"error": err.Error()})
 	}
-	cfg := core.NewConfig()
-	cfg.PruneDominated = params.prune
-	rep, err := core.Analyze(sys, params.dropped, cfg)
+	rep, err := core.Analyze(sys, params.dropped, core.NewConfig())
 	if err != nil {
 		return http.StatusInternalServerError, mustJSON(map[string]string{"error": err.Error()})
 	}
@@ -317,7 +287,6 @@ func (s *Server) runAnalyze(b *specBundle, params analyzeParams) (int, []byte) {
 		Dropped:           []string{},
 		ScenariosAnalyzed: rep.ScenariosAnalyzed,
 		ScenariosDeduped:  rep.ScenariosDeduped,
-		ScenariosPruned:   rep.ScenariosPruned,
 	}
 	for name := range params.dropped {
 		resp.Dropped = append(resp.Dropped, name)

@@ -17,8 +17,7 @@ type dseParams struct {
 	seed              int64
 	islands, interval int
 	mutation          float64
-	track, prune      bool
-	noDrop            bool
+	track, noDrop     bool
 
 	// resume, when non-nil, restores the run from a prior job's barrier
 	// checkpoint (set by handleJobResume, never from the wire).
@@ -61,7 +60,6 @@ func parseDSEParams(r *http.Request) (dseParams, error) {
 		p.mutation = f
 	}
 	p.track = boolParam(q.Get("track"))
-	p.prune = boolParam(q.Get("prune"))
 	p.noDrop = boolParam(q.Get("nodrop"))
 	return p, nil
 }
@@ -88,7 +86,6 @@ func (p dseParams) options() dse.Options {
 		MigrationInterval: p.interval,
 		MutationRate:      p.mutation,
 		TrackDroppingGain: p.track,
-		PruneDominated:    p.prune,
 		DisableDropping:   p.noDrop,
 	}
 }

@@ -51,20 +51,19 @@ type persistedParams struct {
 	Interval int     `json:"migration_interval"`
 	Mutation float64 `json:"mutation"`
 	Track    bool    `json:"track"`
-	Prune    bool    `json:"prune"`
 	NoDrop   bool    `json:"nodrop"`
 }
 
 func toPersistedParams(p dseParams) persistedParams {
 	return persistedParams{Pop: p.pop, Gens: p.gens, Seed: p.seed,
 		Islands: p.islands, Interval: p.interval, Mutation: p.mutation,
-		Track: p.track, Prune: p.prune, NoDrop: p.noDrop}
+		Track: p.track, NoDrop: p.noDrop}
 }
 
 func (p persistedParams) params() dseParams {
 	return dseParams{pop: p.Pop, gens: p.Gens, seed: p.Seed,
 		islands: p.Islands, interval: p.Interval, mutation: p.Mutation,
-		track: p.Track, prune: p.Prune, noDrop: p.NoDrop}
+		track: p.Track, noDrop: p.NoDrop}
 }
 
 func (s *Server) jobsDir() string { return filepath.Join(s.cfg.DataDir, "jobs") }

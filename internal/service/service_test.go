@@ -195,7 +195,7 @@ func TestAnalyzeWarmRepeat(t *testing.T) {
 // result cache tells repeated query values from one comma-joined value.
 // /analyze reads only the first value of a repeated parameter, so
 // ?drop=a&drop=b drops a while ?drop=a,b drops both; the second must
-// not replay the first's cached answer. The same holds for prune.
+// not replay the first's cached answer.
 func TestAnalyzeRawKeySeparatesRepeatedValues(t *testing.T) {
 	spec := mappedSpec(t)
 	var soft []string
@@ -219,7 +219,6 @@ func TestAnalyzeRawKeySeparatesRepeatedValues(t *testing.T) {
 
 	for _, tc := range []struct{ first, second string }{
 		{"/analyze?drop=" + soft[0] + "&drop=" + soft[1], "/analyze?drop=" + soft[0] + "," + soft[1]},
-		{"/analyze?prune=1&prune=0", "/analyze?prune=1,0"},
 	} {
 		s := New(Config{Workers: 1}, nil)
 		post(s, tc.first)

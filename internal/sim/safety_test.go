@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mcmap/internal/core"
@@ -12,10 +13,34 @@ import (
 	"mcmap/internal/sched"
 )
 
+// systemShape widens randomSystem's message draws.
+type systemShape struct {
+	// maxMsg is the exclusive upper bound of a message size in bytes.
+	maxMsg int
+	// twinChannels gives half of the channels, drawn at random, a
+	// parallel twin of the same size between the same two tasks.
+	twinChannels bool
+}
+
+var (
+	// baseShape is randomSystem's own shape: messages under 64 bytes, no
+	// parallel channels.
+	baseShape = systemShape{maxMsg: 64}
+	// wideShape draws messages up to 255 bytes and doubles half of the
+	// channels.
+	wideShape = systemShape{maxMsg: 256, twinChannels: true}
+)
+
 // randomSystem builds a random mixed-criticality problem instance:
 // layered DAG graphs with random timing, random hardening on critical
 // tasks and a random mapping. Returns the compiled system and drop set.
 func randomSystem(t *testing.T, rng *rand.Rand) (*platform.System, core.DropSet) {
+	return randomShapedSystem(t, rng, baseShape)
+}
+
+// randomShapedSystem is randomSystem with the given message shape. On
+// baseShape it draws exactly randomSystem's random numbers.
+func randomShapedSystem(t *testing.T, rng *rand.Rand, shape systemShape) (*platform.System, core.DropSet) {
 	t.Helper()
 	nProcs := 2 + rng.Intn(2)
 	kinds := []model.FabricKind{model.FabricIdeal, model.FabricSharedBus, model.FabricCrossbar, model.FabricMesh}
@@ -61,7 +86,11 @@ func randomSystem(t *testing.T, rng *rand.Rand) (*platform.System, core.DropSet)
 		for i := 0; i < nTasks; i++ {
 			for j := i + 1; j < nTasks; j++ {
 				if rng.Float64() < 0.35 {
-					g.AddChannel(names[i], names[j], int64(rng.Intn(64)))
+					size := int64(rng.Intn(shape.maxMsg))
+					g.AddChannel(names[i], names[j], size)
+					if shape.twinChannels && rng.Intn(2) == 0 {
+						g.AddChannel(names[i], names[j], size)
+					}
 				}
 			}
 		}
@@ -125,7 +154,7 @@ func TestAnalysisBoundsSimulation(t *testing.T) {
 		}
 		// The wrapper is backend-agnostic: with the coarse backend it must
 		// dominate the holistic-backend result (coarse bounds are looser).
-		repCoarse, err := core.Analyze(sys, dropped, core.Config{Analyzer: &sched.Coarse{}, DedupScenarios: true})
+		repCoarse, err := core.Analyze(sys, dropped, core.Config{Analyzer: &sched.Coarse{}})
 		if err != nil {
 			t.Fatalf("trial %d: coarse: %v", trial, err)
 		}
@@ -230,5 +259,165 @@ func TestWCSimBelowProposed(t *testing.T) {
 		if naive[gi] < prop[gi] {
 			t.Errorf("graph %d: Naive %v < Proposed %v", gi, naive[gi], prop[gi])
 		}
+	}
+}
+
+// algorithm1 is Algorithm 1 written out with nothing skipped: the
+// fault-free pass and one backend run per trigger job, folded into
+// per-graph and per-job maxima.
+type algorithm1 struct {
+	graphWCRT, taskWCRT  []model.Time
+	normalOK, criticalOK bool
+	// binding is, per job, the first pass that reaches its maximum, as
+	// Report.Explain defines it.
+	binding []core.Binding
+	// triggers counts the trigger jobs; converged is false when the
+	// fault-free pass diverges and no scenario is analyzed.
+	triggers  int
+	converged bool
+}
+
+// bruteForceAlgorithm1 runs Algorithm 1 on one backend without
+// deduplication.
+func bruteForceAlgorithm1(t *testing.T, sys *platform.System, dropped core.DropSet, an sched.Analyzer) algorithm1 {
+	t.Helper()
+	normal, err := an.Analyze(sys, core.NormalExec(sys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := algorithm1{
+		graphWCRT: make([]model.Time, len(sys.Apps.Graphs)),
+		taskWCRT:  make([]model.Time, len(sys.Nodes)),
+		binding:   make([]core.Binding, len(sys.Nodes)),
+		normalOK:  true, criticalOK: true, converged: true,
+	}
+	response := func(res *sched.Result, gi int) model.Time {
+		var worst model.Time
+		for _, id := range sys.GraphNodes[gi] {
+			if n := sys.Nodes[id]; len(n.Out) == 0 {
+				f := res.Bounds[id].MaxFinish
+				if f.IsInfinite() {
+					return model.Infinity
+				}
+				worst = max(worst, f-n.Release)
+			}
+		}
+		return worst
+	}
+	for _, n := range sys.Nodes {
+		ref.taskWCRT[n.ID] = normal.Bounds[n.ID].MaxFinish
+		ref.binding[n.ID] = core.Binding{Task: n.Task.ID, WCRT: normal.Bounds[n.ID].MaxFinish}
+		ref.converged = ref.converged && !normal.Bounds[n.ID].MaxFinish.IsInfinite()
+	}
+	for gi, g := range sys.Apps.Graphs {
+		ref.graphWCRT[gi] = response(normal, gi)
+		ref.normalOK = ref.normalOK && ref.graphWCRT[gi] <= g.EffectiveDeadline()
+	}
+	if !ref.converged {
+		for gi := range ref.graphWCRT {
+			ref.graphWCRT[gi] = model.Infinity
+		}
+		ref.normalOK, ref.criticalOK = false, false
+		return ref
+	}
+	for _, v := range sys.Nodes {
+		if !v.Task.ReExecutable() && v.Task.Kind != model.KindDispatch {
+			continue
+		}
+		ref.triggers++
+		sc := core.Scenario{Trigger: v.ID, WindowLo: normal.Bounds[v.ID].MinStart, WindowHi: normal.Bounds[v.ID].MaxFinish}
+		res, err := an.Analyze(sys, core.ScenarioExec(sys, dropped, normal, sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range sys.Nodes {
+			f := res.Bounds[n.ID].MaxFinish
+			ref.taskWCRT[n.ID] = max(ref.taskWCRT[n.ID], f)
+			if f > ref.binding[n.ID].WCRT {
+				ref.binding[n.ID] = core.Binding{Task: n.Task.ID, WCRT: f, Trigger: v.Task.ID, WindowLo: sc.WindowLo, WindowHi: sc.WindowHi}
+			}
+		}
+		for gi := range ref.graphWCRT {
+			ref.graphWCRT[gi] = max(ref.graphWCRT[gi], response(res, gi))
+		}
+	}
+	for gi, g := range sys.Apps.Graphs {
+		if !dropped[g.Name] && ref.graphWCRT[gi] > g.EffectiveDeadline() {
+			ref.criticalOK = false
+		}
+	}
+	return ref
+}
+
+// TestAnalyzeMatchesBruteForce holds core.Analyze to bruteForceAlgorithm1
+// on both analysis engines: the same graph and job WCRTs, verdicts and
+// Explain bindings, and every trigger either analyzed or deduplicated.
+// Seed 42 draws systems #1 and #601 of randomSystem, on which skipping
+// scenarios dominated by an analyzed one lowered a graph WCRT; -short
+// checks every 100th system from #1 to #601.
+func TestAnalyzeMatchesBruteForce(t *testing.T) {
+	systems := 2000
+	if testing.Short() {
+		systems = 602
+	}
+	for _, setup := range []struct {
+		name  string
+		shape systemShape
+	}{{"randomSystem", baseShape}, {"wide-messages", wideShape}} {
+		t.Run(setup.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			for i := 0; i < systems; i++ {
+				sys, dropped := randomShapedSystem(t, rng, setup.shape)
+				if testing.Short() && i%100 != 1 {
+					continue
+				}
+				for _, an := range []sched.Analyzer{&sched.Holistic{}, sched.Reference{}} {
+					requireBruteForceMatch(t, fmt.Sprintf("system #%d on %s", i, an.Name()), sys, dropped, an)
+				}
+			}
+		})
+	}
+}
+
+func requireBruteForceMatch(t *testing.T, what string, sys *platform.System, dropped core.DropSet, an sched.Analyzer) {
+	t.Helper()
+	rep, err := core.Analyze(sys, dropped, core.Config{Analyzer: an})
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	want := bruteForceAlgorithm1(t, sys, dropped, an)
+	if rep.NormalOK != want.normalOK || rep.CriticalOK != want.criticalOK {
+		t.Errorf("%s: verdicts normal=%v critical=%v, brute force %v %v",
+			what, rep.NormalOK, rep.CriticalOK, want.normalOK, want.criticalOK)
+	}
+	for gi, g := range sys.Apps.Graphs {
+		if rep.GraphWCRT[gi] != want.graphWCRT[gi] {
+			t.Errorf("%s: graph %s WCRT %v, brute force %v", what, g.Name, rep.GraphWCRT[gi], want.graphWCRT[gi])
+		}
+	}
+	for _, n := range sys.Nodes {
+		if rep.TaskWCRT[n.ID] != want.taskWCRT[n.ID] {
+			t.Errorf("%s: job %d (%s) WCRT %v, brute force %v", what, n.ID, n.Task.ID, rep.TaskWCRT[n.ID], want.taskWCRT[n.ID])
+		}
+	}
+	explained := map[model.TaskID]bool{}
+	for _, n := range sys.Nodes {
+		if explained[n.Task.ID] {
+			continue
+		}
+		explained[n.Task.ID] = true
+		var wantB []core.Binding
+		for _, m := range sys.Nodes {
+			if m.Task.ID == n.Task.ID {
+				wantB = append(wantB, want.binding[m.ID])
+			}
+		}
+		if got := rep.Explain(n.Task.ID); !slices.Equal(got, wantB) {
+			t.Errorf("%s: Explain(%s) = %v, brute force %v", what, n.Task.ID, got, wantB)
+		}
+	}
+	if want.converged && rep.ScenariosAnalyzed+rep.ScenariosDeduped != 1+want.triggers {
+		t.Errorf("%s: %d analyzed + %d deduplicated, want 1 + %d triggers",
+			what, rep.ScenariosAnalyzed, rep.ScenariosDeduped, want.triggers)
 	}
 }

@@ -237,6 +237,12 @@ func CompileWithPolicy(arch *Architecture, apps *AppSet, mapping Mapping, policy
 	return platform.Compile(arch, apps, mapping, policy)
 }
 
+// ParseDropList resolves a drop list against an application set: "*"
+// drops every droppable graph, "" none, and otherwise the comma-separated
+// names, skipping empty items. Every unknown or non-droppable name
+// appears in the one error returned.
+func ParseDropList(apps *AppSet, list string) (DropSet, error) { return core.ParseDropList(apps, list) }
+
 // AnalyzeWCRT runs the paper's Algorithm 1 with the recommended
 // configuration and returns the full report (per-graph WCRTs, scenario
 // details, feasibility verdicts).
@@ -245,10 +251,11 @@ func AnalyzeWCRT(sys *System, dropped DropSet) (*Report, error) {
 }
 
 // NewAnalysisConfig returns the recommended Algorithm 1 configuration
-// (holistic backend, scenario deduplication). Adjust fields — e.g.
-// PruneDominated or Ctx — and pass the result to AnalyzeWCRTWith. An
-// analysis runs on the calling goroutine; analyze independent systems
-// from separate goroutines to use more cores.
+// (the holistic backend). Set Analyzer or Ctx and pass the result to
+// AnalyzeWCRTWith. Every analysis analyzes each trigger scenario once,
+// skipping only exact duplicates. An analysis runs on the calling
+// goroutine; analyze independent systems from separate goroutines to
+// use more cores.
 func NewAnalysisConfig() AnalysisConfig { return core.NewConfig() }
 
 // AnalyzeWCRTWith is AnalyzeWCRT with an explicit configuration.
