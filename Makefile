@@ -54,9 +54,11 @@ wire-schema:
 # fuzz smoke-tests the spec input path, the static validator, the
 # distributed frame layer, the analysis (production Reports against
 # the reference backend's), whole-generation evaluation (evaluateAll
-# against per-candidate Evaluate) and the gene-level reliability check
-# (against Decode plus reliability.Assess) for $(FUZZTIME) each (the
-# same budget the CI job uses). Native Go fuzzing: one target per invocation.
+# against per-candidate Evaluate), the gene-level reliability check
+# (against Decode plus reliability.Assess) and the gene-level compile
+# and power model (against Decode plus platform.Compile and
+# power.Expected) for $(FUZZTIME) each (the same budget the CI job
+# uses). Native Go fuzzing: one target per invocation.
 fuzz:
 	$(GO) test ./internal/model -run '^$$' -fuzz FuzzReadSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/validate -run '^$$' -fuzz FuzzCheckSpec -fuzztime $(FUZZTIME)
@@ -64,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReferenceReportParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dse -run '^$$' -fuzz FuzzEvaluateAllMatchesEvaluate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dse -run '^$$' -fuzz FuzzGeneReliabilityMatchesAssess -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dse -run '^$$' -fuzz FuzzGeneCompileMatchesCompile -fuzztime $(FUZZTIME)
 
 # bench runs the performance-critical micro-benchmarks and writes the
 # machine-readable results (a test2json stream, one JSON object per

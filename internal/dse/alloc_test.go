@@ -10,21 +10,22 @@ import (
 	"testing"
 
 	"mcmap/internal/benchmarks"
+	"mcmap/internal/platform"
 )
 
 // TestRepairAllocations pins Repair's allocations on DT-large, an exact
 // count where wall time drifts: at most 1,000 per Repair of a random
-// genome. It also pins NewProblem's allocations at 371, so the
-// reliability table stays out of problem setup (it is built on first
-// use).
+// genome. It also pins NewProblem's allocations at exactly 319, so the
+// reliability and compile tables stay out of problem setup (they are
+// built on first use).
 func TestRepairAllocations(t *testing.T) {
 	b, err := benchmarks.ByName("dt-large")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := benchProblem(t, "dt-large")
-	if p.rel != nil {
-		t.Fatal("NewProblem built the reliability table")
+	if p.rel != nil || p.cmp != nil {
+		t.Fatal("NewProblem built the reliability or the compile table")
 	}
 	gen := rand.New(rand.NewSource(64))
 	const runs = 64
@@ -48,7 +49,54 @@ func TestRepairAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if setup != 371 {
-		t.Errorf("NewProblem(dt-large) allocates %.0f times, want 371", setup)
+	if setup != 319 {
+		t.Errorf("NewProblem(dt-large) allocates %.0f times, want 319", setup)
+	}
+}
+
+// TestEvaluateAllocations pins the allocations of the evaluation front
+// end on DT-large exactly, where wall time drifts: the mean over 64
+// seeded, repaired genomes of one Problem.Evaluate, and one
+// platform.Compile of the benchmark's reference design under the
+// load-balanced sample mapping. A per-candidate string map or Decode
+// creeping back into either path shows here first.
+func TestEvaluateAllocations(t *testing.T) {
+	p := benchProblem(t, "dt-large")
+	gen := rand.New(rand.NewSource(64))
+	const runs = 64
+	// AllocsPerRun calls the function once more to warm up; that call
+	// builds the problem's tables.
+	genomes := make([]*Genome, runs+1)
+	for i := range genomes {
+		genomes[i] = p.RandomGenome(gen)
+		p.Repair(genomes[i], gen)
+	}
+	next := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		if _, err := p.Evaluate(genomes[next], false); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if avg != 202 {
+		t.Errorf("Evaluate allocates %.0f times per repaired DT-large genome, want 202", avg)
+	}
+
+	b, err := benchmarks.ByName("dt-large")
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := b.Hardened()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapping := b.SampleMapping(man, benchmarks.MapLoadBalance)
+	compile := testing.AllocsPerRun(100, func() {
+		if _, err := platform.Compile(b.Arch, man.Apps, mapping, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if compile != 66 {
+		t.Errorf("Compile(dt-large reference design) allocates %.0f times, want 66", compile)
 	}
 }

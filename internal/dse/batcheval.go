@@ -1,7 +1,7 @@
 package dse
 
 // Generation-batched evaluation: instead of running every candidate
-// through its own Decode→Apply→Compile→Analyze pipeline, evaluateAll
+// through its own compile→Analyze pipeline, evaluateAll
 // groups the generation's candidates by the system they compile to and
 // evaluates each group against ONE compiled system. The grouping
 // exploits what the chromosome encoding leaves out of the compiled
@@ -40,21 +40,18 @@ package dse
 // island trajectory tests cover this at every worker width).
 
 import (
-	"sort"
 	"strconv"
 
 	"mcmap/internal/core"
 	"mcmap/internal/hardening"
-	"mcmap/internal/model"
-	"mcmap/internal/platform"
 	"mcmap/internal/power"
 )
 
 // sysKey fingerprints everything that determines the system a genome
 // compiles to — the hardening plan and the effective mapping — and
 // nothing else: Keep, Alloc and don't-care loci are excluded, mirroring
-// exactly what Decode feeds platform.Compile. Genes are normalized the
-// way Decode normalizes them (validateGene on a copy), so clamped
+// exactly what compileGenes reads. Genes are normalized the way
+// compileGenes normalizes them (validateGene on a copy), so clamped
 // out-of-range parameters land in the same group as their clamped twins.
 // The key is an exact string, not a hash: group sharing replays real
 // results, so collisions are not an option.
@@ -134,13 +131,15 @@ type groupReports struct {
 
 // groupShared is the state one batch group accumulates while its members
 // evaluate: the compiled system (one compile for the whole group), the
-// number of violated reliability constraints (a function of the genes
-// the group key covers) and the per-drop-set reports. Built lazily by
-// the first member that passes the structural-validity gate; members
-// run sequentially within their group, so no locking.
+// number of violated reliability constraints, the processors' expected
+// utilization (all functions of the genes the group key covers) and the
+// per-drop-set reports. Built lazily by the first member that passes
+// the structural-validity gate (util by the first feasible one);
+// members run sequentially within their group, so no locking.
 type groupShared struct {
-	sys        *platform.System
+	gs         *geneSystem
 	violations int
+	util       []float64
 	reps       map[string]*groupReports
 }
 
@@ -181,64 +180,39 @@ func (isl *island) evalGroup(grp *batchGroup, genomes []*Genome, out []*Individu
 	}
 }
 
-// evaluateGrouped scores one group member: decode, the structural-validity
-// gate, then the compile, the reliability check and the per-drop-set
-// analyses, which come from (or seed) the group's shared state, and
-// finally power or the overrun penalty. The returned shared flag
-// reports whether this member reused a sibling's analysis instead of
-// running the backend.
+// evaluateGrouped scores one group member from its genes: the drop set
+// and service from Keep, the structural-validity gate, then the
+// compile, the reliability check and the per-drop-set analyses, which
+// come from (or seed) the group's shared state, and finally power or
+// the overrun penalty. The returned shared flag reports whether this
+// member reused a sibling's analysis instead of running the backend.
 func (p *Problem) evaluateGrouped(g *Genome, dropKey string, trackNoDrop bool, cfg core.Config, st *groupShared) (*Individual, bool, error) {
-	ph, err := p.Decode(g)
-	if err != nil {
-		return nil, false, err
+	ind := &Individual{Genome: g}
+	for i, name := range p.droppable {
+		if g.Keep[i] {
+			ind.Service += p.Apps.Graph(name).Service
+		} else {
+			ind.Dropped = append(ind.Dropped, name) // droppable is sorted
+		}
 	}
-	ind := &Individual{Genome: g, Service: ph.Service}
-	for name := range ph.Dropped {
-		ind.Dropped = append(ind.Dropped, name)
-	}
-	sort.Strings(ind.Dropped)
 
 	// Structural validity: every task on an allocated processor and
 	// replicas on pairwise distinct processors. Repaired genomes always
 	// satisfy this; with repair disabled (ablation) violations are
 	// penalized instead of erroring. The check is per member — Alloc is
 	// outside the group key.
-	structuralOK := true
-	seenReplica := map[model.TaskID]map[model.ProcID]bool{}
-	for id, pid := range ph.Mapping {
-		if !ph.Alloc[pid] {
-			structuralOK = false
-			break
-		}
-		orig := ph.Manifest.OriginalOf(id)
-		if orig != id {
-			gr := ph.Manifest.Apps.GraphOf(id)
-			if gr != nil {
-				if task := gr.Task(id); task != nil && task.Kind == model.KindReplica {
-					if seenReplica[orig] == nil {
-						seenReplica[orig] = map[model.ProcID]bool{}
-					}
-					if seenReplica[orig][pid] {
-						structuralOK = false
-						break
-					}
-					seenReplica[orig][pid] = true
-				}
-			}
-		}
-	}
-	if !structuralOK {
+	if !p.placementOK(g) {
 		ind.Power = infeasiblePenalty * 4
 		ind.Objectives = Objectives{ind.Power, infeasiblePenalty}
 		return ind, false, nil
 	}
 
-	if st.sys == nil {
+	if st.gs == nil {
 		// First structurally valid member compiles and checks
 		// reliability for the whole group. Both are functions of the
 		// hardening and mapping genes, which every member shares by
 		// construction of the group key.
-		sys, err := p.Compile(ph)
+		gs, err := p.compileGenes(g)
 		if err != nil {
 			return nil, false, err
 		}
@@ -246,14 +220,18 @@ func (p *Problem) evaluateGrouped(g *Genome, dropKey string, trackNoDrop bool, c
 		if err != nil {
 			return nil, false, err
 		}
-		st.sys, st.violations = sys, len(viol)
+		st.gs, st.violations = gs, len(viol)
 	}
-	sys, relOK := st.sys, st.violations == 0
+	sys, relOK := st.gs.sys, st.violations == 0
 
 	gr, shared := st.reps[dropKey], true
 	if gr == nil {
 		shared = false
-		rep, err := core.Analyze(sys, ph.Dropped, cfg)
+		dropped := make(core.DropSet, len(ind.Dropped))
+		for _, name := range ind.Dropped {
+			dropped[name] = true
+		}
+		rep, err := core.Analyze(sys, dropped, cfg)
 		if err != nil {
 			return nil, false, err
 		}
@@ -277,12 +255,11 @@ func (p *Problem) evaluateGrouped(g *Genome, dropKey string, trackNoDrop bool, c
 	}
 
 	if ind.Feasible {
-		pw, err := power.Expected(p.Arch, ph.Manifest, ph.Mapping, ph.Alloc)
-		if err != nil {
-			return nil, false, err
+		if st.util == nil {
+			st.util = p.geneUtil(g, st.gs)
 		}
-		ind.Power = pw.Total
-		ind.Objectives = Objectives{pw.Total, -ph.Service}
+		ind.Power = power.Fold(p.Arch, st.util, g.Alloc, nil)
+		ind.Objectives = Objectives{ind.Power, -ind.Service}
 		return ind, shared, nil
 	}
 	// Penalty with an overrun gradient.

@@ -140,14 +140,44 @@ func FuzzEvaluateAllMatchesEvaluate(f *testing.F) {
 	})
 }
 
+// fuzzGenome prepares the genome of the gene-path fuzz targets: it
+// raises p's chromosome caps the way buildWorkerIsland raises them
+// (MaxK up to 6, MaxReplicas up to the processor count; 0 keeps the
+// default), draws a genome from seed, repairs it when asked, and
+// optionally maps one locus (task, replica or voter) to an unknown
+// processor.
+func fuzzGenome(p *Problem, seed int64, repaired bool, maxK, maxReplicas byte, locus uint16) *Genome {
+	if maxK > 0 {
+		p.MaxK = 1 + int(maxK)%6
+	}
+	if n := len(p.Arch.Procs); maxReplicas > 0 && n >= hardening.ActiveBase+1 {
+		p.MaxReplicas = hardening.ActiveBase + 1 + int(maxReplicas)%(n-hardening.ActiveBase)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	g := p.RandomGenome(rng)
+	if repaired {
+		p.Repair(g, rng)
+	}
+	if locus > 0 {
+		ge := &g.Genes[int(locus/3)%len(g.Genes)]
+		unknown := model.ProcID(len(p.Arch.Procs) + int(locus)%5)
+		switch locus % 3 {
+		case 0:
+			ge.Map = unknown
+		case 1:
+			ge.ReplicaMap[int(locus)%len(ge.ReplicaMap)] = unknown
+		default:
+			ge.VoterMap = unknown
+		}
+	}
+	return g
+}
+
 // FuzzGeneReliabilityMatchesAssess checks the reliability check repair
 // and evaluation run on genes against Decode plus reliability.Assess
 // (checkGeneReliability). The fuzz input picks a bundled benchmark and a
-// seed, a raw or a repaired genome, chromosome caps raised after
-// NewProblem the way buildWorkerIsland raises them (MaxK up to 6,
-// MaxReplicas up to the processor count; 0 keeps the default), and
-// optionally one locus (task, replica or voter) mapped to an unknown
-// processor.
+// seed, a raw or a repaired genome, raised chromosome caps and
+// optionally one locus on an unknown processor (see fuzzGenome).
 func FuzzGeneReliabilityMatchesAssess(f *testing.F) {
 	f.Add(byte(1), int64(1), false, byte(0), byte(0), uint16(0))
 	f.Add(byte(1), int64(2), true, byte(0), byte(0), uint16(0))
@@ -157,29 +187,34 @@ func FuzzGeneReliabilityMatchesAssess(f *testing.F) {
 	f.Fuzz(func(t *testing.T, bench byte, seed int64, repaired bool, maxK, maxReplicas byte, locus uint16) {
 		names := benchmarks.Names()
 		p := benchProblem(t, names[int(bench)%len(names)])
-		if maxK > 0 {
-			p.MaxK = 1 + int(maxK)%6
-		}
-		if n := len(p.Arch.Procs); maxReplicas > 0 && n >= hardening.ActiveBase+1 {
-			p.MaxReplicas = hardening.ActiveBase + 1 + int(maxReplicas)%(n-hardening.ActiveBase)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		g := p.RandomGenome(rng)
-		if repaired {
-			p.Repair(g, rng)
-		}
-		if locus > 0 {
-			ge := &g.Genes[int(locus/3)%len(g.Genes)]
-			unknown := model.ProcID(len(p.Arch.Procs) + int(locus)%5)
-			switch locus % 3 {
-			case 0:
-				ge.Map = unknown
-			case 1:
-				ge.ReplicaMap[int(locus)%len(ge.ReplicaMap)] = unknown
-			default:
-				ge.VoterMap = unknown
+		checkGeneReliability(t, p, fuzzGenome(p, seed, repaired, maxK, maxReplicas, locus))
+	})
+}
+
+// FuzzGeneCompileMatchesCompile checks the gene path evaluation runs —
+// placementOK, compileGenes, geneUtil and the drop set taken from Keep —
+// against Decode plus platform.Compile and power.Expected
+// (checkGeneCompile): the System signature, the error and the power bit
+// for bit. The fuzz input is FuzzGeneReliabilityMatchesAssess's plus
+// typed: when non-zero, the odd processors are of type "dsp" and task
+// typed (modulo the task count) may run only there, so placements can
+// break CanRunOn.
+func FuzzGeneCompileMatchesCompile(f *testing.F) {
+	f.Add(byte(1), int64(1), false, byte(0), byte(0), uint16(0), uint16(0))
+	f.Add(byte(1), int64(2), true, byte(0), byte(0), uint16(0), uint16(0))
+	f.Add(byte(0), int64(3), true, byte(6), byte(4), uint16(0), uint16(0))
+	f.Add(byte(4), int64(4), false, byte(2), byte(6), uint16(7), uint16(0))
+	f.Add(byte(2), int64(5), true, byte(5), byte(5), uint16(11), uint16(0))
+	f.Add(byte(3), int64(6), true, byte(0), byte(3), uint16(0), uint16(3))
+	f.Add(byte(1), int64(7), false, byte(4), byte(0), uint16(0), uint16(20))
+	f.Fuzz(func(t *testing.T, bench byte, seed int64, repaired bool, maxK, maxReplicas byte, locus, typed uint16) {
+		name := benchmarks.Names()[int(bench)%len(benchmarks.Names())]
+		p := benchProblem(t, name)
+		if typed > 0 {
+			if p = typedProblem(t, name, int(typed)); p == nil {
+				return // the restriction left the instance unsatisfiable
 			}
 		}
-		checkGeneReliability(t, p, g)
+		checkGeneCompile(t, p, fuzzGenome(p, seed, repaired, maxK, maxReplicas, locus))
 	})
 }

@@ -40,9 +40,12 @@ type Problem struct {
 	droppable []string
 
 	// rel is the dense reliability table repair and evaluation read;
-	// relTable builds it on first use.
+	// relTable builds it on first use. cmp, the compile table evaluation
+	// reads, is built the same way by compileTable.
 	relOnce sync.Once
 	rel     *relTable
+	cmpOnce sync.Once
+	cmp     *compileTable
 }
 
 // NewProblem validates the instance and precomputes the chromosome
@@ -104,7 +107,9 @@ type Phenotype struct {
 
 // Decode translates a genome into a phenotype (Figure 4, right side). The
 // genome must already be repaired: decode itself performs no validity
-// fixing beyond parameter clamping.
+// fixing beyond parameter clamping. Evaluation builds the same design
+// from the genes directly (compileGenes); Decode serves export and the
+// tools that need the string-keyed phenotype.
 func (p *Problem) Decode(g *Genome) (*Phenotype, error) {
 	plan := hardening.Plan{}
 	for i, id := range p.taskIDs {

@@ -48,16 +48,6 @@ func (p *Problem) repairAllocation(g *Genome, rng *rand.Rand) {
 	g.Alloc[rng.Intn(len(g.Alloc))] = true
 }
 
-// procIndex resolves a processor ID to its index in Arch.Procs, or -1.
-func (p *Problem) procIndex(pid model.ProcID) int {
-	for i := range p.Arch.Procs {
-		if p.Arch.Procs[i].ID == pid {
-			return i
-		}
-	}
-	return -1
-}
-
 // countProcs counts the processor indices that satisfy fits.
 func (p *Problem) countProcs(fits func(idx int) bool) int {
 	n := 0
@@ -96,7 +86,7 @@ func (p *Problem) repairMappings(g *Genome, rng *rand.Rand) {
 	// a voter, which fits anywhere).
 	fix := func(pid model.ProcID, i int) model.ProcID {
 		fits := func(idx int) bool { return g.Alloc[idx] && (i < 0 || rt.canRun[i*rt.nproc+idx]) }
-		if idx := p.procIndex(pid); idx >= 0 && fits(idx) {
+		if idx := p.Arch.ProcIndex(pid); idx >= 0 && fits(idx) {
 			return pid
 		}
 		// Random allocated processor the task can run on; fall back to any
@@ -154,7 +144,7 @@ func (p *Problem) repairReplicaPlacement(g *Genome, rng *rand.Rand) {
 		// still free, and moves to a random usable free one otherwise.
 		for r := 0; r < ge.Replicas && r < len(ge.ReplicaMap); r++ {
 			placed := ge.ReplicaMap[:r]
-			if idx := p.procIndex(ge.ReplicaMap[r]); idx >= 0 && usable(idx) && !slices.Contains(placed, ge.ReplicaMap[r]) {
+			if idx := p.Arch.ProcIndex(ge.ReplicaMap[r]); idx >= 0 && usable(idx) && !slices.Contains(placed, ge.ReplicaMap[r]) {
 				continue
 			}
 			idx := p.drawProc(rng, func(idx int) bool { return usable(idx) && !slices.Contains(placed, p.Arch.Procs[idx].ID) })
@@ -331,7 +321,7 @@ func (p *Problem) graphVerdict(g *Genome, v int) (float64, bool, error) {
 		}
 		probs := buf[:0]
 		for _, pid := range procs {
-			j := p.procIndex(pid)
+			j := p.Arch.ProcIndex(pid)
 			if j < 0 {
 				return 0, false, fmt.Errorf("dse: task %q mapped to unknown processor %d", p.taskIDs[i], pid)
 			}

@@ -165,11 +165,11 @@ func TestGeneReliabilityManyReplicas(t *testing.T) {
 		// probabilities are the table's first row.
 		byIndex := make([]float64, ge.Replicas)
 		for r := range byIndex {
-			byIndex[r] = p.relTable().fail[p.procIndex(ge.ReplicaMap[r])]
+			byIndex[r] = p.relTable().fail[p.Arch.ProcIndex(ge.ReplicaMap[r])]
 		}
 		byID := make([]float64, 0, ge.Replicas)
 		for _, pid := range replicasByID(ge.ReplicaMap[:ge.Replicas]) {
-			byID = append(byID, p.relTable().fail[p.procIndex(pid)])
+			byID = append(byID, p.relTable().fail[p.Arch.ProcIndex(pid)])
 		}
 		if reliability.TaskUnsafeProb(ge.Technique, 0, byIndex) != reliability.TaskUnsafeProb(ge.Technique, 0, byID) {
 			orderMatters = true

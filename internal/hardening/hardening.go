@@ -7,6 +7,7 @@ package hardening
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mcmap/internal/model"
@@ -60,6 +61,12 @@ type Decision struct {
 	// PassiveReplication the first ActiveBase clones are active and the
 	// rest are passive.
 	Replicas int `json:"replicas,omitempty"`
+}
+
+// replicates reports whether the decision replaces the task by replicas
+// and a voter.
+func (d Decision) replicates() bool {
+	return d.Technique == ActiveReplication || d.Technique == PassiveReplication
 }
 
 // Validate checks internal consistency of the decision.
@@ -145,9 +152,165 @@ func DispatchID(orig model.TaskID) model.TaskID {
 	return model.TaskID(string(orig) + "#d")
 }
 
+// Role says which part of a task's hardened implementation a slot is.
+type Role uint8
+
+const (
+	// Self is the task itself: unhardened or re-executed.
+	Self Role = iota
+	// Replica is one clone of a replicated task.
+	Replica
+	// Voter is the majority voter of a replicated task.
+	Voter
+	// Dispatch is the passive-invocation step of a passively replicated
+	// task.
+	Dispatch
+)
+
+// Slot is one task of a hardened graph in index form: the position of
+// the original task it implements, in declaration order, and its role;
+// Replica numbers replica slots.
+type Slot struct {
+	Task    int
+	Role    Role
+	Replica int
+}
+
+// Transform is the hardening transformation of one graph in index form.
+// The graph has n tasks in declaration order, links are its channels,
+// and dec[i] is the (valid) decision for task i. It returns the hardened
+// graph's tasks as slots in declaration order and its channels as links
+// between slot positions, in channel order. When no task is replicated
+// the links returned are links itself.
+//
+// Replication works task by task in declaration order, on the graph as
+// earlier replications left it (Figure 2): the task's replicas and voter
+// are appended to the tasks and the task is removed, together with every
+// channel touching it; then every channel that entered it is re-created
+// into each replica, each replica feeds the voter with the task's
+// largest outgoing transfer, and the voter takes over the task's
+// outgoing channels. Passive replication appends a zero-time dispatch
+// step that receives the active replicas' results and invokes the
+// passive ones. Re-execution changes no structure.
+func Transform(n int, links []model.Link, dec []Decision) ([]Slot, []model.Link) {
+	extra := 0
+	for _, d := range dec {
+		if d.replicates() {
+			extra += d.Replicas + 2 // voter and, if passive, dispatch step
+		}
+	}
+	slots := make([]Slot, n, n+extra)
+	for i := range slots {
+		slots[i] = Slot{Task: i}
+	}
+	if extra == 0 {
+		return slots, links
+	}
+	// While replicating, a slot is named by its index in slots: the
+	// originals keep 0..n-1 and every artifact is appended.
+	cur := slices.Clone(links)
+	var in, out []model.Link
+	for t, d := range dec {
+		if !d.replicates() {
+			continue
+		}
+		in, out = in[:0], out[:0]
+		var resultSize int64
+		for _, l := range cur {
+			if l.Src == t {
+				out = append(out, l)
+				resultSize = max(resultSize, l.Size)
+			}
+			if l.Dst == t {
+				in = append(in, l)
+			}
+		}
+		first := len(slots)
+		for r := 0; r < d.Replicas; r++ {
+			slots = append(slots, Slot{Task: t, Role: Replica, Replica: r})
+		}
+		voter := len(slots)
+		slots = append(slots, Slot{Task: t, Role: Voter})
+		cur = slices.DeleteFunc(cur, func(l model.Link) bool { return l.Src == t || l.Dst == t })
+		for _, l := range in {
+			for r := 0; r < d.Replicas; r++ {
+				cur = append(cur, model.Link{Src: l.Src, Dst: first + r, Size: l.Size})
+			}
+		}
+		for r := 0; r < d.Replicas; r++ {
+			cur = append(cur, model.Link{Src: first + r, Dst: voter, Size: resultSize})
+		}
+		for _, l := range out {
+			cur = append(cur, model.Link{Src: voter, Dst: l.Dst, Size: l.Size})
+		}
+		if d.Technique == PassiveReplication {
+			dispatch := len(slots)
+			slots = append(slots, Slot{Task: t, Role: Dispatch})
+			for a := 0; a < ActiveBase; a++ {
+				cur = append(cur, model.Link{Src: first + a, Dst: dispatch, Size: resultSize})
+			}
+			for r := ActiveBase; r < d.Replicas; r++ {
+				cur = append(cur, model.Link{Src: dispatch, Dst: first + r})
+			}
+		}
+	}
+	// Drop the replicated originals: the rest keep their order and the
+	// artifacts follow in the order they were appended.
+	at := make([]int, len(slots))
+	kept := slots[:0]
+	for k, s := range slots {
+		if s.Role == Self && dec[k].replicates() {
+			continue
+		}
+		at[k] = len(kept)
+		kept = append(kept, s)
+	}
+	for i := range cur {
+		cur[i].Src, cur[i].Dst = at[cur[i].Src], at[cur[i].Dst]
+	}
+	return kept, cur
+}
+
+// Instantiate returns a new task implementing slot s of the original
+// task t under decision d: a copy of t (with d.K re-executions under
+// ReExecution), replica s.Replica (passive from ActiveBase on under
+// PassiveReplication), the voter, whose execution time is the voting
+// overhead ve_v, or the zero-time dispatch step.
+func Instantiate(t *model.Task, s Slot, d Decision) *model.Task {
+	switch s.Role {
+	case Replica:
+		r := *t // copy timing parameters
+		r.ID = ReplicaID(t.ID, s.Replica)
+		r.Name = fmt.Sprintf("%s#r%d", t.Name, s.Replica)
+		r.Kind = model.KindReplica
+		r.Origin = t.ID
+		r.Passive = d.Technique == PassiveReplication && s.Replica >= ActiveBase
+		r.ReExec = 0
+		r.AllowedTypes = append([]string(nil), t.AllowedTypes...)
+		return &r
+	case Voter:
+		return &model.Task{ID: VoterID(t.ID), Name: t.Name + "#v", BCET: t.VoteOverhead, WCET: t.VoteOverhead,
+			Kind: model.KindVoter, Origin: t.ID}
+	case Dispatch:
+		return &model.Task{ID: DispatchID(t.ID), Name: t.Name + "#d", Kind: model.KindDispatch, Origin: t.ID}
+	default:
+		c := *t
+		c.AllowedTypes = append([]string(nil), t.AllowedTypes...)
+		if d.Technique == ReExecution {
+			c.ReExec = d.K
+		}
+		return &c
+	}
+}
+
 // Apply transforms apps according to plan and returns the manifest. The
 // input set is not modified. Decisions referring to unknown tasks are an
-// error, as are invalid decisions.
+// error, as are invalid decisions, dangling channels and an artifact
+// whose ID is already a task of apps (see ReplicaID, VoterID and
+// DispatchID).
+//
+// Each graph is lowered to index form, hardened by Transform, and built
+// back into tasks (Instantiate), channels and the manifest's maps.
 func Apply(apps *model.AppSet, plan Plan) (*Manifest, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -165,150 +328,53 @@ func Apply(apps *model.AppSet, plan Plan) (*Manifest, error) {
 		}
 	}
 
-	out := apps.Clone()
 	m := &Manifest{
-		Apps:      out,
+		Apps:      &model.AppSet{Graphs: make([]*model.TaskGraph, len(apps.Graphs))},
 		Plan:      plan.Clone(),
 		Instances: make(map[model.TaskID][]model.TaskID),
 		Voter:     make(map[model.TaskID]model.TaskID),
 		Dispatch:  make(map[model.TaskID]model.TaskID),
 		Origin:    make(map[model.TaskID]model.TaskID),
 	}
-
-	for _, g := range out.Graphs {
-		// Collect the tasks present before transformation so replication
-		// does not re-visit its own artifacts.
-		originals := append([]*model.Task(nil), g.Tasks...)
-		for _, t := range originals {
-			d, ok := plan[t.ID]
-			if !ok || d.Technique == None {
-				m.Instances[t.ID] = []model.TaskID{t.ID}
-				m.Origin[t.ID] = t.ID
+	for gi, g := range apps.Graphs {
+		links, err := model.Links(g)
+		if err != nil {
+			return nil, fmt.Errorf("hardening: %w", err)
+		}
+		dec := make([]Decision, len(g.Tasks))
+		for i, t := range g.Tasks {
+			dec[i] = plan[t.ID]
+		}
+		slots, hl := Transform(len(g.Tasks), links, dec)
+		out := g.EmptyCopy()
+		out.Tasks, out.Channels = make([]*model.Task, len(slots)), make([]*model.Channel, len(hl))
+		for k, s := range slots {
+			orig := g.Tasks[s.Task].ID
+			t := Instantiate(g.Tasks[s.Task], s, dec[s.Task])
+			out.Tasks[k] = t
+			m.Origin[t.ID] = orig
+			switch s.Role {
+			case Self:
+				m.Instances[orig] = []model.TaskID{orig}
 				continue
+			case Replica:
+				m.Instances[orig] = append(m.Instances[orig], t.ID)
+			case Voter:
+				m.Voter[orig] = t.ID
+			case Dispatch:
+				m.Dispatch[orig] = t.ID
 			}
-			switch d.Technique {
-			case ReExecution:
-				t.ReExec = d.K
-				m.Instances[t.ID] = []model.TaskID{t.ID}
-				m.Origin[t.ID] = t.ID
-			case ActiveReplication, PassiveReplication:
-				if err := replicate(g, t, d, m); err != nil {
-					return nil, err
-				}
+			if known[t.ID] {
+				return nil, fmt.Errorf("hardening: hardening task %q creates %q, which is already a task", orig, t.ID)
 			}
 		}
+		for k, l := range hl {
+			out.Channels[k] = &model.Channel{Src: out.Tasks[l.Src].ID, Dst: out.Tasks[l.Dst].ID, Size: l.Size}
+		}
+		out.RebuildIndex()
+		m.Apps.Graphs[gi] = &out
 	}
 	return m, nil
-}
-
-// replicate rewrites graph g so that task t is implemented by d.Replicas
-// clones feeding a majority voter (Figure 2). The original task is removed.
-func replicate(g *model.TaskGraph, t *model.Task, d Decision, m *Manifest) error {
-	orig := t.ID
-	// Result size carried from each replica to the voter: the largest
-	// outgoing transfer of the original task (0 when the task is a sink).
-	var resultSize int64
-	for _, c := range g.OutChannels(orig) {
-		if c.Size > resultSize {
-			resultSize = c.Size
-		}
-	}
-	inCh := append([]*model.Channel(nil), g.InChannels(orig)...)
-	outCh := append([]*model.Channel(nil), g.OutChannels(orig)...)
-
-	// Build replicas.
-	ids := make([]model.TaskID, 0, d.Replicas)
-	for i := 0; i < d.Replicas; i++ {
-		r := *t // copy timing parameters
-		r.ID = ReplicaID(orig, i)
-		r.Name = fmt.Sprintf("%s#r%d", t.Name, i)
-		r.Kind = model.KindReplica
-		r.Origin = orig
-		r.Passive = d.Technique == PassiveReplication && i >= ActiveBase
-		r.ReExec = 0
-		g.AttachTask(&r)
-		ids = append(ids, r.ID)
-	}
-	// Build the voter; its execution time is the voting overhead ve_v.
-	voter := &model.Task{
-		ID:     VoterID(orig),
-		Name:   t.Name + "#v",
-		BCET:   t.VoteOverhead,
-		WCET:   t.VoteOverhead,
-		Kind:   model.KindVoter,
-		Origin: orig,
-	}
-	g.AttachTask(voter)
-
-	// Remove the original task and its channels.
-	removeTask(g, orig)
-
-	// Rewire: predecessors feed every replica, replicas feed the voter,
-	// the voter feeds the original successors.
-	for _, c := range inCh {
-		for _, rid := range ids {
-			g.AddChannelID(c.Src, rid, c.Size)
-		}
-	}
-	for _, rid := range ids {
-		g.AddChannelID(rid, voter.ID, resultSize)
-	}
-	for _, c := range outCh {
-		g.AddChannelID(voter.ID, c.Dst, c.Size)
-	}
-	// Passive replicas are invoked only after the voter has compared the
-	// active results on its own processor (Figure 2(b)). Encode that
-	// route explicitly: a zero-time dispatch step, colocated with the
-	// voter by the mapping layer, receives the active results and signals
-	// every passive replica. The timing analyses thereby see the true
-	// earliest and latest invocation instants of a tie-break execution.
-	if d.Technique == PassiveReplication {
-		dispatch := &model.Task{
-			ID:     DispatchID(orig),
-			Name:   t.Name + "#d",
-			Kind:   model.KindDispatch,
-			Origin: orig,
-		}
-		g.AttachTask(dispatch)
-		for ai := 0; ai < ActiveBase; ai++ {
-			g.AddChannelID(ids[ai], dispatch.ID, resultSize)
-		}
-		for pi := ActiveBase; pi < d.Replicas; pi++ {
-			g.AddChannelID(dispatch.ID, ids[pi], 0)
-		}
-		m.Origin[dispatch.ID] = orig
-		m.Dispatch[orig] = dispatch.ID
-	}
-
-	m.Instances[orig] = ids
-	m.Voter[orig] = voter.ID
-	for _, rid := range ids {
-		m.Origin[rid] = orig
-	}
-	m.Origin[voter.ID] = orig
-	return nil
-}
-
-// removeTask deletes a task and all channels touching it from the graph.
-func removeTask(g *model.TaskGraph, id model.TaskID) {
-	tasks := g.Tasks[:0]
-	for _, t := range g.Tasks {
-		if t.ID != id {
-			tasks = append(tasks, t)
-		}
-	}
-	g.Tasks = tasks
-	chans := g.Channels[:0]
-	for _, c := range g.Channels {
-		if c.Src != id && c.Dst != id {
-			chans = append(chans, c)
-		}
-	}
-	g.Channels = chans
-	// The graph keeps an internal index; force a rebuild by touching it
-	// through the public accessor after mutation.
-	g.Tasks = append([]*model.Task(nil), g.Tasks...)
-	g.RebuildIndex()
 }
 
 // OriginalOf returns the original task ID behind any transformed ID,

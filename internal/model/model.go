@@ -213,12 +213,21 @@ type Architecture struct {
 
 // Proc returns the processor with the given ID, or nil.
 func (a *Architecture) Proc(id ProcID) *Processor {
-	for i := range a.Procs {
-		if a.Procs[i].ID == id {
-			return &a.Procs[i]
-		}
+	if i := a.ProcIndex(id); i >= 0 {
+		return &a.Procs[i]
 	}
 	return nil
+}
+
+// ProcIndex returns the index in Procs of the processor with the given
+// ID, or -1.
+func (a *Architecture) ProcIndex(id ProcID) int {
+	for i := range a.Procs {
+		if a.Procs[i].ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // ProcIDs returns all processor IDs in declaration order.
@@ -456,7 +465,7 @@ func (g *TaskGraph) AddTask(name string, bcet, wcet, ve, dt Time) *Task {
 	return t
 }
 
-// attach inserts a fully-formed task (used by hardening when cloning).
+// attach inserts a fully-formed task, panicking on duplicate IDs.
 func (g *TaskGraph) attach(t *Task) {
 	if g.index == nil {
 		g.rebuildIndex()
@@ -467,10 +476,6 @@ func (g *TaskGraph) attach(t *Task) {
 	g.Tasks = append(g.Tasks, t)
 	g.index[t.ID] = t
 }
-
-// AttachTask inserts a fully-formed task, panicking on duplicate IDs. It is
-// exported for the hardening transformation.
-func (g *TaskGraph) AttachTask(t *Task) { g.attach(t) }
 
 // AddChannel appends a channel between two local task names with the given
 // transfer size in bytes.
@@ -560,14 +565,8 @@ func (g *TaskGraph) OutChannels(id TaskID) []*Channel {
 // Clone returns a deep copy of the graph. The copy shares no mutable state
 // with the original, so hardening can transform it freely.
 func (g *TaskGraph) Clone() *TaskGraph {
-	ng := &TaskGraph{
-		Name:             g.Name,
-		Period:           g.Period,
-		Deadline:         g.Deadline,
-		ReliabilityBound: g.ReliabilityBound,
-		Service:          g.Service,
-		index:            make(map[TaskID]*Task, len(g.Tasks)),
-	}
+	ng := g.EmptyCopy()
+	ng.index = make(map[TaskID]*Task, len(g.Tasks))
 	for _, t := range g.Tasks {
 		ct := *t
 		ct.AllowedTypes = append([]string(nil), t.AllowedTypes...)
@@ -578,7 +577,14 @@ func (g *TaskGraph) Clone() *TaskGraph {
 		cc := *c
 		ng.Channels = append(ng.Channels, &cc)
 	}
-	return ng
+	return &ng
+}
+
+// EmptyCopy returns the graph's parameters — name, period, deadline,
+// reliability bound and service — without its tasks and channels.
+func (g *TaskGraph) EmptyCopy() TaskGraph {
+	return TaskGraph{Name: g.Name, Period: g.Period, Deadline: g.Deadline,
+		ReliabilityBound: g.ReliabilityBound, Service: g.Service}
 }
 
 // AppSet is the application set T sharing the platform.

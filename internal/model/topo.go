@@ -2,47 +2,105 @@ package model
 
 import "fmt"
 
-// TopoOrder returns the tasks of g in a deterministic topological order
-// (declaration order among ready tasks), or an error if the graph has a
-// cycle or dangling channel endpoints.
-func TopoOrder(g *TaskGraph) ([]*Task, error) {
-	indeg := make(map[TaskID]int, len(g.Tasks))
-	for _, t := range g.Tasks {
-		indeg[t.ID] = 0
+// Link is a channel in index form: the positions of its source and
+// destination tasks in their graph's Tasks, and its transfer size.
+type Link struct {
+	Src, Dst int
+	Size     int64
+}
+
+// Links lowers the channels of g to index form, in channel order. It
+// fails on a channel endpoint that is not a task of g.
+func Links(g *TaskGraph) ([]Link, error) {
+	pos := make(map[TaskID]int, len(g.Tasks))
+	for i, t := range g.Tasks {
+		if _, dup := pos[t.ID]; !dup {
+			pos[t.ID] = i
+		}
 	}
-	for _, c := range g.Channels {
-		if _, ok := indeg[c.Src]; !ok {
+	links := make([]Link, len(g.Channels))
+	for i, c := range g.Channels {
+		src, ok := pos[c.Src]
+		if !ok {
 			return nil, fmt.Errorf("model: graph %q: channel source %q not in graph", g.Name, c.Src)
 		}
-		if _, ok := indeg[c.Dst]; !ok {
+		dst, ok := pos[c.Dst]
+		if !ok {
 			return nil, fmt.Errorf("model: graph %q: channel destination %q not in graph", g.Name, c.Dst)
 		}
-		indeg[c.Dst]++
+		links[i] = Link{Src: src, Dst: dst, Size: c.Size}
 	}
-	// Kahn's algorithm with a declaration-ordered ready list for
-	// determinism.
-	var order []*Task
-	ready := make([]*Task, 0, len(g.Tasks))
-	for _, t := range g.Tasks {
-		if indeg[t.ID] == 0 {
-			ready = append(ready, t)
+	return links, nil
+}
+
+// TopoSort is Kahn's algorithm over a graph of n tasks whose channels
+// are links, in O(n + len(links)). The ready queue starts with the
+// sources in declaration order, and each dequeued task releases its
+// successors in channel order. It returns the task positions in
+// topological order and each task's depth (0 for sources, otherwise 1 +
+// the deepest predecessor), and ok=false when the graph has a cycle.
+func TopoSort(n int, links []Link) (order, depth []int, ok bool) {
+	buf := make([]int, 5*n+1+len(links))
+	indeg, next := buf[:n], buf[n:2*n]
+	depth, order = buf[2*n:3*n], buf[3*n:3*n:4*n]
+	start, succ := buf[4*n:5*n+1], buf[5*n+1:]
+	// Successor lists in channel order, packed by source.
+	for _, l := range links {
+		indeg[l.Dst]++
+		start[l.Src+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+		next[i] = start[i]
+	}
+	for _, l := range links {
+		succ[next[l.Src]] = l.Dst
+		next[l.Src]++
+	}
+	// order doubles as the FIFO ready queue.
+	for i := 0; i < n; i++ {
+		if indeg[i] == 0 {
+			order = append(order, i)
 		}
 	}
-	for len(ready) > 0 {
-		t := ready[0]
-		ready = ready[1:]
-		order = append(order, t)
-		for _, s := range g.Succs(t.ID) {
-			indeg[s.ID]--
-			if indeg[s.ID] == 0 {
-				ready = append(ready, s)
+	for head := 0; head < len(order); head++ {
+		t := order[head]
+		for _, s := range succ[start[t]:start[t+1]] {
+			depth[s] = max(depth[s], depth[t]+1)
+			if indeg[s]--; indeg[s] == 0 {
+				order = append(order, s)
 			}
 		}
 	}
-	if len(order) != len(g.Tasks) {
-		return nil, fmt.Errorf("model: graph %q contains a cycle", g.Name)
+	return order, depth, len(order) == n
+}
+
+// sorted lowers g and sorts it, failing on dangling channel endpoints
+// and cycles.
+func sorted(g *TaskGraph) (order, depth []int, err error) {
+	links, err := Links(g)
+	if err != nil {
+		return nil, nil, err
 	}
-	return order, nil
+	order, depth, ok := TopoSort(len(g.Tasks), links)
+	if !ok {
+		return nil, nil, fmt.Errorf("model: graph %q contains a cycle", g.Name)
+	}
+	return order, depth, nil
+}
+
+// TopoOrder returns the tasks of g in TopoSort's topological order, or
+// an error if the graph has a cycle or dangling channel endpoints.
+func TopoOrder(g *TaskGraph) ([]*Task, error) {
+	order, _, err := sorted(g)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Task, len(order))
+	for i, k := range order {
+		out[i] = g.Tasks[k]
+	}
+	return out, nil
 }
 
 // Sources returns the tasks with no predecessors.
@@ -97,21 +155,15 @@ func Reachable(g *TaskGraph, start TaskID) map[TaskID]bool {
 // Depths returns each task's depth: 0 for sources, otherwise
 // 1 + max(depth of predecessors). It requires an acyclic graph.
 func Depths(g *TaskGraph) (map[TaskID]int, error) {
-	order, err := TopoOrder(g)
+	_, depth, err := sorted(g)
 	if err != nil {
 		return nil, err
 	}
-	depth := make(map[TaskID]int, len(order))
-	for _, t := range order {
-		d := 0
-		for _, p := range g.Preds(t.ID) {
-			if depth[p.ID]+1 > d {
-				d = depth[p.ID] + 1
-			}
-		}
-		depth[t.ID] = d
+	out := make(map[TaskID]int, len(g.Tasks))
+	for i, t := range g.Tasks {
+		out[t.ID] = depth[i]
 	}
-	return depth, nil
+	return out, nil
 }
 
 // CriticalPathLength returns the longest source-to-sink path length of g

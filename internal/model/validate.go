@@ -81,15 +81,15 @@ func ValidateGraph(g *TaskGraph) error {
 	if g.Droppable() && g.Service < 0 {
 		return invalidf("droppable graph %q has negative service value", g.Name)
 	}
-	seen := make(map[TaskID]bool, len(g.Tasks))
-	for _, t := range g.Tasks {
+	pos := make(map[TaskID]int, len(g.Tasks))
+	for i, t := range g.Tasks {
 		if t.ID == "" {
 			return invalidf("graph %q has a task without an ID", g.Name)
 		}
-		if seen[t.ID] {
+		if _, dup := pos[t.ID]; dup {
 			return invalidf("graph %q has duplicate task %q", g.Name, t.ID)
 		}
-		seen[t.ID] = true
+		pos[t.ID] = i
 		if t.BCET < 0 || t.WCET < 0 {
 			return invalidf("task %q has negative execution time", t.ID)
 		}
@@ -103,13 +103,17 @@ func ValidateGraph(g *TaskGraph) error {
 			return invalidf("task %q has negative re-execution count", t.ID)
 		}
 	}
-	for _, c := range g.Channels {
-		if !seen[c.Src] {
+	links := make([]Link, len(g.Channels))
+	for i, c := range g.Channels {
+		src, ok := pos[c.Src]
+		if !ok {
 			return invalidf("graph %q channel refers to missing source %q", g.Name, c.Src)
 		}
-		if !seen[c.Dst] {
+		dst, ok := pos[c.Dst]
+		if !ok {
 			return invalidf("graph %q channel refers to missing destination %q", g.Name, c.Dst)
 		}
+		links[i] = Link{Src: src, Dst: dst, Size: c.Size}
 		if c.Src == c.Dst {
 			return invalidf("graph %q has a self-loop on %q", g.Name, c.Src)
 		}
@@ -117,8 +121,8 @@ func ValidateGraph(g *TaskGraph) error {
 			return invalidf("graph %q channel %q->%q has negative size", g.Name, c.Src, c.Dst)
 		}
 	}
-	if _, err := TopoOrder(g); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalid, err)
+	if _, _, ok := TopoSort(len(g.Tasks), links); !ok {
+		return invalidf("model: graph %q contains a cycle", g.Name)
 	}
 	return nil
 }
@@ -166,15 +170,23 @@ func ValidateMapping(arch *Architecture, apps *AppSet, m Mapping) error {
 			if !ok {
 				return invalidf("task %q is unmapped", t.ID)
 			}
-			proc := arch.Proc(p)
-			if proc == nil {
-				return invalidf("task %q mapped to unknown processor %d", t.ID, p)
-			}
-			if !t.CanRunOn(proc.Type) {
-				return invalidf("task %q (types %v) mapped to processor %d of type %q",
-					t.ID, t.AllowedTypes, p, proc.Type)
+			if err := ValidatePlacement(t, p, arch.Proc(p)); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// ValidatePlacement checks that task t may run on processor pid, which
+// resolves to proc (nil when the architecture has no such processor).
+func ValidatePlacement(t *Task, pid ProcID, proc *Processor) error {
+	if proc == nil {
+		return invalidf("task %q mapped to unknown processor %d", t.ID, pid)
+	}
+	if !t.CanRunOn(proc.Type) {
+		return invalidf("task %q (types %v) mapped to processor %d of type %q",
+			t.ID, t.AllowedTypes, pid, proc.Type)
 	}
 	return nil
 }

@@ -55,6 +55,9 @@ type Node struct {
 	// Priority is the fixed scheduling priority; lower value means higher
 	// priority. Priorities are unique across all job nodes.
 	Priority int
+	// Depth is the task's depth in its graph: 0 for sources, otherwise 1
+	// + the deepest predecessor. The priority policies break ties on it.
+	Depth int
 	// BCET/WCET are the single-execution times scaled to the processor
 	// speed, excluding hardening overheads.
 	BCET model.Time
@@ -107,9 +110,8 @@ type PriorityPolicy interface {
 
 // System is the compiled platform.
 type System struct {
-	Arch    *model.Architecture
-	Apps    *model.AppSet
-	Mapping model.Mapping
+	Arch *model.Architecture
+	Apps *model.AppSet
 
 	Nodes []*Node
 	// GraphInstances[gi][k] lists the node IDs of instance k of graph gi
@@ -128,9 +130,6 @@ type System struct {
 	// avoid charging interference from jobs that by construction finish
 	// before i starts.
 	ancestors [][]uint64
-	words     int
-
-	byTask map[model.TaskID][]NodeID
 }
 
 // IsAncestor reports whether node a is a (transitive) predecessor of node
@@ -140,7 +139,8 @@ func (s *System) IsAncestor(a, b NodeID) bool {
 }
 
 // Compile builds a System. The mapping must cover every task. The policy
-// may be nil, selecting DefaultPolicy.
+// may be nil, selecting DefaultPolicy. Compile validates its input,
+// lowers it to index form and hands it to Build.
 func Compile(arch *model.Architecture, apps *model.AppSet, mapping model.Mapping, policy PriorityPolicy) (*System, error) {
 	if err := model.ValidateArchitecture(arch); err != nil {
 		return nil, err
@@ -151,87 +151,161 @@ func Compile(arch *model.Architecture, apps *model.AppSet, mapping model.Mapping
 	if err := model.ValidateMapping(arch, apps, mapping); err != nil {
 		return nil, err
 	}
+	graphs := make([]MappedGraph, len(apps.Graphs))
+	procs := make([]int, apps.NumTasks())
+	for gi, g := range apps.Graphs {
+		links, err := model.Links(g)
+		if err != nil {
+			return nil, err
+		}
+		gp := procs[:len(g.Tasks):len(g.Tasks)]
+		procs = procs[len(g.Tasks):]
+		for k, t := range g.Tasks {
+			gp[k] = arch.ProcIndex(mapping[t.ID])
+		}
+		graphs[gi] = MappedGraph{Links: links, Procs: gp}
+	}
+	return Build(arch, apps, graphs, policy)
+}
+
+// MappedGraph is one graph of a mapped application set in index form:
+// its channels as links between positions in the graph's Tasks, and the
+// Arch.Procs index of each task's processor.
+type MappedGraph struct {
+	Links []model.Link
+	Procs []int
+}
+
+// Build compiles a mapped application set in index form: graphs[gi]
+// describes apps.Graphs[gi]. It is the one place that creates a System's
+// nodes, edges, ancestor bitsets, priorities and per-processor lists, and
+// it allocates them in bulk. Build trusts its input — acyclic graphs
+// with at least one task, processor indices in range, tasks allowed on
+// their processors — as Compile validates it.
+func Build(arch *model.Architecture, apps *model.AppSet, graphs []MappedGraph, policy PriorityPolicy) (*System, error) {
 	hp, err := apps.Hyperperiod()
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{
-		Arch:        arch,
-		Apps:        apps,
-		Mapping:     mapping,
-		ProcNodes:   make(map[model.ProcID][]NodeID),
-		Hyperperiod: hp,
-		byTask:      make(map[model.TaskID][]NodeID),
-	}
-	for gi, g := range apps.Graphs {
-		order, err := model.TopoOrder(g)
-		if err != nil {
-			return nil, err
+	// Per graph, the topological order (with depths) and the instance
+	// count; then the sizes of every bulk allocation.
+	orders := make([][]int, len(graphs))
+	depths := make([][]int, len(graphs))
+	nNodes, nEdges, nInst, maxTasks := 0, 0, 0, 0
+	for gi, mg := range graphs {
+		g := apps.Graphs[gi]
+		order, depth, ok := model.TopoSort(len(g.Tasks), mg.Links)
+		if !ok {
+			return nil, fmt.Errorf("platform: graph %q contains a cycle", g.Name)
 		}
-		instances := int(hp / g.Period)
-		var giNodes []NodeID
-		var giInstances [][]NodeID
-		for k := 0; k < instances; k++ {
+		orders[gi], depths[gi] = order, depth
+		inst := int(hp / g.Period)
+		nNodes += inst * len(g.Tasks)
+		nEdges += inst * len(mg.Links)
+		nInst += inst
+		maxTasks = max(maxTasks, len(g.Tasks))
+	}
+	sys := &System{
+		Arch:           arch,
+		Apps:           apps,
+		Nodes:          make([]*Node, nNodes),
+		GraphInstances: make([][][]NodeID, len(graphs)),
+		GraphNodes:     make([][]NodeID, len(graphs)),
+		ProcNodes:      make(map[model.ProcID][]NodeID),
+		Hyperperiod:    hp,
+	}
+	nodes := make([]Node, nNodes)
+	edges := make([]Edge, 2*nEdges)
+	ids := make([]NodeID, 2*nNodes) // GraphNodes, then ProcNodes
+	lists := ids[nNodes:]
+	instances := make([][]NodeID, nInst)
+	scratch := make([]int, 3*maxTasks)
+	procCount := make([]int, len(arch.Procs))
+	next := 0
+	for gi, mg := range graphs {
+		g := apps.Graphs[gi]
+		n := len(g.Tasks)
+		// pos[t] is task t's position in topological order; a node's
+		// edges are carved from edges with exact capacities, so the
+		// appends below fill them in channel order without growing.
+		pos, degIn, degOut := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
+		clear(degIn)
+		clear(degOut)
+		for x, t := range orders[gi] {
+			pos[t] = x
+		}
+		for _, l := range mg.Links {
+			degOut[l.Src]++
+			degIn[l.Dst]++
+		}
+		inst := int(hp / g.Period)
+		sys.GraphNodes[gi] = ids[next : next+inst*n : next+inst*n]
+		sys.GraphInstances[gi], instances = instances[:inst:inst], instances[inst:]
+		for k := 0; k < inst; k++ {
 			release := model.Time(k) * g.Period
-			local := make(map[model.TaskID]NodeID, len(order))
-			var ids []NodeID
-			for _, t := range order {
-				pid := mapping[t.ID]
-				proc := arch.Proc(pid)
-				n := &Node{
-					ID:             NodeID(len(sys.Nodes)),
-					Task:           t,
+			base := next
+			sys.GraphInstances[gi][k] = ids[base : base+n : base+n]
+			for _, t := range orders[gi] {
+				task, proc := g.Tasks[t], &arch.Procs[mg.Procs[t]]
+				nd := &nodes[next]
+				*nd = Node{
+					ID:             NodeID(next),
+					Task:           task,
 					Graph:          g,
 					GraphIdx:       gi,
 					Instance:       k,
 					Release:        release,
 					AbsDeadline:    release + g.EffectiveDeadline(),
-					Proc:           pid,
+					Proc:           proc.ID,
 					NonPreemptive:  proc.NonPreemptive,
-					BCET:           proc.ScaleExecFloor(t.BCET),
-					WCET:           proc.ScaleExec(t.WCET),
-					DetectOverhead: proc.ScaleExec(t.DetectOverhead),
+					Depth:          depths[gi][t],
+					BCET:           proc.ScaleExecFloor(task.BCET),
+					WCET:           proc.ScaleExec(task.WCET),
+					DetectOverhead: proc.ScaleExec(task.DetectOverhead),
 					Period:         g.Period,
 					Deadline:       g.EffectiveDeadline(),
 				}
-				sys.Nodes = append(sys.Nodes, n)
-				sys.byTask[t.ID] = append(sys.byTask[t.ID], n.ID)
-				local[t.ID] = n.ID
-				ids = append(ids, n.ID)
-				giNodes = append(giNodes, n.ID)
-			}
-			for _, c := range g.Channels {
-				from, to := local[c.Src], local[c.Dst]
-				var delay model.Time
-				if sys.Nodes[from].Proc != sys.Nodes[to].Proc {
-					delay = arch.Fabric.TransferTimeBetween(
-						sys.Nodes[from].Proc, sys.Nodes[to].Proc, c.Size, len(arch.Procs))
+				if d := degIn[t]; d > 0 {
+					nd.In, edges = edges[:0:d], edges[d:]
 				}
-				e := Edge{From: from, To: to, Size: c.Size, Delay: delay}
-				sys.Nodes[from].Out = append(sys.Nodes[from].Out, e)
-				sys.Nodes[to].In = append(sys.Nodes[to].In, e)
+				if d := degOut[t]; d > 0 {
+					nd.Out, edges = edges[:0:d], edges[d:]
+				}
+				ids[next] = NodeID(next)
+				sys.Nodes[next] = nd
+				procCount[mg.Procs[t]]++
+				next++
 			}
-			giInstances = append(giInstances, ids)
+			for _, l := range mg.Links {
+				from, to := &nodes[base+pos[l.Src]], &nodes[base+pos[l.Dst]]
+				var delay model.Time
+				if from.Proc != to.Proc {
+					delay = arch.Fabric.TransferTimeBetween(from.Proc, to.Proc, l.Size, len(arch.Procs))
+				}
+				e := Edge{From: from.ID, To: to.ID, Size: l.Size, Delay: delay}
+				from.Out = append(from.Out, e)
+				to.In = append(to.In, e)
+			}
 		}
-		sys.GraphInstances = append(sys.GraphInstances, giInstances)
-		sys.GraphNodes = append(sys.GraphNodes, giNodes)
 	}
-	// Transitive ancestor bitsets (within an instance; instances are
-	// independent).
-	sys.words = (len(sys.Nodes) + 63) / 64
-	backing := make([]uint64, sys.words*len(sys.Nodes))
-	sys.ancestors = make([][]uint64, len(sys.Nodes))
-	for i := range sys.Nodes {
-		sys.ancestors[i] = backing[i*sys.words : (i+1)*sys.words]
+	// Transitive ancestor bitsets. Instances are independent and their
+	// node IDs are consecutive and topologically ordered, so each node
+	// folds in its predecessors' words of its own instance only.
+	words := (nNodes + 63) / 64
+	backing := make([]uint64, words*nNodes)
+	sys.ancestors = make([][]uint64, nNodes)
+	for i := range sys.ancestors {
+		sys.ancestors[i] = backing[i*words : (i+1)*words]
 	}
 	for gi := range sys.GraphInstances {
 		for _, ids := range sys.GraphInstances[gi] {
-			for _, nid := range ids { // topological order
+			lo, hi := int(ids[0])/64, int(ids[len(ids)-1])/64+1
+			for _, nid := range ids {
 				anc := sys.ancestors[nid]
-				for _, e := range sys.Nodes[nid].In {
+				for _, e := range nodes[nid].In {
 					anc[int(e.From)/64] |= 1 << (uint(e.From) % 64)
-					for w, bits := range sys.ancestors[e.From] {
-						anc[w] |= bits
+					for w, bits := range sys.ancestors[e.From][lo:hi] {
+						anc[lo+w] |= bits
 					}
 				}
 			}
@@ -242,45 +316,51 @@ func Compile(arch *model.Architecture, apps *model.AppSet, mapping model.Mapping
 		policy = DefaultPolicy{}
 	}
 	prio := policy.Assign(sys)
-	if len(prio) != len(sys.Nodes) {
-		return nil, fmt.Errorf("platform: policy %q returned %d priorities for %d nodes", policy.Name(), len(prio), len(sys.Nodes))
+	if len(prio) != nNodes {
+		return nil, fmt.Errorf("platform: policy %q returned %d priorities for %d nodes", policy.Name(), len(prio), nNodes)
 	}
-	seen := make([]bool, len(prio))
+	byRank := make([]NodeID, nNodes)
+	for i := range byRank {
+		byRank[i] = -1
+	}
 	for i, p := range prio {
-		if p < 0 || p >= len(prio) || seen[p] {
+		if p < 0 || p >= nNodes || byRank[p] >= 0 {
 			return nil, fmt.Errorf("platform: policy %q produced an invalid priority permutation", policy.Name())
 		}
-		seen[p] = true
-		sys.Nodes[i].Priority = p
+		byRank[p] = NodeID(i)
+		nodes[i].Priority = p
 	}
-	// Per-processor lists, highest priority first.
-	for _, n := range sys.Nodes {
-		sys.ProcNodes[n.Proc] = append(sys.ProcNodes[n.Proc], n.ID)
+	// Per-processor lists, highest priority first: carved from one block
+	// in architecture order, then filled in rank order.
+	for j, c := range procCount {
+		if c > 0 {
+			sys.ProcNodes[arch.Procs[j].ID], lists = lists[:0:c], lists[c:]
+		}
 	}
-	for pid := range sys.ProcNodes {
-		ids := sys.ProcNodes[pid]
-		sort.Slice(ids, func(i, j int) bool {
-			return sys.Nodes[ids[i]].Priority < sys.Nodes[ids[j]].Priority
-		})
+	for _, nid := range byRank {
+		pid := nodes[nid].Proc
+		sys.ProcNodes[pid] = append(sys.ProcNodes[pid], nid)
 	}
 	return sys, nil
 }
 
 // Node returns the first-instance job node for a task ID, or nil.
 func (s *System) Node(id model.TaskID) *Node {
-	ids := s.byTask[id]
-	if len(ids) == 0 {
-		return nil
+	for _, n := range s.Nodes {
+		if n.Task.ID == id {
+			return n
+		}
 	}
-	return s.Nodes[ids[0]]
+	return nil
 }
 
 // NodesOf returns all job nodes of a task (one per instance).
 func (s *System) NodesOf(id model.TaskID) []*Node {
-	ids := s.byTask[id]
-	out := make([]*Node, len(ids))
-	for i, nid := range ids {
-		out[i] = s.Nodes[nid]
+	var out []*Node
+	for _, n := range s.Nodes {
+		if n.Task.ID == id {
+			out = append(out, n)
+		}
 	}
 	return out
 }
@@ -316,7 +396,14 @@ type nodeKey struct {
 	instance int
 }
 
-func assignByKeys(sys *System, keys []nodeKey) []int {
+// assignByKeys ranks the nodes by their keys; lead gives each node's
+// policy-specific leading criteria.
+func assignByKeys(sys *System, lead func(n *Node) (k1, k2 int64)) []int {
+	keys := make([]nodeKey, len(sys.Nodes))
+	for i, n := range sys.Nodes {
+		k1, k2 := lead(n)
+		keys[i] = nodeKey{k1: k1, k2: k2, depth: n.Depth, id: n.Task.ID, instance: n.Instance}
+	}
 	idx := make([]int, len(sys.Nodes))
 	for i := range idx {
 		idx[i] = i
@@ -344,6 +431,14 @@ func assignByKeys(sys *System, keys []nodeKey) []int {
 	return prio
 }
 
+// dropRank orders non-droppable graphs (0) before droppable ones (1).
+func dropRank(g *model.TaskGraph) int64 {
+	if g.Droppable() {
+		return 1
+	}
+	return 0
+}
+
 // DefaultPolicy is deadline(rate)-monotonic with criticality tie-break:
 // shorter periods outrank longer ones; at equal period non-droppable
 // graphs outrank droppable ones, then upstream tasks outrank downstream
@@ -358,22 +453,7 @@ func (DefaultPolicy) Name() string { return "rm-crit-topo" }
 
 // Assign implements PriorityPolicy.
 func (DefaultPolicy) Assign(sys *System) []int {
-	keys := make([]nodeKey, len(sys.Nodes))
-	for gi, g := range sys.Apps.Graphs {
-		depths, _ := model.Depths(g) // validated acyclic in Compile
-		drop := 0
-		if g.Droppable() {
-			drop = 1
-		}
-		for _, nid := range sys.GraphNodes[gi] {
-			n := sys.Nodes[nid]
-			keys[nid] = nodeKey{
-				k1: int64(g.Period), k2: int64(drop),
-				depth: depths[n.Task.ID], id: n.Task.ID, instance: n.Instance,
-			}
-		}
-	}
-	return assignByKeys(sys, keys)
+	return assignByKeys(sys, func(n *Node) (int64, int64) { return int64(n.Period), dropRank(n.Graph) })
 }
 
 // CriticalityPolicy orders all non-droppable tasks above all droppable
@@ -387,22 +467,7 @@ func (CriticalityPolicy) Name() string { return "crit-rm-topo" }
 
 // Assign implements PriorityPolicy.
 func (CriticalityPolicy) Assign(sys *System) []int {
-	keys := make([]nodeKey, len(sys.Nodes))
-	for gi, g := range sys.Apps.Graphs {
-		depths, _ := model.Depths(g)
-		drop := 0
-		if g.Droppable() {
-			drop = 1
-		}
-		for _, nid := range sys.GraphNodes[gi] {
-			n := sys.Nodes[nid]
-			keys[nid] = nodeKey{
-				k1: int64(drop), k2: int64(g.Period),
-				depth: depths[n.Task.ID], id: n.Task.ID, instance: n.Instance,
-			}
-		}
-	}
-	return assignByKeys(sys, keys)
+	return assignByKeys(sys, func(n *Node) (int64, int64) { return dropRank(n.Graph), int64(n.Period) })
 }
 
 // DeadlineMonotonicPolicy orders by relative deadline instead of period
@@ -415,20 +480,5 @@ func (DeadlineMonotonicPolicy) Name() string { return "dm-crit-topo" }
 
 // Assign implements PriorityPolicy.
 func (DeadlineMonotonicPolicy) Assign(sys *System) []int {
-	keys := make([]nodeKey, len(sys.Nodes))
-	for gi, g := range sys.Apps.Graphs {
-		depths, _ := model.Depths(g)
-		drop := 0
-		if g.Droppable() {
-			drop = 1
-		}
-		for _, nid := range sys.GraphNodes[gi] {
-			n := sys.Nodes[nid]
-			keys[nid] = nodeKey{
-				k1: int64(g.EffectiveDeadline()), k2: int64(drop),
-				depth: depths[n.Task.ID], id: n.Task.ID, instance: n.Instance,
-			}
-		}
-	}
-	return assignByKeys(sys, keys)
+	return assignByKeys(sys, func(n *Node) (int64, int64) { return int64(n.Deadline), dropRank(n.Graph) })
 }

@@ -45,7 +45,8 @@ func Expected(arch *model.Architecture, man *hardening.Manifest, mapping model.M
 	if allocated == nil {
 		allocated = mapping.UsedProcs()
 	}
-	util := make(map[model.ProcID]float64)
+	util := make([]float64, len(arch.Procs))
+	hosts := make([]bool, len(arch.Procs))
 	for _, g := range man.Apps.Graphs {
 		period := float64(g.Period)
 		for _, t := range g.Tasks {
@@ -53,58 +54,76 @@ func Expected(arch *model.Architecture, man *hardening.Manifest, mapping model.M
 			if !ok {
 				return nil, fmt.Errorf("power: task %q is unmapped", t.ID)
 			}
-			proc := arch.Proc(pid)
-			if proc == nil {
+			j := arch.ProcIndex(pid)
+			if j < 0 {
 				return nil, fmt.Errorf("power: task %q mapped to unknown processor %d", t.ID, pid)
 			}
 			if !allocated[pid] {
 				return nil, fmt.Errorf("power: task %q mapped to unallocated processor %d", t.ID, pid)
 			}
-			c, err := expectedExec(arch, man, mapping, proc, t)
-			if err != nil {
-				return nil, err
+			var invoke float64
+			if t.Passive && t.Kind != model.KindVoter {
+				var err error
+				if invoke, err = invocationProb(arch, man, mapping, t); err != nil {
+					return nil, err
+				}
 			}
-			util[pid] += c / period
+			util[j] += TaskLoad(&arch.Procs[j], t, invoke) / period
+			hosts[j] = true
 		}
 	}
-	b := &Breakdown{Util: util, PerProc: make(map[model.ProcID]float64)}
-	// Iterate in architecture order: map-order float accumulation would
-	// make totals (and thus GA decisions) run-to-run nondeterministic.
-	seen := 0
-	for i := range arch.Procs {
-		pid := arch.Procs[i].ID
-		if !allocated[pid] {
+	on := make([]bool, len(arch.Procs))
+	for pid, v := range allocated {
+		if !v {
 			continue
 		}
-		seen++
-		proc := &arch.Procs[i]
-		u := math.Min(util[pid], 1.0)
-		p := proc.StaticPower + proc.DynPower*u
-		b.PerProc[pid] = p
-		b.Total += p
+		j := arch.ProcIndex(pid)
+		if j < 0 {
+			return nil, fmt.Errorf("power: allocated processor %d not in architecture", pid)
+		}
+		on[j] = true
 	}
-	if seen != len(allocated) {
-		for pid, on := range allocated {
-			if on && arch.Proc(pid) == nil {
-				return nil, fmt.Errorf("power: allocated processor %d not in architecture", pid)
-			}
+	b := &Breakdown{Util: make(map[model.ProcID]float64), PerProc: make(map[model.ProcID]float64)}
+	for j, h := range hosts {
+		if h {
+			b.Util[arch.Procs[j].ID] = util[j]
 		}
 	}
+	b.Total = Fold(arch, util, on, b.PerProc)
 	return b, nil
 }
 
-// expectedExec returns the expected execution time that one transformed
-// task spends on its processor per period.
-func expectedExec(arch *model.Architecture, man *hardening.Manifest, mapping model.Mapping, proc *model.Processor, t *model.Task) (float64, error) {
+// Fold sums stat_p + dyn_p * min(u_p, 1) over the allocated processors
+// in architecture order — the one accumulation order, so every caller
+// gets bit-identical totals (map order would make totals, and thus GA
+// decisions, nondeterministic). util and on are indexed like
+// arch.Procs; perProc, when non-nil, receives every allocated
+// processor's term.
+func Fold(arch *model.Architecture, util []float64, on []bool, perProc map[model.ProcID]float64) float64 {
+	var total float64
+	for j := range arch.Procs {
+		if j >= len(on) || !on[j] {
+			continue
+		}
+		proc := &arch.Procs[j]
+		p := proc.StaticPower + proc.DynPower*math.Min(util[j], 1.0)
+		if perProc != nil {
+			perProc[proc.ID] = p
+		}
+		total += p
+	}
+	return total
+}
+
+// TaskLoad returns the expected execution time that one transformed task
+// spends on proc per period. invoke is the invocation probability of a
+// passive replica and is ignored for every other task.
+func TaskLoad(proc *model.Processor, t *model.Task, invoke float64) float64 {
 	switch {
 	case t.Kind == model.KindVoter:
-		return float64(proc.ScaleExec(t.WCET)), nil
+		return float64(proc.ScaleExec(t.WCET))
 	case t.Passive:
-		p, err := invocationProb(arch, man, mapping, t)
-		if err != nil {
-			return 0, err
-		}
-		return p * float64(proc.ScaleExec(t.WCET)), nil
+		return invoke * float64(proc.ScaleExec(t.WCET))
 	case t.ReExecutable():
 		attempt := float64(proc.ScaleExec(t.WCET + t.DetectOverhead))
 		pf := reliability.ExecFailureProb(proc.FaultRate, proc.ScaleExec(t.WCET+t.DetectOverhead))
@@ -116,9 +135,9 @@ func expectedExec(arch *model.Architecture, man *hardening.Manifest, mapping mod
 			exp += acc
 			acc *= pf
 		}
-		return attempt * exp, nil
+		return attempt * exp
 	default:
-		return float64(proc.ScaleExec(t.WCET)), nil
+		return float64(proc.ScaleExec(t.WCET))
 	}
 }
 

@@ -83,10 +83,14 @@ type analyzeParams struct {
 	dropKey string // sorted resolved names
 }
 
-// resolveAnalyzeParams resolves the query against the spec. A drop list
-// naming graphs that do not exist or are not droppable is an input
-// error, reported with every bad name before any work is queued.
+// resolveAnalyzeParams resolves the query against the spec. A key other
+// than drop, or a drop list naming graphs that do not exist or are not
+// droppable, is an input error, reported with every bad name before any
+// work is queued.
 func resolveAnalyzeParams(r *http.Request, spec *model.Spec) (analyzeParams, error) {
+	if err := checkQueryKeys(r.URL.Query(), "drop"); err != nil {
+		return analyzeParams{}, err
+	}
 	drop := "*"
 	if r.URL.Query().Has("drop") {
 		drop = r.URL.Query().Get("drop")

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"net/url"
+	"slices"
+	"sort"
 	"strconv"
+	"strings"
 
 	"mcmap/internal/dse"
 	"mcmap/internal/model"
@@ -27,6 +31,9 @@ type dseParams struct {
 func parseDSEParams(r *http.Request) (dseParams, error) {
 	q := r.URL.Query()
 	p := dseParams{pop: 40, gens: 60, seed: 1, islands: 1, interval: 10}
+	if err := checkQueryKeys(q, "pop", "gens", "seed", "islands", "migration_interval", "mutation", "track", "nodrop"); err != nil {
+		return p, err
+	}
 	intArg := func(name string, dst *int) error {
 		if v := q.Get(name); v != "" {
 			n, err := strconv.Atoi(v)
@@ -72,6 +79,23 @@ func (e paramError) Error() string { return e.msg }
 
 func badParam(name, v string) error {
 	return paramError{msg: "invalid " + name + " parameter " + strconv.Quote(v)}
+}
+
+// checkQueryKeys rejects a query with any key outside allowed, naming
+// every unknown key, so a misspelled parameter is never silently
+// ignored.
+func checkQueryKeys(q url.Values, allowed ...string) error {
+	var unknown []string
+	for k := range q {
+		if !slices.Contains(allowed, k) {
+			unknown = append(unknown, strconv.Quote(k))
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	sort.Strings(unknown)
+	return paramError{msg: "unknown query parameter " + strings.Join(unknown, ", ") + " (accepted: " + strings.Join(allowed, ", ") + ")"}
 }
 
 // options builds the engine options for one run of this job. The

@@ -612,7 +612,60 @@ func TestBadRequests(t *testing.T) {
 			t.Fatalf("drop=%s: error %q does not list %s", tc.drop, body.Error, tc.want)
 		}
 	}
+	// Unknown query keys — misspellings and the removed prune parameter
+	// — are rejected and named, on both endpoints.
+	for _, tc := range []struct {
+		path string
+		body []byte
+		want string
+	}{
+		{"/analyze?dorp=best0", specJSON(t, spec), `"dorp"`},
+		{"/analyze?prune=1", specJSON(t, spec), `"prune"`},
+		{"/analyze?drop=&prune=0&x=1", specJSON(t, spec), `"prune", "x"`},
+		{"/dse?pop=4&gens=1&popp=99", specJSON(t, problemSpec(t, 3)), `"popp"`},
+		{"/dse?prune=1", specJSON(t, problemSpec(t, 3)), `"prune"`},
+	} {
+		rr := do(s, http.MethodPost, tc.path, tc.body)
+		if rr.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", tc.path, rr.Code, rr.Body.String())
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: error payload: %v", tc.path, err)
+		}
+		if !strings.Contains(body.Error, "unknown query parameter "+tc.want) {
+			t.Fatalf("%s: error %q does not name %s", tc.path, body.Error, tc.want)
+		}
+	}
 	if runs := s.stats.analyzeRuns.Load(); runs != 0 {
 		t.Fatalf("rejected requests ran %d analyses", runs)
+	}
+	if n := len(s.jobs.all()); n != 0 {
+		t.Fatalf("rejected requests created %d jobs", n)
+	}
+}
+
+// TestDSERejectsHardeningIDCollision: a spec holding a task next to its
+// own replica ID (MC0127) used to pass validation and then panic the
+// DSE on its first replication, taking the daemon down. /dse now answers
+// 422 naming MC0127, and the server keeps answering.
+func TestDSERejectsHardeningIDCollision(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("..", "validate", "testdata", "hardening_id_collision.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1}, nil)
+	defer s.Close()
+	rr := do(s, http.MethodPost, "/dse?pop=4&gens=1", body)
+	if rr.Code != http.StatusUnprocessableEntity || !strings.Contains(rr.Body.String(), "MC0127") {
+		t.Fatalf("status %d, body %s; want 422 naming MC0127", rr.Code, rr.Body.String())
+	}
+	if rr := do(s, http.MethodGet, "/healthz", nil); rr.Code != http.StatusOK {
+		t.Fatalf("/healthz after the rejected spec: status %d", rr.Code)
+	}
+	if rr := do(s, http.MethodPost, "/dse?pop=4&gens=1", specJSON(t, problemSpec(t, 3))); rr.Code != http.StatusAccepted {
+		t.Fatalf("/dse after the rejected spec: status %d, body %s", rr.Code, rr.Body.String())
 	}
 }

@@ -5,7 +5,10 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strconv"
+	"strings"
 
+	"mcmap/internal/hardening"
 	"mcmap/internal/model"
 )
 
@@ -114,9 +117,9 @@ func checkArchitecture(r *Result, a *model.Architecture) bool {
 }
 
 // checkAppSet reports the per-graph diagnostics MC0105..MC0114,
-// MC0118/MC0119 and MC0126, and returns whether the set is sound enough
-// for cross-cutting checks. mapped says whether a mapping comes with
-// the set, i.e. whether it is already hardened.
+// MC0118/MC0119, MC0126 and MC0127, and returns whether the set is
+// sound enough for cross-cutting checks. mapped says whether a mapping
+// comes with the set, i.e. whether it is already hardened.
 func checkAppSet(r *Result, s *model.AppSet, mapped bool, lim Limits) bool {
 	if s == nil || len(s.Graphs) == 0 {
 		r.report("MC0105", Error, "apps", "empty application set", "add at least one task graph")
@@ -162,6 +165,7 @@ func checkAppSet(r *Result, s *model.AppSet, mapped bool, lim Limits) bool {
 		}
 	}
 	if ok {
+		checkHardeningIDs(r, s, globalTasks)
 		h, err := s.Hyperperiod()
 		if err != nil {
 			r.report("MC0112", Error, "apps", fmt.Sprintf("hyperperiod not representable: %v", err),
@@ -185,6 +189,44 @@ func checkAppSet(r *Result, s *model.AppSet, mapped bool, lim Limits) bool {
 		}
 	}
 	return ok
+}
+
+// checkHardeningIDs reports MC0127 for every task whose ID the
+// hardening transformation derives from another task u of the set: a
+// replica ID u#r<n> (any n, since callers may raise the replica cap),
+// the voter ID u#v or the dispatch ID u#d. Hardening u would create a
+// second task with that ID.
+func checkHardeningIDs(r *Result, s *model.AppSet, tasks map[model.TaskID]string) {
+	for _, g := range s.Graphs {
+		for _, t := range g.Tasks {
+			if u, what := derivedFrom(t.ID); u != "" && tasks[u] != "" {
+				r.report("MC0127", Error, "task "+string(t.ID),
+					fmt.Sprintf("task ID is the %s ID of task %q", what, u),
+					"rename the task: hardening derives the IDs <task>#r<n>, <task>#v and <task>#d from every task")
+			}
+		}
+	}
+}
+
+// derivedFrom returns the task an artifact ID names and which artifact
+// it is, or "" when id is no hardening.ReplicaID, VoterID or DispatchID.
+func derivedFrom(id model.TaskID) (model.TaskID, string) {
+	s := string(id)
+	if u, ok := strings.CutSuffix(s, "#v"); ok {
+		return model.TaskID(u), "voter"
+	}
+	if u, ok := strings.CutSuffix(s, "#d"); ok {
+		return model.TaskID(u), "dispatch"
+	}
+	i := strings.LastIndex(s, "#r")
+	if i < 0 {
+		return "", ""
+	}
+	u := model.TaskID(s[:i])
+	if n, err := strconv.Atoi(s[i+2:]); err == nil && n >= 0 && hardening.ReplicaID(u, n) == id {
+		return u, fmt.Sprintf("replica %d", n)
+	}
+	return "", ""
 }
 
 // unrolledJobs counts the jobs of one hyperperiod h, Σ_g (h/T_g)·|V_g|,

@@ -220,6 +220,44 @@ func TestMC0126UnrolledJobBudget(t *testing.T) {
 	}
 }
 
+// TestMC0127HardeningIDCollision pins the artifact-ID rule: a task
+// whose ID is another task's replica ID (for any replica index, since
+// callers raise the replica cap after validation), voter ID or dispatch
+// ID is an Error, mapped or not, so hardening can never create a second
+// task with one ID. The committed fixture holds crit/a next to
+// crit/a#r0. A pre-hardened set, whose artifacts stand without their
+// original, and IDs that merely look similar stay clean.
+func TestMC0127HardeningIDCollision(t *testing.T) {
+	spec, err := model.LoadSpec(filepath.Join("testdata", "hardening_id_collision.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := CheckSpec(spec)
+	wantCode(t, r, "MC0127", Error)
+	if !strings.Contains(r.String(), `replica 0 ID of task "crit/a"`) {
+		t.Errorf("diagnostic does not name the colliding task:\n%s", r)
+	}
+
+	for _, name := range []string{"a#r12", "a#v", "a#d"} {
+		apps := validApps()
+		apps.Graphs[0].AddTask(name, 1000, 10000, 100, 100)
+		wantCode(t, CheckSystem(validArch(), apps, nil, DefaultLimits()), "MC0127", Error)
+		wantCode(t, CheckSystem(validArch(), apps, fullMapping(apps, 0), DefaultLimits()), "MC0127", Error)
+	}
+	for _, names := range [][]string{
+		{"x#r0", "x#r1", "x#v"}, // pre-hardened: no x
+		{"a#r01", "a#r-1", "a#rx", "a#r", "a#vv", "b#r0#"},
+	} {
+		apps := validApps()
+		for _, name := range names {
+			apps.Graphs[0].AddTask(name, 1000, 10000, 100, 100)
+		}
+		if d := CheckSystem(validArch(), apps, nil, DefaultLimits()).ByCode("MC0127"); len(d) != 0 {
+			t.Errorf("%v flagged: %v", names, d)
+		}
+	}
+}
+
 func TestMC0113Eq1Overflow(t *testing.T) {
 	apps := validApps()
 	t0 := apps.Graphs[0].Tasks[0]
