@@ -248,7 +248,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) 
 
 // metricPair extracts every "<value> <unit>" measurement on a benchmark
 // line — the standard ns/op, B/op, allocs/op triple plus any custom
-// b.ReportMetric units (warm_over_cold, batched_over_percand, ...).
+// b.ReportMetric units (warm_over_cold, ...).
 var metricPair = regexp.MustCompile(`([0-9.]+(?:e[+-]?[0-9]+)?) ([A-Za-z_][A-Za-z0-9_/]*)`)
 
 // parseFile reads a `go test -json` stream and returns the per-benchmark

@@ -76,7 +76,10 @@ func main() {
 			stopProf()
 			os.Exit(1)
 		}
-		fmt.Printf("[%s finished in %.1fs]\n\n", name, time.Since(t0).Seconds())
+		// Wall time goes to stderr, so stdout stays a pure function of
+		// the flags.
+		fmt.Fprintf(os.Stderr, "[%s finished in %.1fs]\n", name, time.Since(t0).Seconds())
+		fmt.Println()
 	}
 	defer stopProf()
 

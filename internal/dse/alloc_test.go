@@ -78,8 +78,8 @@ func TestEvaluateAllocations(t *testing.T) {
 		}
 		next++
 	})
-	if avg != 202 {
-		t.Errorf("Evaluate allocates %.0f times per repaired DT-large genome, want 202", avg)
+	if avg != 201 {
+		t.Errorf("Evaluate allocates %.0f times per repaired DT-large genome, want 201", avg)
 	}
 
 	b, err := benchmarks.ByName("dt-large")

@@ -44,9 +44,8 @@ type Individual struct {
 	GraphWCRT []model.Time
 	// Dropped is the decoded drop set (names).
 	Dropped []string
-	// scen tallies this candidate's scenario-analysis counters: zero
-	// for candidates that reused a batch sibling's analysis, so Stats
-	// counts every backend run exactly once.
+	// scen tallies this candidate's scenario-analysis counters, which
+	// evaluateAll folds into Stats.
 	scen scenarioTally
 }
 
@@ -64,13 +63,13 @@ func (t *scenarioTally) add(rep *core.Report) {
 
 // cloneFor copies an evaluation and re-attributes it to genome g.
 // Individuals are never shared between archive slots: selectors mutate
-// the Fitness field in place, so batch replays of a phenotype duplicate
-// and migrants each need a fresh object (a migrant is a clone, so the
-// sending island's archive keeps its own Fitness values).
+// the Fitness field in place, so a migrant needs a fresh object (a
+// migrant is a clone, so the sending island's archive keeps its own
+// Fitness values).
 //
 // The GraphWCRT and Dropped slices are shared between the clone and the
 // original as immutable report views: evaluation is their only writer
-// (evaluateGrouped builds them before the Individual escapes), so every
+// (evaluate builds them before the Individual escapes), so every
 // later consumer — selectors, exports, migration — reads them only.
 // Only the selector-mutated scalar fields are per-clone.
 func (ind *Individual) cloneFor(g *Genome) *Individual {
@@ -232,13 +231,6 @@ type GenStat struct {
 	// by the ring migration that ran right after this generation (zero in
 	// single-island runs and between migration barriers).
 	MigrantsIn int
-	// BatchGroups counts the multi-member same-system groups the batched
-	// evaluator formed this generation; BatchHits counts the candidates
-	// served by a group sibling (a shared analysis or a phenotype
-	// replay) instead of a full pipeline of their own. Both zero when no
-	// generation member shares a system.
-	BatchGroups int
-	BatchHits   int
 }
 
 // Stats aggregates exploration statistics over every evaluated candidate
@@ -265,18 +257,17 @@ type Stats struct {
 	StructHits    int
 	StructMisses  int
 	// ScenariosAnalyzed and ScenariosDeduped aggregate the core.Report
-	// scenario counters over every analysis the run performed (batch
-	// siblings reusing an analysis are not re-counted): backend
+	// scenario counters over every analysis the run performed: backend
 	// invocations performed, plus invocations saved by deduplication.
 	ScenariosAnalyzed int
 	ScenariosDeduped  int
 	// ScenariosIncremental is always 0, like core.Report's field of the
 	// same name.
 	ScenariosIncremental int
-	// BatchGroups and BatchHits aggregate the generation-batched
-	// evaluator's outcomes (see GenStat.BatchGroups/BatchHits).
-	BatchGroups int
-	BatchHits   int
+	// BatchHits is always 0: every candidate runs its own evaluation,
+	// with no sharing between the members of a generation. The field
+	// stays for callers that still read it.
+	BatchHits int
 	// Migrations counts the elite individuals exchanged over all ring-
 	// migration rounds of a multi-island run (zero at Islands=1).
 	Migrations int
@@ -301,8 +292,6 @@ func (s *Stats) merge(o *Stats) {
 	for t, c := range o.TechniqueCounts {
 		s.TechniqueCounts[t] += c
 	}
-	s.BatchGroups += o.BatchGroups
-	s.BatchHits += o.BatchHits
 	s.ScenariosAnalyzed += o.ScenariosAnalyzed
 	s.ScenariosDeduped += o.ScenariosDeduped
 }
@@ -448,9 +437,8 @@ func newRunEvaluator(p *Problem, opts Options) (evaluator, Options) {
 }
 
 // snapshot records one generation.
-func snapshot(gen int, archive []*Individual, bc batchCounters) GenStat {
-	gs := GenStat{Gen: gen, BestPower: -1, ArchiveSize: len(archive),
-		BatchGroups: bc.groups, BatchHits: bc.hits}
+func snapshot(gen int, archive []*Individual) GenStat {
+	gs := GenStat{Gen: gen, BestPower: -1, ArchiveSize: len(archive)}
 	for _, ind := range archive {
 		if !ind.Feasible {
 			continue
@@ -509,29 +497,18 @@ type evaluator struct {
 	pool *workpool.Pool
 }
 
-// batchCounters is one generation's batching outcome (see
-// GenStat.BatchGroups/BatchHits).
-type batchCounters struct {
-	groups, hits int
-}
-
 // evaluateAll scores a batch of genomes and folds statistics into the
-// island's tally. The genomes are partitioned into same-system groups
-// (see batcheval.go) that fan out over the shared worker pool; results
-// land by batch index and statistics fold sequentially in batch order,
-// so the outcome is deterministic for a given seed at every worker
-// budget.
-func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, batchCounters, error) {
+// island's tally. The candidates fan out over the shared worker pool;
+// results land by batch index and statistics fold sequentially in batch
+// order, so the outcome is deterministic for a given seed at every
+// worker budget.
+func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, error) {
 	p, opts, ev, stats := isl.p, isl.opts, isl.ev, &isl.stats
 	out := make([]*Individual, len(genomes))
 	errs := make([]error, len(genomes))
-	var bc batchCounters
-	// Groups — not candidates — are the fan-out unit, keeping every
-	// sharing decision worker-count independent.
-	groups := buildBatchGroups(p, genomes)
-	// The island goroutine is the batch coordinator: it blocks for ONE
+	// The island goroutine coordinates the batch: it blocks for ONE
 	// pool slot (keeping sibling islands budget-bounded), then drains the
-	// group list inline, with up to width-1 helpers submitted to the
+	// candidates inline, with up to width-1 helpers submitted to the
 	// persistent pool draining the same shared cursor. Helpers hold their
 	// own slots and never block-acquire, so the nesting protocol stays
 	// deadlock-free, and the common Workers=1 case runs the batch as a
@@ -540,59 +517,44 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, batchCounters,
 		ev.pool.Acquire()
 		defer ev.pool.Release()
 		var cursor atomic.Int64
-		// Cancellation: workers re-check the island context per group
-		// claim (and evalGroup per member), so a cancelled run stops
-		// fanning out within one group's worth of work and releases its
-		// pool slots.
-		claim := func() (*batchGroup, bool) {
+		// Cancellation: workers re-check the island context per claim,
+		// so a cancelled run stops fanning out within one candidate's
+		// worth of work and releases its pool slots.
+		claim := func() (int, bool) {
 			if isl.ctx.Err() != nil {
-				return nil, false
+				return 0, false
 			}
-			k := int(cursor.Add(1)) - 1
-			if k >= len(groups) {
-				return nil, false
-			}
-			return groups[k], true
+			i := int(cursor.Add(1)) - 1
+			return i, i < len(genomes)
 		}
 		drain := func() {
-			grp, ok := claim()
+			i, ok := claim()
 			if !ok {
 				return
 			}
 			pprof.Do(isl.ctx, pprof.Labels("phase", "evaluate"), func(context.Context) {
 				for ok {
-					isl.evalGroup(grp, genomes, out, errs)
-					grp, ok = claim()
+					out[i], errs[i] = p.evaluate(genomes[i], opts.TrackDroppingGain, ev.cfg)
+					i, ok = claim()
 				}
 			})
 		}
 		width := ev.pool.Cap()
-		if width > len(groups) {
-			width = len(groups)
+		if width > len(genomes) {
+			width = len(genomes)
 		}
 		ev.pool.FanOut(width, drain)
 	})
 	// After a cancelled fan-out some out[i] slots are nil (never claimed);
 	// surface ctx.Err() before the merge walks them.
 	if err := isl.ctx.Err(); err != nil {
-		return nil, bc, err
+		return nil, err
 	}
 	for i, err := range errs {
 		if err != nil {
-			return nil, bc, fmt.Errorf("dse: evaluating candidate %d: %w", i, err)
+			return nil, fmt.Errorf("dse: evaluating candidate %d: %w", i, err)
 		}
 	}
-	// Batch counters fold in group-formation order — deterministic
-	// because grouping and intra-group sharing never depend on the
-	// fan-out width.
-	for _, grp := range groups {
-		if len(grp.members) > 1 {
-			bc.groups++
-		}
-		bc.hits += grp.hits
-	}
-	stats.BatchGroups += bc.groups
-	stats.BatchHits += bc.hits
 
 	for _, ind := range out {
 		stats.ScenariosAnalyzed += ind.scen.analyzed
@@ -616,19 +578,5 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, batchCounters,
 			}
 		}
 	}
-	return out, bc, nil
-}
-
-// Evaluate scores one (already repaired) genome with the problem's
-// configured analysis. It is pure and safe for concurrent use.
-func (p *Problem) Evaluate(g *Genome, trackNoDrop bool) (*Individual, error) {
-	return p.evaluate(g, trackNoDrop, p.Analysis)
-}
-
-// evaluate is Evaluate with an explicit analysis config, letting the GA
-// wire in the run's shared worker pool without mutating the Problem. It
-// evaluates g as a one-member batch group.
-func (p *Problem) evaluate(g *Genome, trackNoDrop bool, cfg core.Config) (*Individual, error) {
-	ind, _, err := p.evaluateGrouped(g, "", trackNoDrop, cfg, newGroupShared())
-	return ind, err
+	return out, nil
 }

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -67,6 +68,76 @@ func FuzzTransportFrame(f *testing.F) {
 	})
 }
 
+// makeBatchGeneration builds one generation shaped like a converging
+// GA's: bases distinct random structures, each surrounded by variants
+// that differ only in loci outside the compiled system — Keep bits
+// (drop-set choice), Alloc bits (spare processors powered on) and
+// don't-care parameters (replica-map tails, K under replication, the
+// standby map under re-execution), so the generation holds same-system
+// siblings and full phenotype duplicates.
+func makeBatchGeneration(p *Problem, rng *rand.Rand, bases, variants int) []*Genome {
+	gen := make([]*Genome, 0, bases*variants)
+	for len(gen) < bases*variants {
+		base := p.RandomGenome(rng)
+		p.Repair(base, rng)
+		gen = append(gen, base)
+		for v := 1; v < variants; v++ {
+			c := base.Clone()
+			switch v % 4 {
+			case 1:
+				// Phenotype duplicate: only don't-care loci move.
+				scrambleDeadLoci(c, v)
+			case 2:
+				// New drop set over the same compiled system.
+				c.Keep[v%len(c.Keep)] = !c.Keep[v%len(c.Keep)]
+			case 3:
+				// Same drop set, extra allocated processor.
+				c.Alloc[v%len(c.Alloc)] = true
+				scrambleDeadLoci(c, v)
+			case 0:
+				// Phenotype duplicate of the case-2 sibling.
+				c.Keep[(v-2)%len(c.Keep)] = !c.Keep[(v-2)%len(c.Keep)]
+				scrambleDeadLoci(c, v)
+			}
+			gen = append(gen, c)
+		}
+	}
+	return gen[:bases*variants]
+}
+
+// scrambleDeadLoci rewrites the loci Decode never reads: mutation
+// churns these freely without changing the phenotype.
+func scrambleDeadLoci(g *Genome, salt int) {
+	for i := range g.Genes {
+		ge := &g.Genes[i]
+		switch {
+		case ge.Replicas > 0: // replication: K, Map and the map tail are dead
+			ge.K = salt
+			for r := ge.Replicas; r < len(ge.ReplicaMap); r++ {
+				ge.ReplicaMap[r]++
+			}
+		case ge.K > 0: // re-execution: replica fields are dead
+			for r := range ge.ReplicaMap {
+				ge.ReplicaMap[r]++
+			}
+			ge.VoterMap++
+		default: // unhardened: only Map lives
+			for r := range ge.ReplicaMap {
+				ge.ReplicaMap[r]++
+			}
+			ge.VoterMap++
+		}
+	}
+}
+
+// indSignature flattens the fields of an evaluated Individual that
+// evaluateAll must reproduce from Evaluate, the scenario tally included.
+func indSignature(ind *Individual) string {
+	return fmt.Sprintf("%x|%x|%v|%v|%v|%v|%v|%v",
+		ind.Power, ind.Objectives, ind.Feasible, ind.FeasibleNoDrop,
+		ind.Service, ind.GraphWCRT, ind.Dropped, ind.scen)
+}
+
 // FuzzEvaluateAllMatchesEvaluate is the whole-generation differential
 // check of the one parallel layer inside a run: every member of a
 // generation scored by isl.evaluateAll, at one and at two workers, must
@@ -122,7 +193,7 @@ func FuzzEvaluateAllMatchesEvaluate(f *testing.F) {
 			pool := workpool.New(workers)
 			ev, opts := newRunEvaluator(p, Options{Workers: workers, Pool: pool,
 				TrackDroppingGain: track}.withDefaults())
-			got, _, err := newIsland(0, p, opts, seed, ev).evaluateAll(genomes)
+			got, err := newIsland(0, p, opts, seed, ev).evaluateAll(genomes)
 			pool.Close()
 			if err != nil {
 				t.Fatal(err)

@@ -166,12 +166,12 @@ func (isl *island) init() error {
 	for len(genomes) < isl.opts.PopSize {
 		genomes = append(genomes, isl.prepare(isl.p.RandomGenome(isl.rng)))
 	}
-	pop, bc, err := isl.evaluateAll(genomes)
+	pop, err := isl.evaluateAll(genomes)
 	if err != nil {
 		return err
 	}
 	isl.archive = isl.selectArchive(pop)
-	isl.record(isl.snapshot(0, bc))
+	isl.record(isl.snapshot(0))
 	return nil
 }
 
@@ -192,13 +192,13 @@ func (isl *island) advance(from, to int) error {
 			isl.p.Mutate(child, isl.opts.MutationRate, isl.rng)
 			offspring = append(offspring, isl.prepare(child))
 		}
-		evaluated, bc, err := isl.evaluateAll(offspring)
+		evaluated, err := isl.evaluateAll(offspring)
 		if err != nil {
 			return err
 		}
 		union := append(append([]*Individual(nil), isl.archive...), evaluated...)
 		isl.archive = isl.selectArchive(union)
-		isl.record(isl.snapshot(gen, bc))
+		isl.record(isl.snapshot(gen))
 	}
 	return nil
 }
@@ -214,8 +214,8 @@ func (isl *island) selectArchive(union []*Individual) []*Individual {
 }
 
 // snapshot records one generation, stamped with the island index.
-func (isl *island) snapshot(gen int, bc batchCounters) GenStat {
-	gs := snapshot(gen, isl.archive, bc)
+func (isl *island) snapshot(gen int) GenStat {
+	gs := snapshot(gen, isl.archive)
 	gs.Island = isl.idx
 	return gs
 }

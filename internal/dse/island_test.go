@@ -104,8 +104,7 @@ func TestIslandOneMatchesGolden(t *testing.T) {
 // golden with the analysis backend swapped for sched.Reference: the GA's
 // decisions may not depend on which engine computed the WCRTs, so the
 // unoptimized reference must reproduce the production trajectory byte
-// for byte. Batching stays on, so the batched evaluation path is
-// covered too.
+// for byte.
 func TestGoldenTrajectoryEngineIndependent(t *testing.T) {
 	p := tinyProblem(t)
 	p.Analysis.Analyzer = sched.Reference{}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mcmap/internal/hardening"
 	"mcmap/internal/model"
 	"mcmap/internal/reliability"
 )
@@ -50,57 +51,30 @@ func compatibleProcs(arch *model.Architecture, t *model.Task) int {
 	return n
 }
 
-// binom returns C(n, k) as a float (n is a replica count, so tiny).
-func binom(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	c := 1.0
-	for i := 0; i < k; i++ {
-		c = c * float64(n-i) / float64(i+1)
-	}
-	return c
-}
-
-// majorityUnsafe returns the failure probability of a majority vote
-// over n independent replicas that each fail with probability p: more
-// than floor((n-1)/2) failures. It matches the reliability package's
-// model evaluated at identical replica probabilities, which lower-
-// bounds the real value because p is the per-replica minimum and the
-// vote failure probability is monotone in every replica probability.
-func majorityUnsafe(p float64, n int) float64 {
-	if n <= 1 {
-		return p
-	}
-	if n == 2 {
-		// Two replicas detect but cannot correct: any failure is unsafe.
-		return 1 - (1-p)*(1-p)
-	}
-	tolerable := (n - 1) / 2
-	unsafe := 0.0
-	for j := tolerable + 1; j <= n; j++ {
-		unsafe += binom(n, j) * math.Pow(p, float64(j)) * math.Pow(1-p, float64(n-j))
-	}
-	return unsafe
-}
-
 // minTaskUnsafe returns a lower bound on the unsafe-execution
 // probability of one task under the best hardening the limits admit on
-// this platform: unhardened, re-executed up to lim.MaxK times
-// (p^(k+1)), or replicated with a majority vote over up to
-// lim.MaxReplicas replicas on distinct compatible processors.
+// this platform: unhardened, re-executed up to lim.MaxK times, or
+// replicated with a majority vote over up to lim.MaxReplicas replicas
+// on distinct compatible processors. Every candidate is scored by
+// reliability.TaskUnsafeProb with each instance failing with the
+// per-execution minimum p, which lower-bounds the real value because
+// the unsafe probability is monotone in every instance probability.
 func minTaskUnsafe(arch *model.Architecture, t *model.Task, lim Limits) (float64, bool) {
 	p, ok := minInstanceUnsafe(arch, t)
 	if !ok {
 		return 0, false
 	}
+	// The replicas as n copies of p, in a buffer that covers the usual
+	// replica caps without a heap allocation.
+	var buf [8]float64
+	probs := append(buf[:0], p, p)
 	best := p
 	k := lim.MaxK
 	if t.ReExec > k {
 		k = t.ReExec
 	}
 	if k > 0 {
-		if v := math.Pow(p, float64(k+1)); v < best {
+		if v := reliability.TaskUnsafeProb(hardening.ReExecution, k, probs[:1]); v < best {
 			best = v
 		}
 	}
@@ -109,7 +83,8 @@ func minTaskUnsafe(arch *model.Architecture, t *model.Task, lim Limits) (float64
 		maxN = c
 	}
 	for n := 3; n <= maxN; n++ {
-		if v := majorityUnsafe(p, n); v < best {
+		probs = append(probs, p)
+		if v := reliability.TaskUnsafeProb(hardening.ActiveReplication, 0, probs); v < best {
 			best = v
 		}
 	}
