@@ -4,9 +4,8 @@
 GO         ?= go
 BENCH      ?= BenchmarkScenarioDedup|BenchmarkAlgorithm1|BenchmarkHolistic|BenchmarkWorstFinishKernel|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkDistributedTransport
 # BENCHPKGS lists the packages searched for guarded benchmarks: the
-# root integration benchmarks, plus ./internal/dse for package-level
-# evaluation benchmarks (it has none at present).
-BENCHPKGS  ?= . ./internal/dse
+# root integration benchmarks.
+BENCHPKGS  ?= .
 BENCHCOUNT ?= 3
 BENCHOUT   ?= BENCH_core.json
 FUZZTIME   ?= 20s

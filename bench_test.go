@@ -427,7 +427,7 @@ func BenchmarkHolisticBackend(b *testing.B) {
 // backend invocation, where the worstFinish/improveBestCase scans over
 // same-processor peers dominate. This is the regression sentinel for the
 // peer-list kernel (partitioned admission scans, peerState packing,
-// watermark sweep skipping).
+// reader-wake sweep skipping).
 func BenchmarkWorstFinishKernel(b *testing.B) {
 	bench := benchmarks.Synth(benchmarks.SynthConfig{
 		Name: "kernel-64", Procs: 4,

@@ -159,6 +159,23 @@ func fuzzSystem(data []byte) (*platform.System, core.DropSet) {
 	if err != nil {
 		return nil, nil
 	}
+	// Count the jobs, Σ_g (H/T_g)·|V_g|, before compiling: Compile has no
+	// job cap (MC0126 lives in validate), and a mutated period can
+	// unroll to millions of jobs whose ancestor bitsets exhaust memory.
+	// Busy-window divergence is only detected at 4x the hyperperiod, so
+	// a long hyperperiod can also make a single analysis run for
+	// seconds. Parity needs many cheap systems, not a few enormous ones.
+	h, err := man.Apps.Hyperperiod()
+	if err != nil || h > 1_000_000 {
+		return nil, nil
+	}
+	jobs := 0
+	for _, g := range man.Apps.Graphs {
+		jobs += int(h/g.Period) * len(g.Tasks)
+	}
+	if jobs > 64 {
+		return nil, nil
+	}
 	mapping := model.Mapping{}
 	i = 0
 	for _, g := range man.Apps.Graphs {
@@ -169,12 +186,6 @@ func fuzzSystem(data []byte) (*platform.System, core.DropSet) {
 	}
 	sys, err := platform.Compile(s.Architecture, man.Apps, mapping, nil)
 	if err != nil {
-		return nil, nil
-	}
-	// Busy-window divergence is only detected at 4x the hyperperiod, so a
-	// mutated period can make a single analysis run for seconds. Parity
-	// needs many cheap systems, not a few enormous ones.
-	if len(sys.Nodes) > 64 || sys.Hyperperiod > 1_000_000 {
 		return nil, nil
 	}
 	dropped := core.DropSet{}

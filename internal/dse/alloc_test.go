@@ -15,7 +15,7 @@ import (
 
 // TestRepairAllocations pins Repair's allocations on DT-large, an exact
 // count where wall time drifts: at most 1,000 per Repair of a random
-// genome. It also pins NewProblem's allocations at exactly 319, so the
+// genome. It also pins NewProblem's allocations at exactly 318, so the
 // reliability and compile tables stay out of problem setup (they are
 // built on first use).
 func TestRepairAllocations(t *testing.T) {
@@ -49,8 +49,8 @@ func TestRepairAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if setup != 319 {
-		t.Errorf("NewProblem(dt-large) allocates %.0f times, want 319", setup)
+	if setup != 318 {
+		t.Errorf("NewProblem(dt-large) allocates %.0f times, want 318", setup)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestHolisticConcurrentAnalyze(t *testing.T) {
 
 // TestHolisticScratchReuseSharedBus guards against stale pooled state
 // leaking between calls on arbitrated fabrics: re-analyzing after a
-// different-shaped system must match a fresh instance exactly.
+// different-shaped system must match the scratch-free reference exactly.
 func TestHolisticScratchReuseSharedBus(t *testing.T) {
 	g1 := model.NewTaskGraph("g1", 1000).SetCritical(1e-9)
 	g1.AddTask("a", 2, 4, 0, 0)
@@ -83,9 +83,9 @@ func TestHolisticScratchReuseSharedBus(t *testing.T) {
 			want func() (*Result, error)
 		}{
 			{"bus", func() (*Result, error) { return shared.Analyze(sysBus, NominalExec(sysBus)) },
-				func() (*Result, error) { return (&Holistic{}).Analyze(sysBus, NominalExec(sysBus)) }},
+				func() (*Result, error) { return Reference{}.Analyze(sysBus, NominalExec(sysBus)) }},
 			{"small", func() (*Result, error) { return shared.Analyze(sysSmall, NominalExec(sysSmall)) },
-				func() (*Result, error) { return (&Holistic{}).Analyze(sysSmall, NominalExec(sysSmall)) }},
+				func() (*Result, error) { return Reference{}.Analyze(sysSmall, NominalExec(sysSmall)) }},
 		} {
 			got, err := tc.run()
 			if err != nil {
@@ -96,7 +96,7 @@ func TestHolisticScratchReuseSharedBus(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d %s: pooled-scratch result differs from fresh instance", i, tc.name)
+				t.Fatalf("round %d %s: pooled-scratch result differs from the reference", i, tc.name)
 			}
 		}
 	}

@@ -34,61 +34,28 @@ import (
 // hyperperiod boundary). Overloaded designs surface as deadline misses,
 // reported via Result.Schedulable.
 //
-// A Holistic instance is safe for concurrent use: Analyze keeps all
-// per-call state in a Result or in pooled scratch buffers, so one
-// instance may be shared by every concurrent candidate evaluation.
-// Do not copy a Holistic after first use (it embeds a sync.Mutex).
-type Holistic struct {
-	// scratch recycles the fixed-point working sets across Analyze calls.
-	// Under the DSE loop the backend runs millions of times on
-	// same-sized systems; reusing the buffers removes the dominant
-	// allocation churn from the hot path. An explicit freelist rather
-	// than a sync.Pool: pool entries die on every GC cycle, and with
-	// them the per-system kernel builds cached inside each scratch —
-	// under allocation-heavy DSE runs that turned kernel rebuilding
-	// into a measurable fraction of the analysis itself.
-	scratch scratchFreelist
-}
+// Holistic is stateless and safe for concurrent use: Analyze keeps all
+// per-call state in a Result or in a scratch drawn from scratchPool, so
+// one instance may be shared by every concurrent candidate evaluation,
+// and instances built per request share warm buffers.
+type Holistic struct{}
 
 // outerSweepCap caps the outer worst-case fixed point of Holistic and
 // Reference. Hitting the cap saturates every bound to infinity, which
 // keeps the result safe.
 const outerSweepCap = 256
 
-// scratchFreelist is a mutex-guarded stack of scratches. Get/Put critical
-// sections are a pointer pop/push, so contention stays negligible even
-// with every evaluation worker cycling a scratch per analysis.
-type scratchFreelist struct {
-	mu   sync.Mutex
-	free []*holisticScratch
-}
+// scratchPool recycles the fixed-point working sets across analyses,
+// process-wide. The GC may drop pooled scratches, and with them the
+// kernel each one caches for its last system. That costs little: every
+// candidate and request compiles its own System, so the kernel is
+// rebuilt per Algorithm 1 call anyway, and a Session keeps one scratch
+// for the whole call.
+var scratchPool = sync.Pool{New: func() any {
+	return &holisticScratch{busDelay: make(map[edgeKey]model.Time)}
+}}
 
-// scratchFreelistCap bounds retained scratches; beyond it, Put drops the
-// scratch for the GC. Concurrency is bounded by worker counts far below
-// this in practice.
-const scratchFreelistCap = 64
-
-func (p *scratchFreelist) Get() *holisticScratch {
-	p.mu.Lock()
-	var s *holisticScratch
-	if n := len(p.free); n > 0 {
-		s = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-	}
-	p.mu.Unlock()
-	return s
-}
-
-func (p *scratchFreelist) Put(s *holisticScratch) {
-	p.mu.Lock()
-	if len(p.free) < scratchFreelistCap {
-		p.free = append(p.free, s)
-	}
-	p.mu.Unlock()
-}
-
-// holisticScratch is one worker's reusable working set.
+// holisticScratch is one analysis's reusable working set.
 type holisticScratch struct {
 	minAct, maxFinish, activation []model.Time
 	busDelay                      map[edgeKey]model.Time
@@ -99,11 +66,9 @@ type holisticScratch struct {
 	// all scenario runs — shares one build.
 	kern    holisticKernel
 	kernSys *platform.System
-	// sweepDirty + the per-processor wake watermarks drive worstPass's
-	// chaotic-iteration skip: only nodes whose inputs changed since
-	// their last recompute are revisited.
-	sweepDirty             []bool
-	procWake, procWakePrev []int
+	// sweepDirty marks the jobs whose inputs moved since their last
+	// recompute: worstPass and improveBestCase revisit only those.
+	sweepDirty []bool
 	// peers packs, per node, the two admission-scan inputs that stay
 	// constant for a whole pass — the contribution and the gate time —
 	// into one 16-byte entry, so the hot partition scans touch two
@@ -111,23 +76,9 @@ type holisticScratch struct {
 	peers []peerState
 }
 
-func newHolisticScratch() *holisticScratch {
-	return &holisticScratch{busDelay: make(map[edgeKey]model.Time)}
-}
-
-func (h *Holistic) getScratch(sys *platform.System) *holisticScratch {
-	s := h.scratch.Get()
-	if s == nil {
-		s = newHolisticScratch()
-	}
-	s.prep(sys)
-	return s
-}
-
-// prep readies the scratch for one analysis of sys — the per-call state
-// a freelist checkout establishes. Sessions re-prep their pinned
-// scratch before every analysis, so a pinned scratch enters each run in
-// exactly the state a fresh checkout would hand out.
+// prep readies the scratch for one analysis of sys. Sessions re-prep
+// their pinned scratch before every analysis, so a pinned scratch
+// enters each run in exactly the state a pool checkout would.
 func (s *holisticScratch) prep(sys *platform.System) {
 	n := len(sys.Nodes)
 	s.minAct = resizeTimes(s.minAct, n)
@@ -163,11 +114,6 @@ func resizeTimes(s []model.Time, n int) []model.Time {
 	return s
 }
 
-const (
-	maxInt = int(^uint(0) >> 1)
-	minInt = -maxInt - 1
-)
-
 // peerState is one node's packed admission-scan inputs. Both hot scans
 // follow the same shape — "admit the peer and accumulate its
 // contribution unless its gate time postpones it" — so one layout
@@ -188,17 +134,17 @@ func resizePeers(s []peerState, n int) []peerState {
 	return s[:n]
 }
 
-// resizeInts returns a fill-initialized slice of length n, reusing
-// capacity.
-func resizeInts(s []int, n, fill int) []int {
-	if cap(s) < n {
-		s = make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = fill
-	}
-	return s
+// finishedBound is exclusion 1's bound for a job whose activation lower
+// bound is minAct: a peer whose finite finish is at most minAct
+// certainly finished before the job can first activate. One compare
+// against the bound decides both parts — for a finite minAct a finish at
+// or below it is necessarily finite, and for an infinite one the bound
+// Infinity-1 excludes exactly the finite finishes (SatAdd clamps at
+// Infinity, so no finish lands in between). worstFinish reads a peer's
+// finish through this one test only, which is what lets worstPass wake
+// readers exactly.
+func finishedBound(minAct model.Time) model.Time {
+	return min(minAct, model.Infinity-1)
 }
 
 // Name implements Analyzer.
@@ -206,14 +152,15 @@ func (h *Holistic) Name() string { return "holistic-job-rta" }
 
 // Analyze implements Analyzer.
 func (h *Holistic) Analyze(sys *platform.System, exec []ExecBounds) (*Result, error) {
-	s := h.getScratch(sys)
-	defer h.scratch.Put(s)
-	return h.analyzeWith(sys, exec, s)
+	s := scratchPool.Get().(*holisticScratch)
+	defer scratchPool.Put(s)
+	s.prep(sys)
+	return analyzeWith(sys, exec, s)
 }
 
 // analyzeWith is Analyze over a caller-owned scratch; s must have been
 // prepped for sys immediately before the call.
-func (h *Holistic) analyzeWith(sys *platform.System, exec []ExecBounds, s *holisticScratch) (*Result, error) {
+func analyzeWith(sys *platform.System, exec []ExecBounds, s *holisticScratch) (*Result, error) {
 	if err := ValidateExec(sys, exec); err != nil {
 		return nil, err
 	}
@@ -230,12 +177,12 @@ func (h *Holistic) analyzeWith(sys *platform.System, exec []ExecBounds, s *holis
 	// i's (interference-delayed) start may be the very reason the start is
 	// late.
 	minAct := s.minAct
-	h.bestCasePrec(sys, exec, res, minAct)
+	bestCasePrec(sys, exec, res, minAct)
 
 	// ---- Phase B: worst-case fixed point --------------------------------
 	maxFinish := s.maxFinish
 	activation := s.activation
-	diverged := h.worstPass(sys, exec, res, minAct, maxFinish, activation, s)
+	diverged := worstPass(sys, exec, res, minAct, maxFinish, activation, s)
 
 	// ---- Phase C: best-case improvement ----------------------------------
 	// Jobs whose worst-case activation certainly precedes a lower-priority
@@ -244,9 +191,9 @@ func (h *Holistic) analyzeWith(sys *platform.System, exec []ExecBounds, s *holis
 	// Algorithm 1 before/after-the-fault classifications, and the improved
 	// predecessor finishes lift the activation bounds used by the exclusion
 	// tests.
-	if !diverged && h.improveBestCase(sys, exec, res, minAct, activation, s) {
+	if !diverged && improveBestCase(sys, exec, res, minAct, activation, s) {
 		// ---- Phase D: re-run the worst case with tighter exclusions.
-		diverged = h.worstPass(sys, exec, res, minAct, maxFinish, activation, s)
+		diverged = worstPass(sys, exec, res, minAct, maxFinish, activation, s)
 	}
 
 	if diverged {
@@ -266,7 +213,7 @@ func (h *Holistic) analyzeWith(sys *platform.System, exec []ExecBounds, s *holis
 
 // bestCasePrec fills MinStart/MinFinish/minAct from precedence chains
 // only.
-func (h *Holistic) bestCasePrec(sys *platform.System, exec []ExecBounds, res *Result, minAct []model.Time) {
+func bestCasePrec(sys *platform.System, exec []ExecBounds, res *Result, minAct []model.Time) {
 	for gi := range sys.GraphNodes {
 		for _, nid := range sys.GraphNodes[gi] { // topo order per instance
 			node := sys.Nodes[nid]
@@ -287,31 +234,23 @@ func (h *Holistic) bestCasePrec(sys *platform.System, exec []ExecBounds, res *Re
 // worstPass runs the outer worst-case fixed point, filling maxFinish and
 // activation. It reports whether the recurrences failed to converge
 // (treated as divergence).
-func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Result, minAct, maxFinish, activation []model.Time, s *holisticScratch) bool {
-	// Chaotic-iteration skip state: a node is revisited only while some
-	// input of its equation may have moved since its last recompute.
-	// Graph-successor wakes are marked per node (dirty); same-processor
-	// wakes are folded into one watermark per processor — the minimum
-	// priority that changed (every lower-priority peer reads the changed
-	// finish through the interference/exclusion tests; non-preemptive
-	// processors wake all peers via the blocking term, encoded as
-	// watermark minInt). Two generations keep the in-place sweep
-	// semantics: a change made mid-sweep must wake readers earlier in
-	// the order on the NEXT sweep, so a generation is dropped only after
-	// one full sweep has tested it.
+func worstPass(sys *platform.System, exec []ExecBounds, res *Result, minAct, maxFinish, activation []model.Time, s *holisticScratch) bool {
+	// Chaotic-iteration skip: a job is recomputed only while some input
+	// of its equation moved since its last recompute — a predecessor's
+	// finish, a peer's finish crossing the job's exclusion-1 bound, or a
+	// bus delay — and skipped otherwise, since it would only reproduce
+	// its act/fin. Dirty marks persist until the job is visited, so a
+	// change wakes readers earlier in the sweep order on the next sweep
+	// and later ones on this sweep, exactly as a full sweep reads them.
 	s.sweepDirty = resizeBools(s.sweepDirty, len(maxFinish))
 	dirty := s.sweepDirty
-	nproc := len(sys.Arch.Procs)
-	s.procWake = resizeInts(s.procWake, nproc, maxInt)
-	s.procWakePrev = resizeInts(s.procWakePrev, nproc, maxInt)
-	wake, wakePrev := s.procWake, s.procWakePrev
 	for i := range maxFinish {
 		maxFinish[i] = res.Bounds[i].MinFinish
 		activation[i] = res.Bounds[i].MinStart
 		dirty[i] = true
 	}
 	limit := sys.Hyperperiod * 4
-	busDelay := h.initBusDelays(sys, s.busDelay)
+	busDelay := initBusDelays(sys, s.busDelay)
 	arbitrated := sys.Arch.Fabric.Arbitrated()
 
 	// Pack the scan inputs worstFinish reads per peer: both are constant
@@ -328,7 +267,7 @@ func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Resul
 		if arbitrated {
 			// Bus delays couple all senders globally: any change wakes
 			// every node.
-			if h.updateBusDelays(sys, exec, res, maxFinish, busDelay, s) {
+			if updateBusDelays(sys, exec, res, maxFinish, busDelay, s) {
 				changed = true
 				for i := range dirty {
 					dirty[i] = true
@@ -337,16 +276,11 @@ func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Resul
 		}
 		for gi := range sys.GraphNodes {
 			for _, nid := range sys.GraphNodes[gi] {
-				node := sys.Nodes[nid]
-				// Skip a node none of whose inputs moved since its last
-				// recompute: it would reproduce its current act/fin
-				// exactly, so revisiting cannot change anything — the
-				// skip preserves every sweep's values and the sweep
-				// count verbatim.
-				if !dirty[nid] && wakePrev[node.Proc] >= node.Priority && wake[node.Proc] >= node.Priority {
+				if !dirty[nid] {
 					continue
 				}
 				dirty[nid] = false
+				node := sys.Nodes[nid]
 				act := node.Release
 				for _, e := range node.In {
 					d := e.Delay
@@ -360,33 +294,33 @@ func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Resul
 				}
 				fin := model.Time(model.Infinity)
 				if !act.IsInfinite() {
-					fin = h.worstFinish(&s.kern, peers, maxFinish, nid, act, limit)
+					fin = worstFinish(&s.kern, peers, maxFinish, nid, act, limit)
 				}
-				if act != activation[nid] || fin != maxFinish[nid] {
+				if act != activation[nid] {
 					changed = true
 					activation[nid] = act
-					maxFinish[nid] = fin
-					for _, e := range node.Out {
-						dirty[e.To] = true
-					}
-					w := node.Priority
-					if node.NonPreemptive {
-						w = minInt
-					}
-					if w < wake[node.Proc] {
-						wake[node.Proc] = w
+				}
+				old := maxFinish[nid]
+				if fin == old {
+					continue
+				}
+				changed = true
+				maxFinish[nid] = fin
+				for _, e := range node.Out {
+					dirty[e.To] = true
+				}
+				// A reader r tests this finish only against its
+				// exclusion-1 bound: wake it when the test flips.
+				for _, r := range s.kern.readerSeg(nid) {
+					bound := finishedBound(peers[r].gate)
+					if (old <= bound) != (fin <= bound) {
+						dirty[r] = true
 					}
 				}
 			}
 		}
 		if !changed {
 			break
-		}
-		// Promote this sweep's wakes; the previous generation has now
-		// been seen by every node and can be dropped.
-		wake, wakePrev = wakePrev, wake
-		for i := range wake {
-			wake[i] = maxInt
 		}
 	}
 	res.Iterations += iters
@@ -399,7 +333,7 @@ func (h *Holistic) worstPass(sys *platform.System, exec []ExecBounds, res *Resul
 // bcet before the job can start. minAct is lifted through improved
 // predecessor finishes only (activations do not wait for interference).
 // Returns whether any bound moved.
-func (h *Holistic) improveBestCase(sys *platform.System, exec []ExecBounds, res *Result, minAct, activation []model.Time, sc *holisticScratch) (improved bool) {
+func improveBestCase(sys *platform.System, exec []ExecBounds, res *Result, minAct, activation []model.Time, sc *holisticScratch) (improved bool) {
 	// Chaotic-iteration skip, successor-driven: a node's improvement
 	// equations read only its predecessors' MinFinish (worst-case
 	// activations are constant for the whole pass, and every node's own
@@ -520,7 +454,7 @@ func (h *Holistic) improveBestCase(sys *platform.System, exec []ExecBounds, res 
 // the recurrence values match the naive full-rescan formulation term
 // for term — saturating addition over non-negative times is
 // order-independent — so the fixed point is identical.
-func (h *Holistic) worstFinish(k *holisticKernel, peers []peerState, maxFinish []model.Time, nid platform.NodeID, act, limit model.Time) model.Time {
+func worstFinish(k *holisticKernel, peers []peerState, maxFinish []model.Time, nid platform.NodeID, act, limit model.Time) model.Time {
 	own := peers[nid].c
 	if own == 0 {
 		// Zero-wcet jobs (dropped or uninvoked passive replicas) complete
@@ -528,16 +462,9 @@ func (h *Holistic) worstFinish(k *holisticKernel, peers []peerState, maxFinish [
 		return act
 	}
 	// Exclusion 1 drops peers that certainly finished before i can first
-	// activate: maxFinish[j] <= minAct[i] with maxFinish[j] finite. Both
-	// tests collapse into one compare against a precomputed bound — for a
-	// finite minAct[i] the compared finish is necessarily finite, and for
-	// an infinite minAct[i] the bound Infinity-1 admits exactly the
-	// divergent peers (SatAdd clamps at Infinity, so no finish lands in
-	// between).
-	excl1 := peers[nid].gate
-	if excl1.IsInfinite() {
-		excl1 = model.Infinity - 1
-	}
+	// activate: maxFinish[j] <= minAct[i] with maxFinish[j] finite, one
+	// compare against finishedBound.
+	excl1 := finishedBound(peers[nid].gate)
 	// Non-preemptive processors add a single blocking term: at most one
 	// lower-priority job can already occupy the processor when i
 	// activates, and it then runs to completion. The higher-priority
@@ -632,7 +559,7 @@ type busMsg struct {
 // initBusDelays resets the reusable delay map to the uncontended
 // transmission times, summed over parallel channels (see
 // updateBusDelays).
-func (h *Holistic) initBusDelays(sys *platform.System, out map[edgeKey]model.Time) map[edgeKey]model.Time {
+func initBusDelays(sys *platform.System, out map[edgeKey]model.Time) map[edgeKey]model.Time {
 	if !sys.Arch.Fabric.Arbitrated() {
 		return nil
 	}
@@ -660,7 +587,7 @@ func (h *Holistic) initBusDelays(sys *platform.System, out map[edgeKey]model.Tim
 // Parallel channels between the same two jobs are one message: the
 // sender queues them together at one priority and the receiver waits for
 // all of them, so the message carries their summed transmission time.
-func (h *Holistic) updateBusDelays(sys *platform.System, exec []ExecBounds, res *Result, maxFinish []model.Time, delays map[edgeKey]model.Time, s *holisticScratch) bool {
+func updateBusDelays(sys *platform.System, exec []ExecBounds, res *Result, maxFinish []model.Time, delays map[edgeKey]model.Time, s *holisticScratch) bool {
 	// Under crossbar arbitration, messages contend only with messages to
 	// the same destination processor; the shared bus is one contention
 	// domain for everything.

@@ -41,26 +41,35 @@ import (
 // against a monotonically growing start bound, so the demand segments
 // run through the identical partition scan over best-case execution
 // times.
+//
+// The reader segments invert interf and block: they list, per job, the
+// jobs whose worstFinish reads its finish, which is what worstPass
+// wakes when that finish moves.
 
 // holisticKernel is the per-system peer-list working set, recycled
-// through the holisticScratch pool. Segments are stored flat with
-// per-node offsets to keep the build allocation-light. Segment order
+// through the pooled holisticScratch. Segments are stored flat with
+// per-node offsets to keep the build allocation-light, as 4-byte node
+// indices to halve their footprint and scan traffic. Segment order
 // carries no meaning — the admission scans permute entries in place.
 type holisticKernel struct {
 	// interf[interfOff[i]:interfOff[i+1]] lists job i's statically
 	// non-excludable interference peers: same processor, higher
 	// priority, not a transitive predecessor.
-	interf    []platform.NodeID
+	interf    []int32
 	interfOff []int32
 	// block segments list the blocking candidates of non-preemptive
 	// jobs: same processor, lower priority, not a transitive relative
 	// in either direction.
-	block    []platform.NodeID
+	block    []int32
 	blockOff []int32
 	// demand segments back improveBestCase: higher-priority same-
 	// processor peers (guaranteed-demand candidates).
-	demand    []platform.NodeID
+	demand    []int32
 	demandOff []int32
+	// readers segments list, per job j, every job whose interf or
+	// block segment holds j.
+	readers   []int32
+	readerOff []int32
 }
 
 // resizeOffsets returns a slice of length n+1, reusing capacity.
@@ -73,7 +82,7 @@ func resizeOffsets(s []int32, n int) []int32 {
 
 // build fills the static peer segments for one compiled system. The
 // result is independent of any execution vector, so callers cache it
-// per system (see holisticScratch.kernFor).
+// per system (see holisticScratch.prep).
 func (k *holisticKernel) build(sys *platform.System) {
 	n := len(sys.Nodes)
 	k.interf = k.interf[:0]
@@ -102,29 +111,66 @@ func (k *holisticKernel) build(sys *platform.System) {
 				if sys.IsAncestor(pid, id) || sys.IsAncestor(id, pid) {
 					continue
 				}
-				k.block = append(k.block, pid)
+				k.block = append(k.block, int32(pid))
 				continue
 			}
-			k.demand = append(k.demand, pid)
+			k.demand = append(k.demand, int32(pid))
 			if sys.IsAncestor(pid, id) {
 				continue
 			}
-			k.interf = append(k.interf, pid)
+			k.interf = append(k.interf, int32(pid))
 		}
 	}
 	k.interfOff[n] = int32(len(k.interf))
 	k.blockOff[n] = int32(len(k.block))
 	k.demandOff[n] = int32(len(k.demand))
+
+	// Invert interf and block by counting sort: count each job's
+	// readers into readerOff[j+1], turn the counts into segment starts,
+	// fill by advancing each start to its segment's end, then shift the
+	// offsets back by one slot.
+	k.readerOff = resizeOffsets(k.readerOff, n)
+	clear(k.readerOff)
+	for _, j := range k.interf {
+		k.readerOff[j+1]++
+	}
+	for _, j := range k.block {
+		k.readerOff[j+1]++
+	}
+	for j := 1; j <= n; j++ {
+		k.readerOff[j] += k.readerOff[j-1]
+	}
+	total := int(k.readerOff[n])
+	if cap(k.readers) < total {
+		k.readers = make([]int32, total)
+	}
+	k.readers = k.readers[:total]
+	for r := 0; r < n; r++ {
+		for _, j := range k.interfSeg(platform.NodeID(r)) {
+			k.readers[k.readerOff[j]] = int32(r)
+			k.readerOff[j]++
+		}
+		for _, j := range k.blockSeg(platform.NodeID(r)) {
+			k.readers[k.readerOff[j]] = int32(r)
+			k.readerOff[j]++
+		}
+	}
+	copy(k.readerOff[1:], k.readerOff[:n])
+	k.readerOff[0] = 0
 }
 
-func (k *holisticKernel) interfSeg(nid platform.NodeID) []platform.NodeID {
+func (k *holisticKernel) interfSeg(nid platform.NodeID) []int32 {
 	return k.interf[k.interfOff[nid]:k.interfOff[nid+1]]
 }
 
-func (k *holisticKernel) blockSeg(nid platform.NodeID) []platform.NodeID {
+func (k *holisticKernel) blockSeg(nid platform.NodeID) []int32 {
 	return k.block[k.blockOff[nid]:k.blockOff[nid+1]]
 }
 
-func (k *holisticKernel) demandSeg(nid platform.NodeID) []platform.NodeID {
+func (k *holisticKernel) demandSeg(nid platform.NodeID) []int32 {
 	return k.demand[k.demandOff[nid]:k.demandOff[nid+1]]
+}
+
+func (k *holisticKernel) readerSeg(nid platform.NodeID) []int32 {
+	return k.readers[k.readerOff[nid]:k.readerOff[nid+1]]
 }

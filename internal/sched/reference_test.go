@@ -137,46 +137,61 @@ func TestReferenceMatchesHolisticSharedBus(t *testing.T) {
 // evaluates them inline: same processor and higher priority minus
 // transitive predecessors (interference), higher priority (guaranteed
 // demand), and lower priority minus relatives on non-preemptive
-// processors (blocking).
+// processors (blocking). A job's reader segment is every job whose
+// interference or blocking segment holds it. Segments are compared as
+// multisets.
 func TestKernelSegmentsMatchDefinition(t *testing.T) {
 	sys := twoProcSystem(t, func(a *model.Architecture) {
 		a.Procs[1].NonPreemptive = true
 	})
 	var kern holisticKernel
 	kern.build(sys)
-	set := func(ids []platform.NodeID) map[platform.NodeID]bool {
-		out := map[platform.NodeID]bool{}
+	count := func(ids []int32) map[int32]int {
+		out := map[int32]int{}
 		for _, id := range ids {
-			out[id] = true
+			out[id]++
 		}
 		return out
 	}
+	n := len(sys.Nodes)
+	interf, demand, block := make([][]int32, n), make([][]int32, n), make([][]int32, n)
+	readers := make([][]int32, n)
 	for nid, node := range sys.Nodes {
 		id := platform.NodeID(nid)
-		interf, demand, block := []platform.NodeID{}, []platform.NodeID{}, []platform.NodeID{}
 		for _, p := range sys.ProcNodes[node.Proc] {
 			prio := sys.Nodes[p].Priority
 			if prio < node.Priority {
-				demand = append(demand, p)
+				demand[nid] = append(demand[nid], int32(p))
 				if !sys.IsAncestor(p, id) {
-					interf = append(interf, p)
+					interf[nid] = append(interf[nid], int32(p))
+					readers[p] = append(readers[p], int32(nid))
 				}
 			}
 			if node.NonPreemptive && prio > node.Priority && !sys.IsAncestor(p, id) && !sys.IsAncestor(id, p) {
-				block = append(block, p)
+				block[nid] = append(block[nid], int32(p))
+				readers[p] = append(readers[p], int32(nid))
 			}
 		}
+	}
+	sawBlock := false
+	for nid := range sys.Nodes {
+		id := platform.NodeID(nid)
 		for _, c := range []struct {
 			name      string
-			got, want []platform.NodeID
+			got, want []int32
 		}{
-			{"interf", kern.interfSeg(id), interf},
-			{"demand", kern.demandSeg(id), demand},
-			{"block", kern.blockSeg(id), block},
+			{"interf", kern.interfSeg(id), interf[nid]},
+			{"demand", kern.demandSeg(id), demand[nid]},
+			{"block", kern.blockSeg(id), block[nid]},
+			{"readers", kern.readerSeg(id), readers[nid]},
 		} {
-			if !reflect.DeepEqual(set(c.got), set(c.want)) {
+			if !reflect.DeepEqual(count(c.got), count(c.want)) {
 				t.Fatalf("node %d %s = %v, want %v", nid, c.name, c.got, c.want)
 			}
 		}
+		sawBlock = sawBlock || len(block[nid]) > 0
+	}
+	if !sawBlock {
+		t.Fatal("fixture has no blocking segment, so block readers go untested")
 	}
 }

@@ -6,8 +6,8 @@ import "mcmap/internal/platform"
 // scratch state across a run of analyses on one system. Algorithm 1
 // opens one session per call: its fault-free pass and every scenario
 // then reuse the pinned scratch directly instead of cycling it through
-// the backend's shared freelist, so the freelist mutex vanishes from
-// the per-scenario hot path and the buffers stay hot in the cache.
+// the backend's scratch pool, so the buffers and the system's kernel
+// stay hot for the whole call.
 type SessionAnalyzer interface {
 	Analyzer
 	// OpenSession pins scratch state for analyses of sys. The caller
@@ -18,45 +18,37 @@ type SessionAnalyzer interface {
 }
 
 // Session is a single-goroutine analysis context with pinned scratch
-// state. The scratch is checked out of the backend's freelist lazily on
-// first use and returned by Close; between analyses it is re-prepped to
-// the exact state a fresh checkout would establish, which is what makes
-// session results byte-identical to the plain entry points.
+// state. The scratch is drawn from the scratch pool lazily on first use
+// and returned by Close; between analyses it is re-prepped to the exact
+// state a fresh checkout would establish, which is what makes session
+// results byte-identical to the plain entry points.
 type Session struct {
-	h   *Holistic
 	sys *platform.System
 	hs  *holisticScratch
 }
 
 // OpenSession implements SessionAnalyzer.
 func (h *Holistic) OpenSession(sys *platform.System) *Session {
-	return &Session{h: h, sys: sys}
-}
-
-func (se *Session) scratch() *holisticScratch {
-	if se.hs == nil {
-		se.hs = se.h.scratch.Get()
-		if se.hs == nil {
-			se.hs = newHolisticScratch()
-		}
-	}
-	se.hs.prep(se.sys)
-	return se.hs
+	return &Session{sys: sys}
 }
 
 // Analyze is Analyzer.Analyze over the session's system and scratch.
 func (se *Session) Analyze(exec []ExecBounds) (*Result, error) {
-	return se.h.analyzeWith(se.sys, exec, se.scratch())
+	if se.hs == nil {
+		se.hs = scratchPool.Get().(*holisticScratch)
+	}
+	se.hs.prep(se.sys)
+	return analyzeWith(se.sys, exec, se.hs)
 }
 
-// Close returns the pinned scratch to the backend freelist. The session
+// Close returns the pinned scratch to the scratch pool. The session
 // must not be used afterwards.
 func (se *Session) Close() {
 	if se == nil {
 		return
 	}
 	if se.hs != nil {
-		se.h.scratch.Put(se.hs)
+		scratchPool.Put(se.hs)
 		se.hs = nil
 	}
 }

@@ -19,11 +19,12 @@ const utilizationEps = 1e-9
 // maxUnrolledJobs bounds the job count n a spec may unroll to over one
 // hyperperiod (MC0126). Compilation and analysis grow with n²: the
 // compiled system's ancestor bitsets take n²/8 bytes (2 MiB at the
-// cap), and the holistic kernel's peer segments of one analysis hold up
-// to n(n-1) 8-byte node IDs when every job shares one processor (128
-// MiB at the cap; twice that for non-preemptive jobs, whose blocking
-// segments add as many again). The bundled benchmarks unroll to at most
-// 234 jobs under worst-case hardening.
+// cap), and when every job shares one processor the holistic kernel's
+// interference, guaranteed-demand and reader segments of one analysis
+// hold n(n-1)/2 4-byte node indices each (96 MiB at the cap, 109 MiB
+// with append slack); non-preemptive jobs add n(n-1)/2 blocking entries
+// and as many readers (160 MiB in all). The bundled benchmarks unroll
+// to at most 234 jobs under worst-case hardening.
 const maxUnrolledJobs = 4096
 
 // CheckSpec validates a full problem instance with the default
