@@ -89,7 +89,7 @@ bench:
 # persistent-TCP distributed runs against the fork/exec pipe mode.
 # Same gates CI runs; see .github/workflows/ci.yml.
 benchguard:
-	$(GO) test -run '^$$' -bench 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkScenarioDedup|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkDistributedTransport' -count 3 -json $(BENCHPKGS) > bench_current.json
+	$(GO) test -run '^$$' -bench 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkScenarioDedup|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkDistributedTransport' -benchmem -count 3 -json $(BENCHPKGS) > bench_current.json
 	$(GO) run ./cmd/benchguard -baseline $(BENCHOUT) -current bench_current.json \
 		-threshold 15 -require 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkIslandDSE/islands=1|BenchmarkSPEA2Select' \
 		-ratio 'BenchmarkIslandDSE/islands=4<=1.30*BenchmarkIslandDSE/islands=1,BenchmarkDaemonWarmVsCold:warm_over_cold<=0.20,BenchmarkDistributedTransport/transport=tcp<=1.10*BenchmarkDistributedTransport/transport=pipe'
@@ -98,8 +98,9 @@ benchguard:
 # profile captures cpu, mutex and block profiles of Algorithm 1 on
 # growing systems and of the island-model GA, for hot-spot and
 # contention hunting: the mutex and block profiles show where island
-# workers serialize (scratch freelist, pool semaphore), the cpu profile
-# where the cycles go. Inspect with
+# workers serialize (the worker pool's semaphore and the sync.Pool
+# caches of analysis scratch and evaluation workspaces), the cpu
+# profile where the cycles go. Inspect with
 #   go tool pprof $(PROFDIR)/bench.test $(PROFDIR)/analyze_cpu.out
 profile:
 	@mkdir -p $(PROFDIR)

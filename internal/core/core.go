@@ -24,6 +24,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -192,8 +193,38 @@ func (r *Report) WCRTOf(name string) model.Time {
 // Analyze runs Algorithm 1 on a compiled system with the given dropped
 // application set. The fault-free pass and every scenario run one after
 // the other on the calling goroutine, through one backend session when
-// the backend offers one (sched.SessionAnalyzer).
+// the backend offers one (sched.SessionAnalyzer). Analyze is a
+// Workspace's Analyze on fresh memory, so its Report is the caller's.
 func Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error) {
+	var w Workspace
+	return w.Analyze(sys, dropped, cfg)
+}
+
+// Workspace runs Algorithm 1 in recycled memory: the Report its Analyze
+// returns — the report itself, its drop set, every execution vector and
+// every backend result it points to — belongs to the workspace and
+// lives until the workspace's next Analyze, which overwrites it. A
+// caller that keeps anything past that copies it out. The zero value is
+// ready; a Workspace is not safe for concurrent use.
+type Workspace struct {
+	rep     Report
+	dropped DropSet
+	// normal and normalExec are the fault-free pass's result and
+	// vector, results the scenarios' results.
+	normal     sched.Result
+	normalExec []sched.ExecBounds
+	results    []sched.Result
+	ses        *sched.Session
+	cls        []nodeClass
+	index      execIndex
+	// free recycles scenario vectors: every vector of the last report's
+	// scenarios returns here when the next analysis starts.
+	free execFreelist
+	jobs []scenarioJob
+}
+
+// Analyze is the package-level Analyze writing into w's memory.
+func (w *Workspace) Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error) {
 	if err := dropped.Validate(sys.Apps); err != nil {
 		return nil, err
 	}
@@ -201,22 +232,53 @@ func Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error)
 		return nil, err
 	}
 	analyzer := cfg.analyzer()
-	analyze := func(exec []sched.ExecBounds) (*sched.Result, error) { return analyzer.Analyze(sys, exec) }
+	var ses *sched.Session
 	if sa, ok := analyzer.(sched.SessionAnalyzer); ok {
-		ses := sa.OpenSession(sys)
+		if w.ses == nil {
+			w.ses = sa.OpenSession(sys)
+		} else {
+			w.ses.Reset(sys)
+		}
+		ses = w.ses
 		defer ses.Close()
-		analyze = ses.Analyze
+	}
+	// run analyzes exec through the session into res, or through the
+	// plain backend into a result of its own.
+	run := func(exec []sched.ExecBounds, res *sched.Result) (*sched.Result, error) {
+		if ses == nil {
+			return analyzer.Analyze(sys, exec)
+		}
+		return res, ses.AnalyzeInto(res, exec)
 	}
 
-	rep := &Report{
-		Sys:       sys,
-		Dropped:   dropped.Clone(),
-		GraphWCRT: make([]model.Time, len(sys.Apps.Graphs)),
-		TaskWCRT:  make([]model.Time, len(sys.Nodes)),
+	n := len(sys.Nodes)
+	w.free.n = n
+	for _, job := range w.jobs {
+		w.free.put(job.exec)
 	}
+	w.jobs = w.jobs[:0]
+	if w.dropped == nil {
+		w.dropped = make(DropSet, len(dropped))
+	}
+	clear(w.dropped)
+	for k, v := range dropped {
+		w.dropped[k] = v
+	}
+	rep := &w.rep
+	*rep = Report{
+		Sys:       sys,
+		Dropped:   w.dropped,
+		Scenarios: rep.Scenarios[:0],
+		GraphWCRT: resize(rep.GraphWCRT, len(sys.Apps.Graphs)),
+		TaskWCRT:  resize(rep.TaskWCRT, n),
+	}
+	clear(rep.GraphWCRT)
+	clear(rep.TaskWCRT)
 
 	// ---- Lines 2-9: fault-free pass -------------------------------------
-	normal, err := analyze(NormalExec(sys))
+	w.normalExec = resize(w.normalExec, n)
+	normalExecInto(w.normalExec, sys)
+	normal, err := run(w.normalExec, &w.normal)
 	if err != nil {
 		return nil, err
 	}
@@ -239,11 +301,14 @@ func Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error)
 	// ---- Lines 10-34: per-trigger scenarios ------------------------------
 	// Scenario generation and deduplication happen up front in trigger
 	// order; the backend then analyzes the kept scenarios in that order.
-	for _, job := range scenarioJobs(sys, dropped, normal, rep) {
+	jobs := w.scenarioJobs(sys, dropped, normal)
+	w.results = resize(w.results, len(jobs))
+	rep.Scenarios = slices.Grow(rep.Scenarios, len(jobs))
+	for i, job := range jobs {
 		if err := ctxErr(cfg.Ctx); err != nil {
 			return nil, err
 		}
-		res, err := analyze(job.exec)
+		res, err := run(job.exec, &w.results[i])
 		if err != nil {
 			return nil, err
 		}
@@ -254,6 +319,15 @@ func Analyze(sys *platform.System, dropped DropSet, cfg Config) (*Report, error)
 
 	rep.NormalOK, rep.CriticalOK = verdicts(sys, rep)
 	return rep, nil
+}
+
+// resize returns s with length n, keeping its elements and reusing its
+// capacity.
+func resize[E any](s []E, n int) []E {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]E, n-cap(s))...)
 }
 
 // scenarioJob is one generated, deduplicated scenario awaiting its
@@ -267,15 +341,14 @@ type scenarioJob struct {
 // deterministic trigger order, charging skipped duplicates to the
 // report. Every trigger is analyzed unless an identical vector already
 // is: a duplicate's backend result would be identical, so skipping it
-// changes no maximum, verdict or Explain binding. Rejected vectors are
-// recycled into the next trigger's construction, so the scenario hot
-// path allocates one vector per KEPT scenario, not per trigger.
-func scenarioJobs(sys *platform.System, dropped DropSet, normal *sched.Result, rep *Report) []scenarioJob {
-	var jobs []scenarioJob
-	index := newExecIndex(16)
-	free := execFreelist{n: len(sys.Nodes)}
-	vecOf := func(i int32) []sched.ExecBounds { return jobs[i].exec }
-	cls := buildNodeClasses(sys, dropped)
+// changes no maximum, verdict or Explain binding. Rejected vectors back
+// the next trigger's construction, and the list stays in w.jobs for
+// the next analysis to recycle.
+func (w *Workspace) scenarioJobs(sys *platform.System, dropped DropSet, normal *sched.Result) []scenarioJob {
+	w.index.reset()
+	w.cls = resize(w.cls, len(sys.Nodes))
+	buildNodeClasses(w.cls, sys, dropped)
+	vecOf := func(i int32) []sched.ExecBounds { return w.jobs[i].exec }
 	for _, v := range sys.Nodes {
 		if !isTrigger(v) {
 			continue
@@ -285,18 +358,18 @@ func scenarioJobs(sys *platform.System, dropped DropSet, normal *sched.Result, r
 			WindowLo: normal.Bounds[v.ID].MinStart,
 			WindowHi: normal.Bounds[v.ID].MaxFinish,
 		}
-		exec := free.get()
-		scenarioExecInto(exec, cls, sys, normal, sc)
+		exec := w.free.get()
+		scenarioExecInto(exec, w.cls, sys, normal, sc)
 		h := hashExec(exec)
-		if index.lookup(h, exec, vecOf) {
-			rep.ScenariosDeduped++
-			free.put(exec)
+		if w.index.lookup(h, exec, vecOf) {
+			w.rep.ScenariosDeduped++
+			w.free.put(exec)
 			continue
 		}
-		index.insert(h, int32(len(jobs)))
-		jobs = append(jobs, scenarioJob{sc: sc, exec: exec})
+		w.index.insert(h, int32(len(w.jobs)))
+		w.jobs = append(w.jobs, scenarioJob{sc: sc, exec: exec})
 	}
-	return jobs
+	return w.jobs
 }
 
 // ctxErr resolves the optional cancellation context: nil when no
@@ -331,13 +404,20 @@ func isTrigger(n *platform.Node) bool {
 // NormalExec builds the fault-free execution intervals (lines 2-6):
 // nominal bounds with passive replicas pinned to [0,0].
 func NormalExec(sys *platform.System) []sched.ExecBounds {
-	exec := sched.NominalExec(sys)
+	exec := make([]sched.ExecBounds, len(sys.Nodes))
+	normalExecInto(exec, sys)
+	return exec
+}
+
+// normalExecInto is NormalExec writing into a caller-owned vector.
+func normalExecInto(exec []sched.ExecBounds, sys *platform.System) {
 	for i, n := range sys.Nodes {
 		if n.Task.Passive {
 			exec[i] = sched.ExecBounds{}
+		} else {
+			exec[i] = sched.ExecBounds{B: n.NominalBCET(), W: n.NominalWCET()}
 		}
 	}
-	return exec
 }
 
 // ScenarioExec builds the modified execution intervals for one scenario —
@@ -347,8 +427,10 @@ func NormalExec(sys *platform.System) []sched.ExecBounds {
 // and minStart_w > maxFinish_v ("released after the transition") compare
 // exactly as in the paper's Figure 3.
 func ScenarioExec(sys *platform.System, dropped DropSet, normal *sched.Result, sc Scenario) []sched.ExecBounds {
+	cls := make([]nodeClass, len(sys.Nodes))
+	buildNodeClasses(cls, sys, dropped)
 	exec := make([]sched.ExecBounds, len(sys.Nodes))
-	scenarioExecInto(exec, buildNodeClasses(sys, dropped), sys, normal, sc)
+	scenarioExecInto(exec, cls, sys, normal, sc)
 	return exec
 }
 
@@ -378,9 +460,8 @@ type nodeClass struct {
 }
 
 // buildNodeClasses fills the per-node classification table for one
-// (system, drop set) pair.
-func buildNodeClasses(sys *platform.System, dropped DropSet) []nodeClass {
-	cls := make([]nodeClass, len(sys.Nodes))
+// (system, drop set) pair into cls, one entry per node.
+func buildNodeClasses(cls []nodeClass, sys *platform.System, dropped DropSet) {
 	for _, w := range sys.Nodes {
 		c := &cls[w.ID]
 		c.dropped = dropped[w.Graph.Name]
@@ -395,7 +476,6 @@ func buildNodeClasses(sys *platform.System, dropped DropSet) []nodeClass {
 		c.trigger = triggerBounds(w)
 		c.executed = sched.ExecBounds{B: w.BCET, W: w.WCET}
 	}
-	return cls
 }
 
 // scenarioExecInto is ScenarioExec writing into a caller-owned vector
@@ -406,20 +486,9 @@ func scenarioExecInto(exec []sched.ExecBounds, cls []nodeClass, sys *platform.Sy
 	trigger := sys.Nodes[sc.Trigger]
 	// For a dispatch trigger, the fault manifests as the invocation of the
 	// trigger's passive replicas: they actually execute in this scenario.
-	// The map is allocated only for dispatch triggers (and stays small —
-	// one entry per passive replica), keeping re-execution scenarios
-	// allocation-free.
-	var invoked map[platform.NodeID]bool
-	if trigger.Task.Kind == model.KindDispatch {
-		for _, e := range trigger.Out {
-			if sys.Nodes[e.To].Task.Passive {
-				if invoked == nil {
-					invoked = make(map[platform.NodeID]bool, len(trigger.Out))
-				}
-				invoked[e.To] = true
-			}
-		}
-	}
+	// They are the passive successors of the trigger, found by scanning
+	// its few out-edges, so building a vector allocates nothing.
+	dispatch := trigger.Task.Kind == model.KindDispatch
 	for id := range exec {
 		w := platform.NodeID(id)
 		c := &cls[id]
@@ -427,7 +496,7 @@ func scenarioExecInto(exec []sched.ExecBounds, cls []nodeClass, sys *platform.Sy
 			exec[id] = c.trigger
 			continue
 		}
-		if invoked != nil && invoked[w] {
+		if dispatch && sys.Nodes[id].Task.Passive && invokes(trigger, w) {
 			exec[id] = c.executed
 			continue
 		}
@@ -451,6 +520,16 @@ func scenarioExecInto(exec []sched.ExecBounds, cls []nodeClass, sys *platform.Sy
 			exec[id] = c.critical
 		}
 	}
+}
+
+// invokes reports whether the dispatch step v feeds node w.
+func invokes(v *platform.Node, w platform.NodeID) bool {
+	for _, e := range v.Out {
+		if e.To == w {
+			return true
+		}
+	}
+	return false
 }
 
 // triggerBounds gives the faulting task its failure-mode interval: full

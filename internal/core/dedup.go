@@ -64,47 +64,72 @@ func execEqual(a, b []sched.ExecBounds) bool {
 }
 
 // execIndex is the fingerprint index over the kept scenarios' vectors.
-// Values are indices into the caller's job list; a bucket holds more
-// than one index only under a 128-bit collision.
+// Values are indices into the caller's job list. head maps a
+// fingerprint to the last index inserted under it and next chains each
+// index to the one inserted before it under the same fingerprint (-1
+// ends a chain), so a chain is longer than one only under a 128-bit
+// collision and no fingerprint owns a slice of its own.
 type execIndex struct {
-	buckets map[execHash][]int32
+	head map[execHash]int32
+	next []int32
 }
 
 func newExecIndex(capacity int) *execIndex {
-	return &execIndex{buckets: make(map[execHash][]int32, capacity)}
+	return &execIndex{head: make(map[execHash]int32, capacity)}
+}
+
+// reset empties the index, keeping its memory.
+func (x *execIndex) reset() {
+	if x.head == nil {
+		x.head = make(map[execHash]int32)
+	}
+	clear(x.head)
+	x.next = x.next[:0]
 }
 
 // lookup reports whether an identical vector is already indexed.
 // vecOf resolves an indexed slot back to its stored vector.
 func (x *execIndex) lookup(h execHash, exec []sched.ExecBounds, vecOf func(int32) []sched.ExecBounds) bool {
-	for _, idx := range x.buckets[h] {
+	idx, ok := x.head[h]
+	for ok {
 		if execEqual(vecOf(idx), exec) {
 			return true
 		}
+		idx = x.next[idx]
+		ok = idx >= 0
 	}
 	return false
 }
 
 // insert indexes a kept vector under its fingerprint.
 func (x *execIndex) insert(h execHash, idx int32) {
-	x.buckets[h] = append(x.buckets[h], idx)
+	for int(idx) >= len(x.next) {
+		x.next = append(x.next, -1)
+	}
+	x.next[idx] = -1
+	if prev, ok := x.head[h]; ok {
+		x.next[idx] = prev
+	}
+	x.head[h] = idx
 }
 
-// execFreelist recycles scenario execution-interval vectors within one
-// Analyze call: vectors rejected by dedup return here and back the next
-// trigger's construction, so a run with d duplicates performs d fewer
-// O(|V|) allocations. Kept vectors are retained by the Report and never
-// recycled.
+// execFreelist recycles execution-interval vectors: vectors rejected by
+// dedup return here and back the next trigger's construction, and a
+// Workspace returns every vector of its last report here when its next
+// analysis starts. get hands out vectors of length n, dropping spares
+// too small for it.
 type execFreelist struct {
 	n     int
 	spare [][]sched.ExecBounds
 }
 
 func (f *execFreelist) get() []sched.ExecBounds {
-	if k := len(f.spare); k > 0 {
+	for k := len(f.spare); k > 0; k-- {
 		buf := f.spare[k-1]
 		f.spare = f.spare[:k-1]
-		return buf
+		if cap(buf) >= f.n {
+			return buf[:f.n]
+		}
 	}
 	return make([]sched.ExecBounds, f.n)
 }

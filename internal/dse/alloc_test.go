@@ -7,6 +7,7 @@ package dse
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mcmap/internal/benchmarks"
@@ -59,7 +60,10 @@ func TestRepairAllocations(t *testing.T) {
 // seeded, repaired genomes of one Problem.Evaluate, and one
 // platform.Compile of the benchmark's reference design under the
 // load-balanced sample mapping. A per-candidate string map or Decode
-// creeping back into either path shows here first.
+// creeping back into either path shows here first. Evaluate works in a
+// pooled workspace, so what is left is the Individual, its drop list
+// and GraphWCRT copy, the System header and the priority permutation,
+// plus the workspace's buffers growing to the largest design seen.
 func TestEvaluateAllocations(t *testing.T) {
 	p := benchProblem(t, "dt-large")
 	gen := rand.New(rand.NewSource(64))
@@ -78,8 +82,8 @@ func TestEvaluateAllocations(t *testing.T) {
 		}
 		next++
 	})
-	if avg != 201 {
-		t.Errorf("Evaluate allocates %.0f times per repaired DT-large genome, want 201", avg)
+	if avg != 8 {
+		t.Errorf("Evaluate allocates %.0f times per repaired DT-large genome, want 8", avg)
 	}
 
 	b, err := benchmarks.ByName("dt-large")
@@ -96,7 +100,44 @@ func TestEvaluateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if compile != 66 {
-		t.Errorf("Compile(dt-large reference design) allocates %.0f times, want 66", compile)
+	if compile != 55 {
+		t.Errorf("Compile(dt-large reference design) allocates %.0f times, want 55", compile)
+	}
+}
+
+// TestGenomeCopyAllocations pins one DT-large Genome.Clone and one
+// Crossover exactly: the genome, its allocation, keep and gene
+// sections, and one array for every gene's ReplicaMap.
+func TestGenomeCopyAllocations(t *testing.T) {
+	p := benchProblem(t, "dt-large")
+	rng := rand.New(rand.NewSource(5))
+	a, b := p.RandomGenome(rng), p.RandomGenome(rng)
+	clone := testing.AllocsPerRun(100, func() { a.Clone() })
+	if clone != 5 {
+		t.Errorf("Genome.Clone(dt-large) allocates %.0f times, want 5", clone)
+	}
+	cross := testing.AllocsPerRun(100, func() { p.Crossover(a, b, rng) })
+	if cross != 5 {
+		t.Errorf("Crossover(dt-large) allocates %.0f times, want 5", cross)
+	}
+}
+
+// TestOptimizeAllocatedBytes bounds the bytes one fixed-budget DT-large
+// run allocates (pop 32 x 30 generations, seed 1, one worker), by
+// runtime.MemStats.TotalAlloc: at most 12 MB, where a fresh System and
+// Report per candidate took 73.5 MB.
+func TestOptimizeAllocatedBytes(t *testing.T) {
+	p := benchProblem(t, "dt-large")
+	opts := Options{PopSize: 32, Generations: 30, Seed: 1, Workers: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Optimize(p, opts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("Optimize(dt-large, pop 32 x 30): %.1f MB, %d mallocs, %d GCs", mb, after.Mallocs-before.Mallocs, after.NumGC-before.NumGC)
+	if mb > 12 {
+		t.Errorf("Optimize(dt-large, pop 32 x 30) allocates %.1f MB, want <= 12", mb)
 	}
 }

@@ -138,51 +138,87 @@ func (p *Problem) placementOK(g *Genome) bool {
 }
 
 // geneSystem is a genome's compiled system together with the index form
-// it was built from, which the power model reads.
+// it was built from, which the power model reads, and the memory both
+// are built in. A geneSystem is recycled: its System and index form live
+// until its next compile.
 type geneSystem struct {
 	sys *platform.System
 	// slots[gi] and procs[gi] give, for each task of the hardened graph
 	// gi, its hardening.Slot and its Arch.Procs index.
 	slots [][]hardening.Slot
 	procs [][]int
+
+	build  platform.Builder
+	tf     []hardening.Transformer // one per graph
+	mapped []platform.MappedGraph
+	// decs[gi] is carved from decBuf, the tasks, processors and channel
+	// lists of the hardened graphs from the buffers below.
+	decs     [][]hardening.Decision
+	decBuf   []hardening.Decision
+	graphs   []model.TaskGraph
+	graphPtr []*model.TaskGraph
+	apps     model.AppSet
+	tasks    []*model.Task
+	procBuf  []int
+	chans    []model.Channel
+	chanPtrs []*model.Channel
+	util     []float64
+}
+
+// grow returns s resized to length n, reusing its capacity; entries are
+// left as they were.
+func grow[E any](s []E, n int) []E {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // compileGenes builds the System that platform.Compile builds for g's
-// decoded design, through the same transform (hardening.Transform) and
-// builder (platform.Build), from the compile table's pre-built tasks.
-// The application set was validated once, by NewProblem, and the
-// transform keeps it valid (MC0127 rules out artifact IDs that collide),
-// so the only checks left are the ones genes decide: every processor is
-// known and admits its task's type (model.ValidatePlacement, as in
-// Compile's ValidateMapping).
+// decoded design, in fresh memory (see compileInto).
 func (p *Problem) compileGenes(g *Genome) (*geneSystem, error) {
+	gs := new(geneSystem)
+	if err := p.compileInto(gs, g); err != nil {
+		return nil, err
+	}
+	return gs, nil
+}
+
+// compileInto builds the System that platform.Compile builds for g's
+// decoded design into gs, through the same transform
+// (hardening.Transform) and builder (platform.Build), from the compile
+// table's pre-built tasks. The application set was validated once, by
+// NewProblem, and the transform keeps it valid (MC0127 rules out
+// artifact IDs that collide), so the only checks left are the ones
+// genes decide: every processor is known and admits its task's type
+// (model.ValidatePlacement, as in Compile's ValidateMapping).
+func (p *Problem) compileInto(gs *geneSystem, g *Genome) error {
 	ct := p.compileTable()
 	n := len(ct.graphs)
-	gs := &geneSystem{slots: make([][]hardening.Slot, n), procs: make([][]int, n)}
-	mapped := make([]platform.MappedGraph, n)
-	// decs[gi][k] is the decision for task k of graph gi.
-	decs, all := make([][]hardening.Decision, n), make([]hardening.Decision, len(g.Genes))
+	gs.slots, gs.procs = grow(gs.slots, n), grow(gs.procs, n)
+	gs.mapped, gs.decs = grow(gs.mapped, n), grow(gs.decs, n)
+	if len(gs.tf) < n {
+		gs.tf = make([]hardening.Transformer, n)
+	}
+	all := grow(gs.decBuf, len(g.Genes))
+	gs.decBuf = all
 	total, channels := 0, 0
 	for gi, dg := range ct.graphs {
-		decs[gi], all = all[:len(dg.genes)], all[len(dg.genes):]
+		gs.decs[gi], all = all[:len(dg.genes)], all[len(dg.genes):]
 		for k, i := range dg.genes {
 			ge := g.Genes[i]
 			p.validateGene(&ge)
-			decs[gi][k] = hardening.Decision{Technique: ge.Technique, K: ge.K, Replicas: ge.Replicas}
+			gs.decs[gi][k] = hardening.Decision{Technique: ge.Technique, K: ge.K, Replicas: ge.Replicas}
 		}
-		gs.slots[gi], mapped[gi].Links = hardening.Transform(len(dg.genes), dg.links, decs[gi])
+		gs.slots[gi], gs.mapped[gi].Links = gs.tf[gi].Transform(len(dg.genes), dg.links, gs.decs[gi])
 		total += len(gs.slots[gi])
-		channels += len(mapped[gi].Links)
+		channels += len(gs.mapped[gi].Links)
 	}
-	graphs := make([]model.TaskGraph, n)
-	tasks := make([]*model.Task, total)
-	procs := make([]int, total)
-	chans := make([]model.Channel, channels)
-	chanPtrs := make([]*model.Channel, channels)
-	apps := &model.AppSet{Graphs: make([]*model.TaskGraph, n)}
+	gs.graphs, gs.graphPtr = grow(gs.graphs, n), grow(gs.graphPtr, n)
+	gs.tasks, gs.procBuf = grow(gs.tasks, total), grow(gs.procBuf, total)
+	gs.chans, gs.chanPtrs = grow(gs.chans, channels), grow(gs.chanPtrs, channels)
+	tasks, procs, chans, chanPtrs := gs.tasks, gs.procBuf, gs.chans, gs.chanPtrs
+	gs.apps.Graphs = gs.graphPtr
 	for gi, dg := range ct.graphs {
-		slots, links := gs.slots[gi], mapped[gi].Links
-		hg := &graphs[gi]
+		slots, links := gs.slots[gi], gs.mapped[gi].Links
+		hg := &gs.graphs[gi]
 		*hg = dg.g.EmptyCopy()
 		hg.Tasks, tasks = tasks[:len(slots):len(slots)], tasks[len(slots):]
 		gs.procs[gi], procs = procs[:len(slots):len(slots)], procs[len(slots):]
@@ -196,10 +232,10 @@ func (p *Problem) compileGenes(g *Genome) (*geneSystem, error) {
 			case hardening.Replica:
 				pid = ge.ReplicaMap[s.Replica]
 			}
-			t := ct.task(i, s, decs[gi][s.Task])
+			t := ct.task(i, s, gs.decs[gi][s.Task])
 			j := p.Arch.ProcIndex(pid)
 			if err := model.ValidatePlacement(t, pid, p.Arch.Proc(pid)); err != nil {
-				return nil, err
+				return err
 			}
 			hg.Tasks[k], gs.procs[gi][k] = t, j
 		}
@@ -209,25 +245,28 @@ func (p *Problem) compileGenes(g *Genome) (*geneSystem, error) {
 			hg.Channels[k] = &chans[k]
 		}
 		chans = chans[len(links):]
-		mapped[gi].Procs = gs.procs[gi]
-		apps.Graphs[gi] = hg
+		gs.mapped[gi].Procs = gs.procs[gi]
+		gs.apps.Graphs[gi] = hg
 	}
-	sys, err := platform.Build(p.Arch, apps, mapped, p.Policy)
+	sys, err := gs.build.Build(p.Arch, &gs.apps, gs.mapped, p.Policy)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	gs.sys = sys
-	return gs, nil
+	return nil
 }
 
 // geneUtil returns the expected utilization of each processor (indexed
 // like Arch.Procs) of g's design: the per-task loads of power.Expected
 // (power.TaskLoad), accumulated in the same order, so the power folded
 // from it is bit-identical. A passive replica's invocation probability
-// comes from the failure probabilities of its active siblings.
+// comes from the failure probabilities of its active siblings. The
+// slice is gs's own and lives until its next geneUtil.
 func (p *Problem) geneUtil(g *Genome, gs *geneSystem) []float64 {
 	ct, rt := p.compileTable(), p.relTable()
-	util := make([]float64, len(p.Arch.Procs))
+	gs.util = grow(gs.util, len(p.Arch.Procs))
+	util := gs.util
+	clear(util)
 	for gi, hg := range gs.sys.Apps.Graphs {
 		period := float64(hg.Period)
 		for k, t := range hg.Tasks {

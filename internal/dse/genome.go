@@ -37,12 +37,6 @@ type TaskGene struct {
 	VoterMap model.ProcID
 }
 
-func (g TaskGene) clone() TaskGene {
-	c := g
-	c.ReplicaMap = append([]model.ProcID(nil), g.ReplicaMap...)
-	return c
-}
-
 // Genome is the full chromosome.
 type Genome struct {
 	// Alloc marks allocated (powered-on) processors, indexed like
@@ -58,15 +52,45 @@ type Genome struct {
 
 // Clone deep-copies the genome.
 func (g *Genome) Clone() *Genome {
-	ng := &Genome{
+	c := g.shallowClone()
+	c.ownReplicaMaps()
+	return c
+}
+
+// shallowClone copies the genome's sections, leaving every gene's
+// ReplicaMap shared with g.
+func (g *Genome) shallowClone() *Genome {
+	c := &Genome{
 		Alloc: append([]bool(nil), g.Alloc...),
 		Keep:  append([]bool(nil), g.Keep...),
 		Genes: make([]TaskGene, len(g.Genes)),
 	}
+	copy(c.Genes, g.Genes)
+	return c
+}
+
+// ownReplicaMaps gives every gene a private copy of its ReplicaMap, all
+// carved from one array, so a genome's replica maps cost one allocation
+// instead of one per gene. Empty maps become nil.
+func (g *Genome) ownReplicaMaps() {
+	total := 0
 	for i := range g.Genes {
-		ng.Genes[i] = g.Genes[i].clone()
+		total += len(g.Genes[i].ReplicaMap)
 	}
-	return ng
+	var rm []model.ProcID
+	if total > 0 {
+		rm = make([]model.ProcID, total)
+	}
+	for i := range g.Genes {
+		ge := &g.Genes[i]
+		k := len(ge.ReplicaMap)
+		if k == 0 {
+			ge.ReplicaMap = nil
+			continue
+		}
+		copy(rm, ge.ReplicaMap)
+		ge.ReplicaMap, rm = rm[:k:k], rm[k:]
+	}
 }
 
 // Key128 is a 128-bit FNV-style genome fingerprint: building it

@@ -10,7 +10,7 @@ import (
 // section: each allocation bit, keep bit and whole task gene is inherited
 // from either parent with equal probability.
 func (p *Problem) Crossover(a, b *Genome, rng *rand.Rand) *Genome {
-	child := a.Clone()
+	child := a.shallowClone()
 	for i := range child.Alloc {
 		if rng.Intn(2) == 0 {
 			child.Alloc[i] = b.Alloc[i]
@@ -23,9 +23,10 @@ func (p *Problem) Crossover(a, b *Genome, rng *rand.Rand) *Genome {
 	}
 	for i := range child.Genes {
 		if rng.Intn(2) == 0 {
-			child.Genes[i] = b.Genes[i].clone()
+			child.Genes[i] = b.Genes[i]
 		}
 	}
+	child.ownReplicaMaps()
 	return child
 }
 

@@ -193,13 +193,30 @@ type Slot struct {
 // step that receives the active replicas' results and invokes the
 // passive ones. Re-execution changes no structure.
 func Transform(n int, links []model.Link, dec []Decision) ([]Slot, []model.Link) {
+	var x Transformer
+	return x.Transform(n, links, dec)
+}
+
+// Transformer runs Transform in recycled memory: the slots and links
+// its Transform returns are the Transformer's own and live until its
+// next call. The zero value is ready; a Transformer is not safe for
+// concurrent use.
+type Transformer struct {
+	slots        []Slot
+	cur, in, out []model.Link
+	at           []int
+}
+
+// Transform is the package-level Transform writing into x's memory.
+func (x *Transformer) Transform(n int, links []model.Link, dec []Decision) ([]Slot, []model.Link) {
 	extra := 0
 	for _, d := range dec {
 		if d.replicates() {
 			extra += d.Replicas + 2 // voter and, if passive, dispatch step
 		}
 	}
-	slots := make([]Slot, n, n+extra)
+	slots := slices.Grow(x.slots[:0], n+extra)[:n]
+	x.slots = slots
 	for i := range slots {
 		slots[i] = Slot{Task: i}
 	}
@@ -208,8 +225,8 @@ func Transform(n int, links []model.Link, dec []Decision) ([]Slot, []model.Link)
 	}
 	// While replicating, a slot is named by its index in slots: the
 	// originals keep 0..n-1 and every artifact is appended.
-	cur := slices.Clone(links)
-	var in, out []model.Link
+	cur := append(x.cur[:0], links...)
+	in, out := x.in, x.out
 	for t, d := range dec {
 		if !d.replicates() {
 			continue
@@ -255,8 +272,9 @@ func Transform(n int, links []model.Link, dec []Decision) ([]Slot, []model.Link)
 		}
 	}
 	// Drop the replicated originals: the rest keep their order and the
-	// artifacts follow in the order they were appended.
-	at := make([]int, len(slots))
+	// artifacts follow in the order they were appended. A dropped
+	// original's entry of at is never read, as no link touches it.
+	at := slices.Grow(x.at[:0], len(slots))[:len(slots)]
 	kept := slots[:0]
 	for k, s := range slots {
 		if s.Role == Self && dec[k].replicates() {
@@ -268,6 +286,7 @@ func Transform(n int, links []model.Link, dec []Decision) ([]Slot, []model.Link)
 	for i := range cur {
 		cur[i].Src, cur[i].Dst = at[cur[i].Src], at[cur[i].Dst]
 	}
+	x.cur, x.in, x.out, x.at = cur, in, out, at
 	return kept, cur
 }
 

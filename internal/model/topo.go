@@ -40,7 +40,18 @@ func Links(g *TaskGraph) ([]Link, error) {
 // topological order and each task's depth (0 for sources, otherwise 1 +
 // the deepest predecessor), and ok=false when the graph has a cycle.
 func TopoSort(n int, links []Link) (order, depth []int, ok bool) {
-	buf := make([]int, 5*n+1+len(links))
+	return TopoSortInto(make([]int, TopoSortLen(n, links)), n, links)
+}
+
+// TopoSortLen is the length of the buffer TopoSortInto needs.
+func TopoSortLen(n int, links []Link) int { return 5*n + 1 + len(links) }
+
+// TopoSortInto is TopoSort working in buf, which must hold at least
+// TopoSortLen(n, links) ints: order and depth are carved from it, so
+// they live as long as the caller leaves buf alone.
+func TopoSortInto(buf []int, n int, links []Link) (order, depth []int, ok bool) {
+	buf = buf[:TopoSortLen(n, links)]
+	clear(buf)
 	indeg, next := buf[:n], buf[n:2*n]
 	depth, order = buf[2*n:3*n], buf[3*n:3*n:4*n]
 	start, succ := buf[4*n:5*n+1], buf[5*n+1:]

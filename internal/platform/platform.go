@@ -14,8 +14,10 @@
 package platform
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"mcmap/internal/model"
 )
@@ -177,50 +179,103 @@ type MappedGraph struct {
 }
 
 // Build compiles a mapped application set in index form: graphs[gi]
-// describes apps.Graphs[gi]. It is the one place that creates a System's
-// nodes, edges, ancestor bitsets, priorities and per-processor lists, and
-// it allocates them in bulk. Build trusts its input — acyclic graphs
-// with at least one task, processor indices in range, tasks allowed on
-// their processors — as Compile validates it.
+// describes apps.Graphs[gi]. It is a Builder's Build on fresh memory.
+// Build trusts its input — acyclic graphs with at least one task,
+// processor indices in range, tasks allowed on their processors — as
+// Compile validates it.
 func Build(arch *model.Architecture, apps *model.AppSet, graphs []MappedGraph, policy PriorityPolicy) (*System, error) {
+	var b Builder
+	return b.Build(arch, apps, graphs, policy)
+}
+
+// Builder is the one place that creates a System's nodes, edges,
+// ancestor bitsets, priorities and per-processor lists, and it keeps
+// them in bulk arrays it recycles: a System from a Builder lives until
+// that Builder's next Build, which overwrites its nodes, lists and
+// bitsets. Every Build returns a fresh *System header, so a cache
+// keyed by the header (the holistic backend's kernel cache) never
+// mistakes a rebuilt system for the one before it. The zero value is
+// ready; a Builder is not safe for concurrent use.
+type Builder struct {
+	nodes     []Node
+	nodePtrs  []*Node
+	edges     []Edge
+	ids       []NodeID // GraphNodes and GraphInstances, then ProcNodes
+	instances [][]NodeID
+	perGraph  [][]NodeID   // GraphNodes
+	perInst   [][][]NodeID // GraphInstances
+	procNodes map[model.ProcID][]NodeID
+	words     []uint64
+	ancestors [][]uint64
+	byRank    []NodeID
+	// topo backs every graph's TopoSortInto; orders and depths index it.
+	topo           []int
+	orders, depths [][]int
+	scratch        []int
+	procCount      []int
+}
+
+// grow returns s resized to length n, reusing its capacity; entries
+// are left as they were.
+func grow[E any](s []E, n int) []E {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// Build compiles like the package-level Build, into b's arrays.
+func (b *Builder) Build(arch *model.Architecture, apps *model.AppSet, graphs []MappedGraph, policy PriorityPolicy) (*System, error) {
 	hp, err := apps.Hyperperiod()
 	if err != nil {
 		return nil, err
 	}
 	// Per graph, the topological order (with depths) and the instance
 	// count; then the sizes of every bulk allocation.
-	orders := make([][]int, len(graphs))
-	depths := make([][]int, len(graphs))
+	topoLen := 0
+	for gi, mg := range graphs {
+		topoLen += model.TopoSortLen(len(apps.Graphs[gi].Tasks), mg.Links)
+	}
+	b.topo = grow(b.topo, topoLen)
+	b.orders, b.depths = grow(b.orders, len(graphs)), grow(b.depths, len(graphs))
+	topo := b.topo
 	nNodes, nEdges, nInst, maxTasks := 0, 0, 0, 0
 	for gi, mg := range graphs {
 		g := apps.Graphs[gi]
-		order, depth, ok := model.TopoSort(len(g.Tasks), mg.Links)
+		buf := topo[:model.TopoSortLen(len(g.Tasks), mg.Links)]
+		topo = topo[len(buf):]
+		order, depth, ok := model.TopoSortInto(buf, len(g.Tasks), mg.Links)
 		if !ok {
 			return nil, fmt.Errorf("platform: graph %q contains a cycle", g.Name)
 		}
-		orders[gi], depths[gi] = order, depth
+		b.orders[gi], b.depths[gi] = order, depth
 		inst := int(hp / g.Period)
 		nNodes += inst * len(g.Tasks)
 		nEdges += inst * len(mg.Links)
 		nInst += inst
 		maxTasks = max(maxTasks, len(g.Tasks))
 	}
+	if b.procNodes == nil {
+		b.procNodes = make(map[model.ProcID][]NodeID)
+	}
+	clear(b.procNodes)
+	b.nodePtrs = grow(b.nodePtrs, nNodes)
+	b.perInst, b.perGraph = grow(b.perInst, len(graphs)), grow(b.perGraph, len(graphs))
 	sys := &System{
 		Arch:           arch,
 		Apps:           apps,
-		Nodes:          make([]*Node, nNodes),
-		GraphInstances: make([][][]NodeID, len(graphs)),
-		GraphNodes:     make([][]NodeID, len(graphs)),
-		ProcNodes:      make(map[model.ProcID][]NodeID),
+		Nodes:          b.nodePtrs,
+		GraphInstances: b.perInst,
+		GraphNodes:     b.perGraph,
+		ProcNodes:      b.procNodes,
 		Hyperperiod:    hp,
 	}
-	nodes := make([]Node, nNodes)
-	edges := make([]Edge, 2*nEdges)
-	ids := make([]NodeID, 2*nNodes) // GraphNodes, then ProcNodes
+	b.nodes = grow(b.nodes, nNodes)
+	b.edges = grow(b.edges, 2*nEdges)
+	b.ids = grow(b.ids, 2*nNodes)
+	b.instances = grow(b.instances, nInst)
+	b.scratch = grow(b.scratch, 3*maxTasks)
+	b.procCount = grow(b.procCount, len(arch.Procs))
+	clear(b.procCount)
+	nodes, edges, ids, instances, scratch, procCount := b.nodes, b.edges, b.ids, b.instances, b.scratch, b.procCount
 	lists := ids[nNodes:]
-	instances := make([][]NodeID, nInst)
-	scratch := make([]int, 3*maxTasks)
-	procCount := make([]int, len(arch.Procs))
 	next := 0
 	for gi, mg := range graphs {
 		g := apps.Graphs[gi]
@@ -231,7 +286,7 @@ func Build(arch *model.Architecture, apps *model.AppSet, graphs []MappedGraph, p
 		pos, degIn, degOut := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
 		clear(degIn)
 		clear(degOut)
-		for x, t := range orders[gi] {
+		for x, t := range b.orders[gi] {
 			pos[t] = x
 		}
 		for _, l := range mg.Links {
@@ -245,7 +300,7 @@ func Build(arch *model.Architecture, apps *model.AppSet, graphs []MappedGraph, p
 			release := model.Time(k) * g.Period
 			base := next
 			sys.GraphInstances[gi][k] = ids[base : base+n : base+n]
-			for _, t := range orders[gi] {
+			for _, t := range b.orders[gi] {
 				task, proc := g.Tasks[t], &arch.Procs[mg.Procs[t]]
 				nd := &nodes[next]
 				*nd = Node{
@@ -258,7 +313,7 @@ func Build(arch *model.Architecture, apps *model.AppSet, graphs []MappedGraph, p
 					AbsDeadline:    release + g.EffectiveDeadline(),
 					Proc:           proc.ID,
 					NonPreemptive:  proc.NonPreemptive,
-					Depth:          depths[gi][t],
+					Depth:          b.depths[gi][t],
 					BCET:           proc.ScaleExecFloor(task.BCET),
 					WCET:           proc.ScaleExec(task.WCET),
 					DetectOverhead: proc.ScaleExec(task.DetectOverhead),
@@ -292,10 +347,12 @@ func Build(arch *model.Architecture, apps *model.AppSet, graphs []MappedGraph, p
 	// node IDs are consecutive and topologically ordered, so each node
 	// folds in its predecessors' words of its own instance only.
 	words := (nNodes + 63) / 64
-	backing := make([]uint64, words*nNodes)
-	sys.ancestors = make([][]uint64, nNodes)
+	b.words = grow(b.words, words*nNodes)
+	clear(b.words)
+	b.ancestors = grow(b.ancestors, nNodes)
+	sys.ancestors = b.ancestors
 	for i := range sys.ancestors {
-		sys.ancestors[i] = backing[i*words : (i+1)*words]
+		sys.ancestors[i] = b.words[i*words : (i+1)*words]
 	}
 	for gi := range sys.GraphInstances {
 		for _, ids := range sys.GraphInstances[gi] {
@@ -319,7 +376,8 @@ func Build(arch *model.Architecture, apps *model.AppSet, graphs []MappedGraph, p
 	if len(prio) != nNodes {
 		return nil, fmt.Errorf("platform: policy %q returned %d priorities for %d nodes", policy.Name(), len(prio), nNodes)
 	}
-	byRank := make([]NodeID, nNodes)
+	b.byRank = grow(b.byRank, nNodes)
+	byRank := b.byRank
 	for i := range byRank {
 		byRank[i] = -1
 	}
@@ -396,33 +454,43 @@ type nodeKey struct {
 	instance int
 }
 
+// sortBuf is assignByKeys' working memory, recycled through sortPool
+// so a policy allocates only the permutation it returns.
+type sortBuf struct {
+	keys []nodeKey
+	idx  []int
+}
+
+var sortPool = sync.Pool{New: func() any { return new(sortBuf) }}
+
 // assignByKeys ranks the nodes by their keys; lead gives each node's
 // policy-specific leading criteria.
 func assignByKeys(sys *System, lead func(n *Node) (k1, k2 int64)) []int {
-	keys := make([]nodeKey, len(sys.Nodes))
+	buf := sortPool.Get().(*sortBuf)
+	defer sortPool.Put(buf)
+	buf.keys = grow(buf.keys, len(sys.Nodes))
+	buf.idx = grow(buf.idx, len(sys.Nodes))
+	keys, idx := buf.keys, buf.idx
 	for i, n := range sys.Nodes {
 		k1, k2 := lead(n)
 		keys[i] = nodeKey{k1: k1, k2: k2, depth: n.Depth, id: n.Task.ID, instance: n.Instance}
-	}
-	idx := make([]int, len(sys.Nodes))
-	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
-		if ka.k1 != kb.k1 {
-			return ka.k1 < kb.k1
+	slices.SortStableFunc(idx, func(a, b int) int {
+		ka, kb := &keys[a], &keys[b]
+		if c := cmp.Compare(ka.k1, kb.k1); c != 0 {
+			return c
 		}
-		if ka.k2 != kb.k2 {
-			return ka.k2 < kb.k2
+		if c := cmp.Compare(ka.k2, kb.k2); c != 0 {
+			return c
 		}
-		if ka.depth != kb.depth {
-			return ka.depth < kb.depth
+		if c := cmp.Compare(ka.depth, kb.depth); c != 0 {
+			return c
 		}
-		if ka.id != kb.id {
-			return ka.id < kb.id
+		if c := cmp.Compare(ka.id, kb.id); c != 0 {
+			return c
 		}
-		return ka.instance < kb.instance
+		return cmp.Compare(ka.instance, kb.instance)
 	})
 	prio := make([]int, len(sys.Nodes))
 	for rank, node := range idx {

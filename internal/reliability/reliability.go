@@ -206,9 +206,9 @@ func majorityFailureProb(probs []float64) float64 {
 		return 1 - (1-probs[0])*(1-probs[1])
 	}
 	tolerable := (n - 1) / 2
-	if n > 20 {
+	if n > enumerateMax {
 		// Exact distribution of the failure count, replica by replica:
-		// the enumeration below is exponential in n.
+		// O(n^2) where the enumeration below is O(n*2^n).
 		dist := make([]float64, n+1)
 		dist[0] = 1
 		for i, p := range probs {
@@ -223,8 +223,9 @@ func majorityFailureProb(probs []float64) float64 {
 		}
 		return unsafe
 	}
-	// Enumerate failure patterns; replica counts are small (2..5 at the
-	// DSE's default cap).
+	// Enumerate failure patterns. Up to enumerateMax replicas this keeps
+	// the floating-point summation order every recorded figure was taken
+	// with.
 	var unsafe float64
 	for mask := 0; mask < 1<<n; mask++ {
 		fails := 0
@@ -243,6 +244,12 @@ func majorityFailureProb(probs []float64) float64 {
 	}
 	return unsafe
 }
+
+// enumerateMax is the largest replica count majorityFailureProb sums by
+// enumerating failure patterns: the DSE's default replica cap and the
+// largest count in any bundled plan. Above it the failure-count
+// recurrence takes over, which agrees with the enumeration to rounding.
+const enumerateMax = 4
 
 // RequiredReExecutions returns the smallest k such that re-executing the
 // task k times on the given processor meets the per-period failure budget,

@@ -234,3 +234,39 @@ func TestSpeedAffectsExposure(t *testing.T) {
 		t.Error("faster processor should reduce unsafe probability")
 	}
 }
+
+// TestMajorityFailureProbRecurrence checks the failure-count recurrence
+// majorityFailureProb uses above enumerateMax replicas against a direct
+// enumeration of every failure pattern, with mixed per-replica
+// probabilities, to a relative 1e-12.
+func TestMajorityFailureProbRecurrence(t *testing.T) {
+	enumerate := func(probs []float64) float64 {
+		n, unsafe := len(probs), 0.0
+		for mask := 0; mask < 1<<n; mask++ {
+			fails, p := 0, 1.0
+			for i, q := range probs {
+				if mask&(1<<i) != 0 {
+					fails++
+					p *= q
+				} else {
+					p *= 1 - q
+				}
+			}
+			if fails > (n-1)/2 {
+				unsafe += p
+			}
+		}
+		return unsafe
+	}
+	for n := enumerateMax + 1; n <= 16; n++ {
+		probs := make([]float64, n)
+		for i := range probs {
+			// Spread over four decades, from 1e-4 up to about 0.5.
+			probs[i] = math.Pow(10, -4+float64((i*7+n)%13)*0.3)
+		}
+		got, want := majorityFailureProb(probs), enumerate(probs)
+		if math.Abs(got-want) > 1e-12*want {
+			t.Errorf("n=%d: recurrence %v, enumeration %v", n, got, want)
+		}
+	}
+}

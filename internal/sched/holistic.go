@@ -155,17 +155,27 @@ func (h *Holistic) Analyze(sys *platform.System, exec []ExecBounds) (*Result, er
 	s := scratchPool.Get().(*holisticScratch)
 	defer scratchPool.Put(s)
 	s.prep(sys)
-	return analyzeWith(sys, exec, s)
-}
-
-// analyzeWith is Analyze over a caller-owned scratch; s must have been
-// prepped for sys immediately before the call.
-func analyzeWith(sys *platform.System, exec []ExecBounds, s *holisticScratch) (*Result, error) {
-	if err := ValidateExec(sys, exec); err != nil {
+	res := new(Result)
+	if err := analyzeWith(sys, exec, s, res); err != nil {
 		return nil, err
 	}
+	return res, nil
+}
+
+// analyzeWith is Analyze over a caller-owned scratch and result; s must
+// have been prepped for sys immediately before the call. It overwrites
+// every field of res, reusing the capacity of res.Bounds.
+func analyzeWith(sys *platform.System, exec []ExecBounds, s *holisticScratch, res *Result) error {
+	if err := ValidateExec(sys, exec); err != nil {
+		return err
+	}
 	n := len(sys.Nodes)
-	res := &Result{Bounds: make([]Bounds, n)}
+	bounds := res.Bounds
+	if cap(bounds) < n {
+		bounds = make([]Bounds, n)
+	}
+	*res = Result{Bounds: bounds[:n]}
+	clear(res.Bounds)
 
 	// ---- Phase A: precedence-only best-case pass ------------------------
 	// minAct[i] is a lower bound on job i's ACTIVATION (all inputs
@@ -208,7 +218,7 @@ func analyzeWith(sys *platform.System, exec []ExecBounds, s *holisticScratch) (*
 			res.Schedulable = false
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // bestCasePrec fills MinStart/MinFinish/minAct from precedence chains

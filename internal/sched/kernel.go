@@ -72,6 +72,14 @@ type holisticKernel struct {
 	readerOff []int32
 }
 
+// reserve returns an empty slice with capacity at least c, reusing s's.
+func reserve(s []int32, c int) []int32 {
+	if cap(s) < c {
+		return make([]int32, 0, c)
+	}
+	return s[:0]
+}
+
 // resizeOffsets returns a slice of length n+1, reusing capacity.
 func resizeOffsets(s []int32, n int) []int32 {
 	if cap(s) < n+1 {
@@ -85,9 +93,22 @@ func resizeOffsets(s []int32, n int) []int32 {
 // per system (see holisticScratch.prep).
 func (k *holisticKernel) build(sys *platform.System) {
 	n := len(sys.Nodes)
-	k.interf = k.interf[:0]
-	k.block = k.block[:0]
-	k.demand = k.demand[:0]
+	// Reserve each segment array once, from counts known before the
+	// fill: a job's demand segment holds exactly the jobs above it in
+	// its processor's priority-sorted list (its rank there), its
+	// interference segment at most those, and a non-preemptive job's
+	// blocking segment at most the jobs below it.
+	var above, below int
+	for _, ids := range sys.ProcNodes {
+		pairs := len(ids) * (len(ids) - 1) / 2
+		above += pairs
+		if len(ids) > 0 && sys.Nodes[ids[0]].NonPreemptive {
+			below += pairs
+		}
+	}
+	k.interf = reserve(k.interf, above)
+	k.demand = reserve(k.demand, above)
+	k.block = reserve(k.block, below)
 	k.interfOff = resizeOffsets(k.interfOff, n)
 	k.blockOff = resizeOffsets(k.blockOff, n)
 	k.demandOff = resizeOffsets(k.demandOff, n)

@@ -34,15 +34,33 @@ func (h *Holistic) OpenSession(sys *platform.System) *Session {
 
 // Analyze is Analyzer.Analyze over the session's system and scratch.
 func (se *Session) Analyze(exec []ExecBounds) (*Result, error) {
+	res := new(Result)
+	if err := se.AnalyzeInto(res, exec); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// AnalyzeInto is Analyze writing into a caller-owned result: it
+// overwrites every field of res and reuses the capacity of res.Bounds,
+// so a caller that recycles its results analyzes without allocating.
+func (se *Session) AnalyzeInto(res *Result, exec []ExecBounds) error {
 	if se.hs == nil {
 		se.hs = scratchPool.Get().(*holisticScratch)
 	}
 	se.hs.prep(se.sys)
-	return analyzeWith(se.sys, exec, se.hs)
+	return analyzeWith(se.sys, exec, se.hs, res)
+}
+
+// Reset re-targets the session at sys. A closed session may be reset
+// and used again (its next analysis draws a scratch from the pool), so
+// a long-lived caller keeps one Session for every system it analyzes.
+func (se *Session) Reset(sys *platform.System) {
+	se.sys = sys
 }
 
 // Close returns the pinned scratch to the scratch pool. The session
-// must not be used afterwards.
+// must not be used afterwards, unless Reset first.
 func (se *Session) Close() {
 	if se == nil {
 		return

@@ -21,10 +21,10 @@ const utilizationEps = 1e-9
 // compiled system's ancestor bitsets take n²/8 bytes (2 MiB at the
 // cap), and when every job shares one processor the holistic kernel's
 // interference, guaranteed-demand and reader segments of one analysis
-// hold n(n-1)/2 4-byte node indices each (96 MiB at the cap, 109 MiB
-// with append slack); non-preemptive jobs add n(n-1)/2 blocking entries
-// and as many readers (160 MiB in all). The bundled benchmarks unroll
-// to at most 234 jobs under worst-case hardening.
+// hold n(n-1)/2 4-byte node indices each (96 MiB at the cap, each
+// array allocated once from counts); non-preemptive jobs add n(n-1)/2
+// blocking entries and as many readers (160 MiB in all). The bundled
+// benchmarks unroll to at most 234 jobs under worst-case hardening.
 const maxUnrolledJobs = 4096
 
 // CheckSpec validates a full problem instance with the default
